@@ -10,15 +10,25 @@ and the bracket is the sum over all states.  The normalized bracket
 multiplies by (-A^3)^(-wri); a direct kink computation fixes the sign: a
 positive kink multiplies the bracket by -A^3, so this normalization is
 invariant under every move.
+
+One engine serves every state sum.  ``_Contraction``, built once per
+diagram, matches every crossing port to the port at the far end of its
+arc, through the transits between them, which form the path leaving the
+port.  ``loops(mask)`` follows match and smoothing through one state and
+returns its curves as lists of path indices; ``states()`` enumerates all
+2^cro states.  The bracket counts the curves, the homotopy bracket
+multiplies per-path holonomies, and both tally integer counts per
+(|C|, loop exponent) before building their polynomials once, at the end.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .diagram import CrossVisit, Diagram, PlanarCode, Slot, arcs_of
+from .diagram import CrossVisit, Diagram, PlanarCode, Slot, arcs_of, transit_steps
 from .errors import CrossingCapError, DiagramError
 from .invariants import Wri, wri
 from .laurent import Laurent
@@ -43,7 +53,12 @@ TransitStep = Tuple[str, Incidence, Incidence]   # edge, entering side, exiting 
 
 
 def default_crossing_cap() -> int:
-    return int(os.environ.get("LINKCX_MAX_CROSSINGS", "22"))
+    """LINKCX_MAX_CROSSINGS, a non-negative integer; 22 when unset."""
+    text = os.environ.get("LINKCX_MAX_CROSSINGS", "22").strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"LINKCX_MAX_CROSSINGS must be a non-negative integer, "
+                         f"not {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -68,108 +83,103 @@ def _smoothing_pairs(dot: int, in_state: bool) -> Tuple[Tuple[int, int], Tuple[i
     return (d % 4, (d + 1) % 4), ((d + 2) % 4, (d + 3) % 4)
 
 
-# -- precontracted port matching (fast curve counts) ---------------------
+# -- the state-sum engine -------------------------------------------------
 
 class _Contraction:
-    """Arcs and transits contracted away: ports matched pairwise."""
+    """Arcs and transits contracted away: ports matched pairwise.
 
-    __slots__ = ("order", "index", "match", "base_circles")
+    Port 4*i + p is port p of crossing ``order[i]``.  Path a leads from
+    port a to ``match[a]`` through the transit steps ``steps[a]``, and
+    ``join[s][a]`` is the port that smoothing s (1 in the state) joins to
+    a.  Crossing-free components are the fixed closed paths from 4 * cro.
+    """
+
+    __slots__ = ("order", "index", "match", "join", "steps", "fixed")
 
     def __init__(self, d: Diagram):
         self.order = sorted(d.crossings)
         self.index = {c: i for i, c in enumerate(self.order)}
         arc_at: Dict[Slot, Slot] = {}
         for arc in arcs_of(d):
-            if arc.src is None:
-                continue
-            arc_at[arc.src] = arc.dst
-            arc_at[arc.dst] = arc.src
-        match: Dict[int, int] = {}
-        base = sum(1 for comp in d.components if not comp.events)
-        base += sum(1 for comp in d.components
-                    if comp.events
-                    and not any(isinstance(ev, CrossVisit) for ev in comp.events))
-        self.base_circles = base
-        for c in self.order:
+            if arc.src is not None:
+                arc_at[arc.src] = arc.dst
+                arc_at[arc.dst] = arc.src
+        self.match: List[int] = []
+        self.steps: List[Tuple[TransitStep, ...]] = []
+        self.join: Tuple[List[int], List[int]] = ([], [])
+        for i, c in enumerate(self.order):
             for p in range(4):
-                start = ("x", c, p)
-                if 4 * self.index[c] + p in match:
-                    continue
-                slot = arc_at[start]
-                while slot[0] == "t":
-                    slot = arc_at[(slot[0], slot[1], 1 - slot[2])]
-                a = 4 * self.index[c] + p
-                b = 4 * self.index[slot[1]] + slot[2]
-                match[a] = b
-                match[b] = a
-        self.match = match
+                steps = []
+                slot = arc_at[("x", c, p)]
+                while slot[0] == "t":            # hop through the edge
+                    tr = d.transits[slot[1]]
+                    steps.append((tr.edge, tr.sides[slot[2]], tr.sides[1 - slot[2]]))
+                    slot = arc_at[("t", slot[1], 1 - slot[2])]
+                self.match.append(4 * self.index[slot[1]] + slot[2])
+                self.steps.append(tuple(steps))
+            for s, join in enumerate(self.join):
+                ports = [0] * 4
+                for a, b in _smoothing_pairs(d.crossings[c].dot, bool(s)):
+                    ports[a], ports[b] = 4 * i + b, 4 * i + a
+                join.extend(ports)
+        self.fixed: List[List[int]] = []
+        for ci, comp in enumerate(d.components):
+            if not any(isinstance(ev, CrossVisit) for ev in comp.events):
+                self.fixed.append([len(self.steps)])
+                self.steps.append(tuple(transit_steps(d, ci)))
+
+    def loops(self, mask: int) -> List[List[int]]:
+        """Curves of the state given by mask, each as its list of paths."""
+        match, join = self.match, self.join
+        seen = [False] * len(match)
+        out = []
+        for start in range(len(match)):
+            if seen[start]:
+                continue
+            loop = []
+            a = start
+            while True:
+                loop.append(a)
+                b = match[a]
+                seen[a] = seen[b] = True
+                a = join[mask >> (b >> 2) & 1][b]
+                if a == start:
+                    break
+            out.append(loop)
+        return out + self.fixed
+
+    def states(self) -> Iterator[Tuple[int, List[List[int]]]]:
+        """(|C|, curves) of every state."""
+        for mask in range(1 << len(self.order)):
+            yield mask.bit_count(), self.loops(mask)
 
 
-def _state_curve_count(con: _Contraction, d: Diagram, state: FrozenSet[str]) -> int:
-    n = len(con.order)
-    parent = list(range(4 * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for a, b in con.match.items():
-        if a < b:
-            union(a, b)
-    for c in con.order:
-        i = con.index[c]
-        for a, b in _smoothing_pairs(d.crossings[c].dot, c in state):
-            union(4 * i + a, 4 * i + b)
-    roots = {find(x) for x in range(4 * n)}
-    return len(roots) + con.base_circles
+def _contract(d: Diagram, max_crossings: Optional[int], what: str) -> _Contraction:
+    """The engine of a full state sum, after the emptiness and cap checks."""
+    if not d.components:
+        raise DiagramError(f"{what} of an empty diagram is undefined")
+    cap = default_crossing_cap() if max_crossings is None else max_crossings
+    n = len(d.crossings)
+    if n > cap:
+        raise CrossingCapError(f"{n} crossings exceed the state-sum cap {cap}")
+    return _Contraction(d)
 
 
-# -- full curve traces ----------------------------------------------------
+def _tally_polynomial(tally: Dict[Tuple[int, int], int], n: int) -> Laurent:
+    """Sum of count * (-A^2 - A^-2)^e * A^(2k - n) over a {(k, e): count} tally."""
+    loop = Laurent.loop_factor()
+    total = Laurent.zero()
+    for (k, e), count in tally.items():
+        total = total + (loop ** e) * Laurent.monomial(count, 2 * k - n)
+    return total
 
-def state_curves(d: Diagram, state: FrozenSet[str]) -> SimpleSystem:
+
+def state_curves(d: Diagram, state: Iterable[str]) -> SimpleSystem:
     """Curves of a smoothed state, each with its transit step sequence."""
-    arc_at: Dict[Slot, Slot] = {}
-    for arc in arcs_of(d):
-        if arc.src is None:
-            continue
-        arc_at[arc.src] = arc.dst
-        arc_at[arc.dst] = arc.src
-    join: Dict[Slot, Slot] = {}
-    for c, cr in d.crossings.items():
-        for a, b in _smoothing_pairs(cr.dot, c in state):
-            join[("x", c, a)] = ("x", c, b)
-            join[("x", c, b)] = ("x", c, a)
-    curves: List[Tuple[TransitStep, ...]] = []
-    seen: Set[Slot] = set()
-    for start in sorted(arc_at):
-        if start in seen:
-            continue
-        steps: List[TransitStep] = []
-        slot = start
-        while True:
-            seen.add(slot)
-            slot = arc_at[slot]           # travel the arc
-            seen.add(slot)
-            if slot[0] == "t":            # hop through the edge
-                tr = d.transits[slot[1]]
-                steps.append((tr.edge, tr.sides[slot[2]], tr.sides[1 - slot[2]]))
-                slot = ("t", slot[1], 1 - slot[2])
-            else:
-                slot = join[slot]
-            if slot == start:
-                break
-        curves.append(tuple(steps))
-    for comp in d.components:
-        if not comp.events:
-            curves.append(())
-    return SimpleSystem(tuple(curves))
+    con = _Contraction(d)
+    loops = con.loops(sum(1 << con.index[c] for c in state))
+    return SimpleSystem(tuple(tuple(step for p in loop for step in con.steps[p])
+                              for loop in loops))
 
 
 def smooth(d: Diagram, state: Iterable[str]) -> SimpleSystem:
@@ -193,22 +203,9 @@ def state_term(d: Diagram, state: Iterable[str]) -> Laurent:
 
 def bracket(d: Diagram, max_crossings: Optional[int] = None) -> Laurent:
     """Sum of state terms over all subsets of the crossing set."""
-    if not d.components:
-        raise DiagramError("bracket of an empty diagram is undefined")
-    cap = default_crossing_cap() if max_crossings is None else max_crossings
-    n = len(d.crossings)
-    if n > cap:
-        raise CrossingCapError(f"{n} crossings exceed the state-sum cap {cap}")
-    con = _Contraction(d)
-    loop = Laurent.loop_factor()
-    powers = [loop ** k for k in range(n + 4 + con.base_circles)]
-    total = Laurent.zero()
-    order = con.order
-    for mask in range(1 << n):
-        state = frozenset(order[i] for i in range(n) if mask >> i & 1)
-        count = _state_curve_count(con, d, state)
-        total = total + powers[count - 1] * Laurent.A(2 * len(state) - n)
-    return total
+    con = _contract(d, max_crossings, "bracket")
+    tally = Counter((k, len(loops) - 1) for k, loops in con.states())
+    return _tally_polynomial(tally, len(con.order))
 
 
 def normalized_bracket(d: Diagram, max_crossings: Optional[int] = None) -> Laurent:
@@ -228,8 +225,7 @@ def span(f: Laurent) -> int:
 def all_state_counts(d: Diagram) -> Tuple[int, int]:
     """(|L, #L|, |L, empty|): curve counts of the two extreme states."""
     con = _Contraction(d)
-    return (_state_curve_count(con, d, frozenset(d.crossings)),
-            _state_curve_count(con, d, frozenset()))
+    return len(con.loops((1 << len(con.order)) - 1)), len(con.loops(0))
 
 
 def check_span_theorem(d: Diagram, max_crossings: Optional[int] = None) -> bool:

@@ -4,7 +4,8 @@ Subcommands: validate, inv, bracket, move (apply | fuzz), span-check,
 example, fuzz (alias of `move fuzz`).  Exit codes: 0 success, 1 a
 validation or invariant check failed, 2 usage error.  All failures print
 machine-parsable `error:` lines.  The environment variable
-LINKCX_MAX_CROSSINGS overrides the state-sum cap.
+LINKCX_MAX_CROSSINGS overrides the state-sum cap; a value that is not a
+non-negative integer is a usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from . import files, homotopy, invariants, moves
 from .bracket import (all_state_counts, bracket, check_span_theorem,
-                      check_state_inequality, normalized_bracket, span)
+                      check_state_inequality, default_crossing_cap,
+                      normalized_bracket, span)
 from .diagram import sc
 from .errors import (ComplexError, CrossingCapError, DiagramError,
                      FormatError, MoveError)
@@ -178,6 +180,9 @@ def _cmd_move(args) -> int:
         d2 = moves.replay(d, trace)
         sys.stdout.write(files.serialize_diagram(d2))
         return 0
+    if args.steps < 0:
+        print(f"error: --steps must be non-negative, not {args.steps}", file=sys.stderr)
+        return 2
     on_step = _move_checker(d, conn) if args.check == "all" else None
     d2, trace = moves.fuzz(d, args.steps, args.seed, on_step=on_step)
     if args.trace:
@@ -272,12 +277,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        default_crossing_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         return args.func(args)
     except (FormatError, ComplexError, DiagramError, MoveError,
             CrossingCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -347,17 +347,6 @@ def validate_diagram(d: Diagram) -> Diagram:
         if len(set(ps)) != len(ps):
             raise DiagramError(f"edge {e!r} carries transits at equal positions")
 
-    xvisits = crossing_visits(d)
-    for c, vs in xvisits.items():
-        if len(vs) != 2:
-            raise DiagramError(f"crossing {c!r} visited {len(vs)} times, expected 2")
-        enters = sorted(d.components[ci].events[ei].enter % 2 for ci, ei in vs)
-        if enters != [0, 1]:
-            raise DiagramError(f"crossing {c!r}: visits do not cover both diameters")
-    for t, vs in transit_visits(d).items():
-        if len(vs) != 1:
-            raise DiagramError(f"transit {t!r} visited {len(vs)} times, expected 1")
-
     for ci, comp in enumerate(d.components):
         k = len(comp.events)
         if k == 0:
@@ -379,6 +368,17 @@ def validate_diagram(d: Diagram) -> Diagram:
                     raise DiagramError(f"component {ci}: unknown transit {ev.transit!r}")
                 if ev.enter not in (0, 1):
                     raise DiagramError(f"component {ci}: bad transit side {ev.enter}")
+
+    xvisits = crossing_visits(d)
+    for c, vs in xvisits.items():
+        if len(vs) != 2:
+            raise DiagramError(f"crossing {c!r} visited {len(vs)} times, expected 2")
+        enters = sorted(d.components[ci].events[ei].enter % 2 for ci, ei in vs)
+        if enters != [0, 1]:
+            raise DiagramError(f"crossing {c!r}: visits do not cover both diameters")
+    for t, vs in transit_visits(d).items():
+        if len(vs) != 1:
+            raise DiagramError(f"transit {t!r} visited {len(vs)} times, expected 1")
 
     for arc in arcs_of(d):
         if arc.src is None:

@@ -18,12 +18,14 @@ canonicalized up to inversion.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .bracket import default_crossing_cap, state_curves
+# state_curves is re-exported: callers look it up here too
+from .bracket import _contract, _tally_polynomial, state_curves  # noqa: F401
 from .diagram import Diagram, TransitVisit
-from .errors import CrossingCapError, DiagramError
+from .errors import DiagramError
 from .groups import (ConjClass, GroupSpec, Word, conj_class, inv, mul,
                      text_to_word, unoriented_class, word_to_text)
 from .invariants import _sign_from_visits, _visit_pair, wri
@@ -332,34 +334,27 @@ def homotopy_bracket(d: Diagram, conn: Connection,
     curve system: trivial curves each become a factor (-A^2 - A^-2) and
     the remaining classes form the basis multiset.
     """
-    if not d.components:
-        raise DiagramError("homotopy bracket of an empty diagram is undefined")
-    cap = default_crossing_cap() if max_crossings is None else max_crossings
-    n = len(d.crossings)
-    if n > cap:
-        raise CrossingCapError(f"{n} crossings exceed the state-sum cap {cap}")
-    order = sorted(d.crossings)
-    loop = Laurent.loop_factor()
-    acc: Dict[Tuple[ConjClass, ...], Laurent] = {}
-    for mask in range(1 << n):
-        state = frozenset(order[i] for i in range(n) if mask >> i & 1)
-        system = state_curves(d, state)
+    con = _contract(d, max_crossings, "homotopy bracket")
+    g = conn.group
+    path_words = [holonomy(conn, steps) for steps in con.steps]
+    tallies: Dict[Tuple[ConjClass, ...], Counter] = {}
+    for k, loops in con.states():
         trivial = 0
         classes: List[ConjClass] = []
-        for curve in system.curves:
-            cls = unoriented_class(conn.group, holonomy(conn, curve))
+        for loop in loops:
+            w = g.identity()
+            for p in loop:
+                w = mul(g, w, path_words[p])
+            cls = unoriented_class(g, w)
             if cls.is_identity():
                 trivial += 1
             else:
                 classes.append(cls)
         key = tuple(sorted(classes, key=lambda c: c.sort_key()))
-        term = (loop ** trivial) * Laurent.A(2 * len(state) - n)
-        f = acc.get(key, Laurent.zero()) + term
-        if f:
-            acc[key] = f
-        else:
-            acc.pop(key, None)
-    return SystemElement(acc)
+        tallies.setdefault(key, Counter())[(k, trivial)] += 1
+    n = len(con.order)
+    return SystemElement({key: _tally_polynomial(tally, n)
+                          for key, tally in tallies.items()})
 
 
 def normalized_homotopy_bracket(d: Diagram, conn: Connection,

@@ -268,7 +268,7 @@ def _candidates_m2(d: Diagram, kind: MoveKind):
                                             over=over, anti=anti)
 
 
-def _apply_m2_insert(d: Diagram, site: MoveSite) -> Diagram:
+def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     ca, aa = site.get("comp_a"), site.get("arc_a")
     cb, ab = site.get("comp_b"), site.get("arc_b")
     over, anti = site.get("over"), site.get("anti")
@@ -346,7 +346,7 @@ def _bigon_ok(d: Diagram, a: Arc, b: Arc) -> bool:
     return dotted1 != dotted2
 
 
-def _apply_m2_delete(d: Diagram, site: MoveSite) -> Diagram:
+def _apply_m2_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     key_a, key_b = _dejson(site.get("arc_a")), _dejson(site.get("arc_b"))
     arcs = {(a.comp, a.index): a for a in arcs_of(d)}
     try:
@@ -421,7 +421,7 @@ def _candidates_m3(d: Diagram, kind: MoveKind):
                 yield MoveSite.make(kind, arcs=arcs, slide=slide)
 
 
-def _apply_m3(d: Diagram, site: MoveSite) -> Diagram:
+def _apply_m3(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     arc_keys = [tuple(a) for a in _dejson(site.get("arcs"))]
     slide = site.get("slide")
     arcs = {(a.comp, a.index): a for a in arcs_of(d)}
@@ -480,7 +480,7 @@ def _candidates_m4(d: Diagram, kind: MoveKind):
                                             s1=s1, s2=s2, slot=slot)
 
 
-def _apply_m4_insert(d: Diagram, site: MoveSite) -> Diagram:
+def _apply_m4_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     ci, ai = site.get("comp"), site.get("arc")
     e = site.get("edge")
     s1, s2 = _inc(site.get("s1")), _inc(site.get("s2"))
@@ -521,7 +521,7 @@ def _candidates_m4_inv(d: Diagram, kind: MoveKind):
             yield MoveSite.make(kind, comp=ci, event=i)
 
 
-def _apply_m4_delete(d: Diagram, site: MoveSite) -> Diagram:
+def _apply_m4_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     ci, i = site.get("comp"), site.get("event")
     comp = d.components[ci]
     k = len(comp.events)
@@ -767,7 +767,7 @@ def _candidates_m6(d: Diagram, kind: MoveKind):
                 yield MoveSite.make(kind, edge=e, t1=t1, t2=t2)
 
 
-def _apply_m6(d: Diagram, site: MoveSite) -> Diagram:
+def _apply_m6(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     t1, t2 = site.get("t1"), site.get("t2")
     tr1, tr2 = d.transits[t1], d.transits[t2]
     if tr1.edge != tr2.edge:
@@ -979,7 +979,7 @@ def _match_m7_run(d: Diagram, cycle, ci: int, start: int, r: int):
     return None
 
 
-def _apply_m7(d: Diagram, site: MoveSite) -> Diagram:
+def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     v = site.get("vertex")
     cycle = tuple((tuple(n), tuple(c)) for n, c in _dejson(site.get("cycle")))
     cycle = tuple(((n[0], int(n[1])), (c[0], int(c[1]))) for n, c in cycle)
@@ -1041,57 +1041,46 @@ def _apply_m7(d: Diagram, site: MoveSite) -> Diagram:
 
 # -- dispatch ---------------------------------------------------------------
 
-_CANDIDATES = {
-    MoveKind.M1P: _candidates_m1,
-    MoveKind.M1M: _candidates_m1,
-    MoveKind.M1P_INV: _candidates_m1_inv,
-    MoveKind.M1M_INV: _candidates_m1_inv,
-    MoveKind.M2: _candidates_m2,
-    MoveKind.M2_INV: _candidates_m2_inv,
-    MoveKind.M3: _candidates_m3,
-    MoveKind.M3_INV: _candidates_m3,
-    MoveKind.M4: _candidates_m4,
-    MoveKind.M4_INV: _candidates_m4_inv,
-    MoveKind.M5P: _candidates_m5,
-    MoveKind.M5M: _candidates_m5,
-    MoveKind.M6: _candidates_m6,
-    MoveKind.M6_INV: _candidates_m6,
-    MoveKind.M7: _candidates_m7,
+# kind -> (candidates(d, kind), apply(d, kind, site))
+_MOVES = {
+    MoveKind.M1P: (_candidates_m1, _apply_m1_insert),
+    MoveKind.M1M: (_candidates_m1, _apply_m1_insert),
+    MoveKind.M1P_INV: (_candidates_m1_inv, _apply_m1_delete),
+    MoveKind.M1M_INV: (_candidates_m1_inv, _apply_m1_delete),
+    MoveKind.M2: (_candidates_m2, _apply_m2_insert),
+    MoveKind.M2_INV: (_candidates_m2_inv, _apply_m2_delete),
+    MoveKind.M3: (_candidates_m3, _apply_m3),
+    MoveKind.M3_INV: (_candidates_m3, _apply_m3),
+    MoveKind.M4: (_candidates_m4, _apply_m4_insert),
+    MoveKind.M4_INV: (_candidates_m4_inv, _apply_m4_delete),
+    MoveKind.M5P: (_candidates_m5, _apply_m5),
+    MoveKind.M5M: (_candidates_m5, _apply_m5),
+    MoveKind.M6: (_candidates_m6, _apply_m6),
+    MoveKind.M6_INV: (_candidates_m6, _apply_m6),
+    MoveKind.M7: (_candidates_m7, _apply_m7),
 }
+
+
+def _move(kind: MoveKind):
+    try:
+        return _MOVES[kind]
+    except KeyError:
+        raise MoveError(f"unknown move kind {kind}") from None
 
 
 def candidate_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
     """Pattern-matched candidate sites, before the validity filter."""
-    return list(_CANDIDATES[kind](d, kind))
+    candidates, _apply = _move(kind)
+    return list(candidates(d, kind))
 
 
 def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     """Apply one move and validate the result."""
+    _candidates, apply_kind = _move(kind)
     if site.kind is not kind:
         raise MoveError(f"site is for {site.kind.value}, not {kind.value}")
     try:
-        if kind in (MoveKind.M1P, MoveKind.M1M):
-            out = _apply_m1_insert(d, kind, site)
-        elif kind in (MoveKind.M1P_INV, MoveKind.M1M_INV):
-            out = _apply_m1_delete(d, kind, site)
-        elif kind is MoveKind.M2:
-            out = _apply_m2_insert(d, site)
-        elif kind is MoveKind.M2_INV:
-            out = _apply_m2_delete(d, site)
-        elif kind in (MoveKind.M3, MoveKind.M3_INV):
-            out = _apply_m3(d, site)
-        elif kind is MoveKind.M4:
-            out = _apply_m4_insert(d, site)
-        elif kind is MoveKind.M4_INV:
-            out = _apply_m4_delete(d, site)
-        elif kind in (MoveKind.M5P, MoveKind.M5M):
-            out = _apply_m5(d, kind, site)
-        elif kind in (MoveKind.M6, MoveKind.M6_INV):
-            out = _apply_m6(d, site)
-        elif kind is MoveKind.M7:
-            out = _apply_m7(d, site)
-        else:
-            raise MoveError(f"unknown move kind {kind}")
+        out = apply_kind(d, kind, site)
     except (KeyError, IndexError) as exc:
         raise MoveError(f"stale site for {kind.value}: {exc}") from exc
     try:

@@ -96,3 +96,35 @@ def test_crossing_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LINKCX_MAX_CROSSINGS", "2")
     assert main(["bracket", str(cx), str(d)]) == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_undeclared_transit_is_a_validation_error(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "Ln", 2)
+    bad = tmp_path / "bad.diagram"
+    bad.write_text(d.read_text().replace("t(tb1,0)", "t(tZZ,0)"))
+    capsys.readouterr()
+    assert main(["validate", str(cx), str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bad_crossing_cap_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    cx, d, _ = _emit(tmp_path, "trefoil_left")
+    capsys.readouterr()
+    monkeypatch.setenv("LINKCX_MAX_CROSSINGS", "abc")
+    assert main(["bracket", str(cx), str(d)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_directory_input_is_a_usage_error(tmp_path, capsys):
+    cx, _d, _ = _emit(tmp_path, "trefoil_left")
+    capsys.readouterr()
+    assert main(["validate", str(cx), str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_negative_fuzz_steps_is_a_usage_error(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "unknot_local")
+    capsys.readouterr()
+    assert main(["move", "fuzz", str(cx), str(d), "--steps", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "applied" not in captured.out

@@ -167,3 +167,18 @@ def test_canonical_relabel_ignores_names_and_rotations():
     d2 = Diagram(d.complex, crossings, d.transits, comps)
     assert same_diagram(d, d2)
     assert canonical_relabel(d) == canonical_relabel(d2)
+
+
+
+def test_undeclared_event_names_rejected():
+    from linkcx import files
+    b = example("Ln", 2)
+    text = files.serialize_diagram(b.diagram)
+    assert "t(tb1,0)" in text
+    with pytest.raises(DiagramError):
+        files.parse_diagram(text.replace("t(tb1,0)", "t(tZZ,0)"), b.complex)
+    cx = build_disc()
+    d = Diagram(cx, {}, {}, (Component((CrossVisit("cZZ", 0), CrossVisit("cZZ", 1)),
+                                       ("F", "F")),))
+    with pytest.raises(DiagramError):
+        validate_diagram(d)

@@ -178,3 +178,48 @@ def test_element_serialization_round_trips():
     assert parsed.to_text(a.connection.group) == text
     zero = parse_pi_element(t.connection.group, "0")
     assert zero.is_zero()
+
+
+# Values recorded before the two brackets shared one state-sum engine.
+# Every diagram has transits and nontrivial curve classes; the counts are
+# smooth(d, S).count() for the states S in mask order, bit i standing for
+# the i-th crossing in sorted order.
+ENGINE_GOLDEN = {
+    "Ln2": ("-1*A^6 + -1*A^-2 + 1*A^-6 + -1*A^-10",
+            "(1*A^2 + -1*A^-2 + 1*A^-6 + -1*A^-10)*{u v^-1} + (1*A^4)*{u, v}",
+            [4, 3, 3, 2, 3, 2, 2, 1, 3, 2, 2, 1, 2, 1, 1, 2]),
+    "Kn2": ("-1*A^7 + -1*A^-1 + 1*A^-5 + -1*A^-9 + 1*A^-13",
+            "(1*A^3 + -1*A^-1 + 1*A^-5 + -1*A^-9 + 1*A^-13)*{u v^-1}"
+            " + (1*A^5)*{u, v}",
+            [5, 4, 4, 3, 4, 3, 3, 2, 4, 3, 3, 2, 3, 2, 2, 1,
+             4, 3, 3, 2, 3, 2, 2, 1, 3, 2, 2, 1, 2, 1, 1, 2]),
+    "fuzzed_annulus": (
+        "-1*A^4 + -1*A^-4",
+        "(-1*A^2 + 1*A^-6)*{} + (1*A^2)*{g, g}",
+        [4, 3, 3, 4, 3, 2, 2, 3, 5, 4, 4, 5, 4, 3, 3, 4,
+         5, 4, 4, 5, 4, 3, 3, 4, 6, 5, 5, 6, 5, 4, 4, 5,
+         3, 2, 2, 3, 2, 1, 1, 2, 4, 3, 3, 4, 3, 2, 2, 3,
+         4, 3, 3, 4, 3, 2, 2, 3, 5, 4, 4, 5, 4, 3, 3, 4]),
+}
+
+
+def _engine_bundle(key):
+    if key == "fuzzed_annulus":
+        from linkcx.moves import fuzz
+        a = example("annulus_link")
+        d, _trace = fuzz(a.diagram, 20, seed=13, max_crossings=6, max_transits=12)
+        return d, a.connection
+    b = example(key[:2], int(key[2:]))
+    return b.diagram, b.connection
+
+
+@pytest.mark.parametrize("key", sorted(ENGINE_GOLDEN))
+def test_state_sum_engine_golden_values(key):
+    d, conn = _engine_bundle(key)
+    want_bracket, want_hb, want_counts = ENGINE_GOLDEN[key]
+    assert str(lx.bracket(d)) == want_bracket
+    assert homotopy_bracket(d, conn).to_text(conn.group) == want_hb
+    order = sorted(d.crossings)
+    counts = [lx.smooth(d, [c for i, c in enumerate(order) if mask >> i & 1]).count()
+              for mask in range(1 << len(order))]
+    assert counts == want_counts

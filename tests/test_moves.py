@@ -220,3 +220,12 @@ def test_apply_rejects_mismatched_site():
     site = mv.find_sites(d, K.M1P)[0]
     with pytest.raises(MoveError):
         mv.apply(d, K.M2, site)
+
+
+def test_unknown_move_kind_is_a_move_error():
+    d = example("unknot_local").diagram
+    site = mv.find_sites(d, K.M1P)[0]
+    with pytest.raises(MoveError, match="unknown move kind"):
+        mv.apply(d, "M9", site)
+    with pytest.raises(MoveError, match="unknown move kind"):
+        mv.candidate_sites(d, "M9")
