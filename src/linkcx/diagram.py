@@ -427,10 +427,19 @@ def trace_loop(d: Diagram, ci: int) -> List[str]:
             if isinstance(ev, TransitVisit)]
 
 
-def transit_steps(d: Diagram, ci: int) -> List[Tuple[str, Incidence, Incidence]]:
-    """(edge, entering incidence, exiting incidence) per transit of a component."""
+def transit_steps(d: Diagram, ci: int, start: int = 0,
+                  stop: Optional[int] = None) -> List[Tuple[str, Incidence, Incidence]]:
+    """(edge, entering incidence, exiting incidence) per transit of a component.
+
+    Events are read cyclically from index ``start`` up to, but not
+    including, ``stop``; once round the component when ``stop`` is None.
+    """
+    events = d.components[ci].events
+    k = len(events)
+    count = k if stop is None else (stop - start) % k
     out = []
-    for ev in d.components[ci].events:
+    for off in range(start, start + count):
+        ev = events[off % k]
         if isinstance(ev, TransitVisit):
             tr = d.transits[ev.transit]
             out.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter]))

@@ -14,21 +14,29 @@ multisets of nontrivial conjugacy classes: every curve whose class is
 trivial is deleted and replaced by the factor (-A^2 - A^-2).  Curves in a
 state carry no preferred direction, so their classes are additionally
 canonicalized up to inversion.
+
+The three value types, PiElement (LK), TensorElement (co) and
+SystemElement (the homotopy bracket), share one term algebra and one text
+codec: "0", or terms ``coeff*<open>class<sep>class<close>`` joined by
+" + ", as in ``2*[u v]``, ``3*[u]x[v]`` and ``(1*A^4)*{u, v}``.  Each
+type's ``parse`` (bound as ``parse_pi_element``, ``parse_tensor_element``
+and ``parse_system_element``) inverts its ``to_text`` byte for byte.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 # state_curves is re-exported: callers look it up here too
 from .bracket import _contract, _tally_polynomial, state_curves  # noqa: F401
-from .diagram import Diagram, TransitVisit
+from .diagram import Diagram, transit_steps
 from .errors import DiagramError
 from .groups import (ConjClass, GroupSpec, Word, conj_class, inv, mul,
                      text_to_word, unoriented_class, word_to_text)
-from .invariants import _sign_from_visits, _visit_pair, wri
+from .invariants import _sign_from_visits, _visit_pairs, wri
 from .laurent import Laurent
 from .twocomplex import Incidence, TwoComplex
 
@@ -96,151 +104,152 @@ def loop_class(conn: Connection, steps) -> ConjClass:
     return conj_class(conn.group, holonomy(conn, steps))
 
 
-def _component_steps_from(d: Diagram, ci: int, start_after: int):
-    comp = d.components[ci]
-    k = len(comp.events)
-    steps = []
-    for off in range(1, k + 1):
-        ev = comp.events[(start_after + off) % k]
-        if isinstance(ev, TransitVisit):
-            tr = d.transits[ev.transit]
-            steps.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter]))
-    return steps
-
-
 def component_class(d: Diagram, conn: Connection, ci: int) -> ConjClass:
     """Class of one component's underlying loop, in listing direction."""
-    return loop_class(conn, _component_steps_from(d, ci, -1))
+    return loop_class(conn, transit_steps(d, ci))
 
 
 # -- module elements ----------------------------------------------------
 
-class PiElement:
-    """Finite integer combination of conjugacy classes."""
+# split a term list at every " + " outside a parenthesised coefficient
+_TERM_SEP = re.compile(r" \+ (?![^(]*\))")
+
+
+def _put(acc: dict, key, c) -> None:
+    acc[key] = acc[key] + c if key in acc else c
+
+
+class _Terms:
+    """Finite combination of class keys with nonzero coefficients.
+
+    Subclasses declare the key shape (``_key`` from a list of classes,
+    ``_classes`` back), the brackets of the text codec and the coefficient
+    codec.  Terms print sorted by the classes of their keys.
+    """
 
     __slots__ = ("terms",)
+    _open, _sep, _close = "[", "]x[", "]"
+    _coeff_text = str
+    _coeff_parse = int
 
-    def __init__(self, terms: Dict[ConjClass, int] = ()):
-        self.terms = {c: n for c, n in dict(terms).items() if n}
+    def __init__(self, terms=()):
+        self.terms = {k: c for k, c in dict(terms).items() if c}
+
+    @staticmethod
+    def _classes(key):
+        return key
 
     def __eq__(self, other):
-        return isinstance(other, PiElement) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         acc = dict(self.terms)
-        for c, n in other.terms.items():
-            acc[c] = acc.get(c, 0) + n
-        return PiElement(acc)
+        for k, c in other.terms.items():
+            _put(acc, k, c)
+        return type(self)(acc)
 
     def __neg__(self):
-        return PiElement({c: -n for c, n in self.terms.items()})
+        return type(self)({k: -c for k, c in self.terms.items()})
 
-    def scale(self, k: int) -> "PiElement":
-        return PiElement({c: k * n for c, n in self.terms.items()})
+    def scale(self, f):
+        return type(self)({k: f * c for k, c in self.terms.items()})
+
+    def involution(self):
+        """Induced by inversion in the group, class by class."""
+        acc = {}
+        for k, c in self.terms.items():
+            _put(acc, self._key([a.inverse() for a in self._classes(k)]), c)
+        return type(self)(acc)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms})"
+
+    def to_text(self, spec: GroupSpec) -> str:
+        if not self.terms:
+            return "0"
+        rows = sorted(((self._classes(k), c) for k, c in self.terms.items()),
+                      key=lambda row: (len(row[0]), [a.sort_key() for a in row[0]]))
+        return " + ".join(
+            f"{self._coeff_text(c)}*{self._open}"
+            f"{self._sep.join(word_to_text(spec, a) for a in classes)}{self._close}"
+            for classes, c in rows)
+
+    @classmethod
+    def parse(cls, spec: GroupSpec, text: str):
+        """Inverse of ``to_text``."""
+        text = text.strip()
+        acc = {}
+        for part in ([] if text == "0" else _TERM_SEP.split(text)):
+            coeff, _, rest = part.partition("*" + cls._open)
+            body = rest[:-len(cls._close)]
+            try:
+                if not rest.endswith(cls._close):
+                    raise ValueError("unclosed term")
+                classes = [conj_class(spec, text_to_word(spec, a))
+                           for a in (body.split(cls._sep) if body.strip() else [])]
+                _put(acc, cls._key(classes), cls._coeff_parse(coeff.strip()))
+            except ValueError as exc:
+                raise ValueError(f"bad term {part!r}: {exc}") from None
+        return cls(acc)
+
+
+class PiElement(_Terms):
+    """Finite integer combination of conjugacy classes: ``2*[u v]``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(classes) -> ConjClass:
+        (a,) = classes
+        return a
+
+    @staticmethod
+    def _classes(key: ConjClass):
+        return (key,)
 
     def augmentation(self) -> int:
         """Image under the map sending every class to 1."""
         return sum(self.terms.values())
 
-    def involution(self) -> "PiElement":
-        """Induced by inversion in the group."""
-        acc: Dict[ConjClass, int] = {}
-        for c, n in self.terms.items():
-            ci = c.inverse()
-            acc[ci] = acc.get(ci, 0) + n
-        return PiElement(acc)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+class TensorElement(_Terms):
+    """Finite integer combination of ordered class pairs: ``3*[u]x[v]``."""
 
-    def to_text(self, spec: GroupSpec) -> str:
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda cn: cn[0].sort_key())
-        return " + ".join(f"{n}*[{word_to_text(spec, c)}]" for c, n in items)
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"PiElement({self.terms})"
+    @staticmethod
+    def _key(classes) -> Tuple[ConjClass, ConjClass]:
+        a, b = classes
+        return a, b
 
 
-class TensorElement:
-    """Finite integer combination of ordered class pairs."""
+class SystemElement(_Terms):
+    """Laurent combination of multisets of nontrivial classes: ``(1*A^4)*{u, v}``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _open, _sep, _close = "{", ", ", "}"
 
-    def __init__(self, terms: Dict[Tuple[ConjClass, ConjClass], int] = ()):
-        self.terms = {p: n for p, n in dict(terms).items() if n}
+    @staticmethod
+    def _key(classes) -> Tuple[ConjClass, ...]:
+        return tuple(sorted(classes, key=ConjClass.sort_key))
 
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
+    @staticmethod
+    def _coeff_text(f: Laurent) -> str:
+        return f"({f})"
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for p, n in other.terms.items():
-            acc[p] = acc.get(p, 0) + n
-        return TensorElement(acc)
-
-    def __neg__(self):
-        return TensorElement({p: -n for p, n in self.terms.items()})
-
-    def scale(self, k: int) -> "TensorElement":
-        return TensorElement({p: k * n for p, n in self.terms.items()})
-
-    def involution(self) -> "TensorElement":
-        acc: Dict[Tuple[ConjClass, ConjClass], int] = {}
-        for (a, b), n in self.terms.items():
-            key = (a.inverse(), b.inverse())
-            acc[key] = acc.get(key, 0) + n
-        return TensorElement(acc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def to_text(self, spec: GroupSpec) -> str:
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(),
-                       key=lambda pn: (pn[0][0].sort_key(), pn[0][1].sort_key()))
-        return " + ".join(
-            f"{n}*[{word_to_text(spec, a)}]x[{word_to_text(spec, b)}]"
-            for (a, b), n in items)
-
-    def __repr__(self):
-        return f"TensorElement({self.terms})"
-
-
-class SystemElement:
-    """Laurent combination of multisets of nontrivial classes."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Tuple[ConjClass, ...], Laurent] = ()):
-        self.terms = {m: f for m, f in dict(terms).items() if f}
-
-    def __eq__(self, other):
-        return isinstance(other, SystemElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for m, f in other.terms.items():
-            g = acc.get(m, Laurent.zero()) + f
-            if g:
-                acc[m] = g
-            else:
-                acc.pop(m, None)
-        return SystemElement(acc)
-
-    def scale(self, f: Laurent) -> "SystemElement":
-        return SystemElement({m: f * g for m, g in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _coeff_parse(text: str) -> Laurent:
+        if not (text.startswith("(") and text.endswith(")")):
+            raise ValueError("coefficient is not parenthesised")
+        return Laurent.parse(text[1:-1])
 
     def specialize(self, curve_factor: Laurent) -> Laurent:
         """Send a multiset of size m to curve_factor**m and sum."""
@@ -249,19 +258,10 @@ class SystemElement:
             acc = acc + f * (curve_factor ** len(m))
         return acc
 
-    def to_text(self, spec: GroupSpec) -> str:
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(),
-                       key=lambda mf: (len(mf[0]), tuple(c.sort_key() for c in mf[0])))
-        parts = []
-        for m, f in items:
-            classes = ", ".join(word_to_text(spec, c) for c in m)
-            parts.append(f"({f})*{{{classes}}}")
-        return " + ".join(parts)
 
-    def __repr__(self):
-        return f"SystemElement({self.terms})"
+parse_pi_element = PiElement.parse
+parse_tensor_element = TensorElement.parse
+parse_system_element = SystemElement.parse
 
 
 # -- linking and colinking classes ---------------------------------------
@@ -273,15 +273,12 @@ def LK(d: Diagram, conn: Connection) -> PiElement:
     if not d.oriented():
         raise DiagramError("linking class needs directed components")
     acc: Dict[ConjClass, int] = {}
-    for c in d.crossings:
-        v1, v2 = _visit_pair(d, c)
+    for c, (v1, v2) in _visit_pairs(d).items():
         if v1[0] == v2[0]:
             continue
-        sign = _sign_from_visits(d, c, v1, v2)
-        steps = (_component_steps_from(d, v1[0], v1[1])
-                 + _component_steps_from(d, v2[0], v2[1]))
-        cls = loop_class(conn, steps)
-        acc[cls] = acc.get(cls, 0) + sign
+        steps = (transit_steps(d, v1[0], v1[1] + 1)
+                 + transit_steps(d, v2[0], v2[1] + 1))
+        _put(acc, loop_class(conn, steps), _sign_from_visits(d, c, v1, v2))
     return PiElement(acc)
 
 
@@ -291,36 +288,16 @@ def co(d: Diagram, conn: Connection) -> TensorElement:
         raise DiagramError("colinking class needs a knot")
     if not d.oriented():
         raise DiagramError("colinking class needs a directed knot")
-    comp = d.components[0]
-    k = len(comp.events)
     knot_class = component_class(d, conn, 0)
     one = conj_class(conn.group, conn.group.identity())
     acc: Dict[Tuple[ConjClass, ConjClass], int] = {}
-
-    def put(key, n):
-        acc[key] = acc.get(key, 0) + n
-
-    for c in d.crossings:
-        (ci1, i), (ci2, j) = _visit_pair(d, c)
-        sign = _sign_from_visits(d, c, (ci1, i), (ci2, j))
-
-        def steps_between(a: int, b: int):
-            steps = []
-            off = (a + 1) % k
-            while off != b:
-                ev = comp.events[off]
-                if isinstance(ev, TransitVisit):
-                    tr = d.transits[ev.transit]
-                    steps.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter]))
-                off = (off + 1) % k
-            return steps
-
-        k1 = loop_class(conn, steps_between(i, j))
-        k2 = loop_class(conn, steps_between(j, i))
-        put((k1, k2), sign)
-        put((k2, k1), sign)
-        put((knot_class, one), -sign)
-        put((one, knot_class), -sign)
+    for c, (v1, v2) in _visit_pairs(d).items():
+        sign = _sign_from_visits(d, c, v1, v2)
+        k1 = loop_class(conn, transit_steps(d, 0, v1[1] + 1, v2[1]))
+        k2 = loop_class(conn, transit_steps(d, 0, v2[1] + 1, v1[1]))
+        for key, n in (((k1, k2), sign), ((k2, k1), sign),
+                       ((knot_class, one), -sign), ((one, knot_class), -sign)):
+            _put(acc, key, n)
     return TensorElement(acc)
 
 
@@ -350,7 +327,7 @@ def homotopy_bracket(d: Diagram, conn: Connection,
                 trivial += 1
             else:
                 classes.append(cls)
-        key = tuple(sorted(classes, key=lambda c: c.sort_key()))
+        key = SystemElement._key(classes)
         tallies.setdefault(key, Counter())[(k, trivial)] += 1
     n = len(con.order)
     return SystemElement({key: _tally_polynomial(tally, n)
@@ -362,59 +339,3 @@ def normalized_homotopy_bracket(d: Diagram, conn: Connection,
     """(-A^3)^(-wri) times the homotopy bracket; invariant under every move."""
     return homotopy_bracket(d, conn, max_crossings).scale(
         Laurent.minus_A3_power(-wri(d)))
-
-
-# -- parsing the serialized term lists -------------------------------------
-
-def _parse_class(spec: GroupSpec, text: str) -> ConjClass:
-    return conj_class(spec, text_to_word(spec, text.strip()))
-
-
-def parse_pi_element(spec: GroupSpec, text: str) -> PiElement:
-    text = text.strip()
-    if text == "0":
-        return PiElement()
-    terms: Dict[ConjClass, int] = {}
-    for part in text.split(" + "):
-        coeff, _, rest = part.partition("*[")
-        if not rest.endswith("]"):
-            raise ValueError(f"bad term {part!r}")
-        cls = _parse_class(spec, rest[:-1])
-        terms[cls] = terms.get(cls, 0) + int(coeff)
-    return PiElement(terms)
-
-
-def parse_tensor_element(spec: GroupSpec, text: str) -> TensorElement:
-    text = text.strip()
-    if text == "0":
-        return TensorElement()
-    terms: Dict[Tuple[ConjClass, ConjClass], int] = {}
-    for part in text.split(" + "):
-        coeff, _, rest = part.partition("*[")
-        left, sep, right = rest.partition("]x[")
-        if not sep or not right.endswith("]"):
-            raise ValueError(f"bad term {part!r}")
-        key = (_parse_class(spec, left), _parse_class(spec, right[:-1]))
-        terms[key] = terms.get(key, 0) + int(coeff)
-    return TensorElement(terms)
-
-
-def parse_system_element(spec: GroupSpec, text: str) -> SystemElement:
-    text = text.strip()
-    if text == "0":
-        return SystemElement()
-    terms: Dict[Tuple[ConjClass, ...], Laurent] = {}
-    for part in text.split(" + ("):
-        part = part.strip()
-        if part.startswith("("):
-            part = part[1:]
-        poly_text, sep, rest = part.partition(")*{")
-        if not sep or not rest.endswith("}"):
-            raise ValueError(f"bad term {part!r}")
-        body = rest[:-1].strip()
-        classes = tuple(_parse_class(spec, c) for c in body.split(",")) \
-            if body else ()
-        key = tuple(sorted(classes, key=lambda c: c.sort_key()))
-        f = Laurent.parse(poly_text)
-        terms[key] = terms.get(key, Laurent.zero()) + f
-    return SystemElement(terms)

@@ -27,11 +27,17 @@ __all__ = [
 ]
 
 
-def _visit_pair(d: Diagram, c: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    vs = crossing_visits(d)[c]
-    if len(vs) != 2:
-        raise DiagramError(f"crossing {c!r} is not visited exactly twice")
-    return vs[0], vs[1]
+Visit = Tuple[int, int]                  # (component index, event index)
+
+
+def _visit_pairs(d: Diagram) -> Dict[str, Tuple[Visit, Visit]]:
+    """crossing -> its two visits in listing order, from one pass over the events."""
+    out = {}
+    for c, vs in crossing_visits(d).items():
+        if len(vs) != 2:
+            raise DiagramError(f"crossing {c!r} is not visited exactly twice")
+        out[c] = (vs[0], vs[1])
+    return out
 
 
 def _sign_from_visits(d: Diagram, c: str, v1, v2) -> int:
@@ -50,7 +56,7 @@ def crossing_sign(d: Diagram, c: str) -> int:
     """Sign of a crossing of an oriented diagram, in {+1, -1}."""
     if c not in d.crossings:
         raise DiagramError(f"unknown crossing {c!r}")
-    v1, v2 = _visit_pair(d, c)
+    v1, v2 = _visit_pairs(d)[c]
     for ci, _ei in (v1, v2):
         if not d.components[ci].directed:
             raise DiagramError(f"crossing {c!r}: strand through it is not directed")
@@ -60,7 +66,7 @@ def crossing_sign(d: Diagram, c: str) -> int:
 def _all_signs(d: Diagram, need_directed: bool) -> Dict[str, Tuple[int, int, int]]:
     """crossing -> (sign, component of first visit, component of second)."""
     out = {}
-    for c, (v1, v2) in {c: _visit_pair(d, c) for c in d.crossings}.items():
+    for c, (v1, v2) in _visit_pairs(d).items():
         if need_directed:
             for ci, _ei in (v1, v2):
                 if not d.components[ci].directed:

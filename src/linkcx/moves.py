@@ -32,7 +32,7 @@ from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
                       Transit, TransitVisit, arcs_of, crossing_visits,
                       edge_transit_order, validate_diagram)
 from .errors import DiagramError, MoveError
-from .invariants import _sign_from_visits, _visit_pair
+from .invariants import _sign_from_visits, _visit_pairs
 from .twocomplex import Incidence, PointClass, TwoComplex, edge_class, vertex_link
 
 __all__ = ["MoveKind", "MoveSite", "find_sites", "apply", "fuzz",
@@ -78,6 +78,8 @@ class MoveSite:
     @classmethod
     def from_fingerprint(cls, kind: MoveKind, text: str) -> "MoveSite":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a site is a JSON object")
         return cls(kind, tuple(sorted((k, _dejson(v)) for k, v in data.items())))
 
 
@@ -219,14 +221,14 @@ def _apply_m1_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 def _candidates_m1_inv(d: Diagram, kind: MoveKind):
     want = 1 if kind is MoveKind.M1P_INV else -1
+    pairs = _visit_pairs(d)
     for ci, comp in enumerate(d.components):
         k = len(comp.events)
         for i in range(k):
             a, b = comp.events[i], comp.events[(i + 1) % k]
             if (isinstance(a, CrossVisit) and isinstance(b, CrossVisit)
                     and a.crossing == b.crossing):
-                v1, v2 = _visit_pair(d, a.crossing)
-                if _sign_from_visits(d, a.crossing, v1, v2) == want:
+                if _sign_from_visits(d, a.crossing, *pairs[a.crossing]) == want:
                     yield MoveSite.make(kind, comp=ci, event=i)
 
 
@@ -238,8 +240,7 @@ def _apply_m1_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     if not (isinstance(a, CrossVisit) and isinstance(b, CrossVisit)
             and a.crossing == b.crossing):
         raise MoveError("stale kink site")
-    v1, v2 = _visit_pair(d, a.crossing)
-    sign = _sign_from_visits(d, a.crossing, v1, v2)
+    sign = _sign_from_visits(d, a.crossing, *_visit_pairs(d)[a.crossing])
     if sign != (1 if kind is MoveKind.M1P_INV else -1):
         raise MoveError("kink sign does not match the move kind")
     crossings = dict(d.crossings)
@@ -1062,21 +1063,23 @@ _MOVES = {
 
 
 def _move(kind: MoveKind):
+    """The normalised kind (a MoveKind or its value) and its registry entry."""
     try:
-        return _MOVES[kind]
-    except KeyError:
-        raise MoveError(f"unknown move kind {kind}") from None
+        kind = MoveKind(kind)
+    except ValueError:
+        raise MoveError(f"unknown move kind {kind!r}") from None
+    return kind, _MOVES[kind]
 
 
 def candidate_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
     """Pattern-matched candidate sites, before the validity filter."""
-    candidates, _apply = _move(kind)
+    kind, (candidates, _apply) = _move(kind)
     return list(candidates(d, kind))
 
 
 def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     """Apply one move and validate the result."""
-    _candidates, apply_kind = _move(kind)
+    kind, (_candidates, apply_kind) = _move(kind)
     if site.kind is not kind:
         raise MoveError(f"site is for {site.kind.value}, not {kind.value}")
     try:
@@ -1174,7 +1177,10 @@ def parse_trace(text: str) -> List[Tuple[MoveKind, MoveSite]]:
             kind = MoveKind(kind_text)
         except ValueError:
             raise MoveError(f"trace line {ln}: unknown move kind {kind_text!r}")
-        out.append((kind, MoveSite.from_fingerprint(kind, payload)))
+        try:
+            out.append((kind, MoveSite.from_fingerprint(kind, payload)))
+        except ValueError as exc:
+            raise MoveError(f"trace line {ln}: bad site {payload!r}: {exc}") from None
     return out
 
 

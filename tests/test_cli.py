@@ -1,3 +1,5 @@
+import pytest
+
 from linkcx.cli import main
 
 
@@ -128,3 +130,13 @@ def test_negative_fuzz_steps_is_a_usage_error(tmp_path, capsys):
     assert main(["move", "fuzz", str(cx), str(d), "--steps", "-5"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "applied" not in captured.out
+
+
+@pytest.mark.parametrize("line", ["M1p {bad", "M1p", "M1p [1,2]"])
+def test_malformed_trace_line_is_an_error(tmp_path, capsys, line):
+    cx, d, _ = _emit(tmp_path, "unknot_local")
+    trace = tmp_path / "trace.txt"
+    trace.write_text(line + "\n")
+    capsys.readouterr()
+    assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error: trace line 1:")

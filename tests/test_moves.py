@@ -229,3 +229,12 @@ def test_unknown_move_kind_is_a_move_error():
         mv.apply(d, "M9", site)
     with pytest.raises(MoveError, match="unknown move kind"):
         mv.candidate_sites(d, "M9")
+
+
+def test_string_move_kinds_are_normalised():
+    d = example("unknot_local").diagram
+    sites = mv.candidate_sites(d, "M1p")
+    assert sites == mv.candidate_sites(d, K.M1P)
+    assert same_diagram(mv.apply(d, "M1p", sites[0]), mv.apply(d, K.M1P, sites[0]))
+    with pytest.raises(MoveError, match="site is for M1p, not M1m"):
+        mv.apply(d, "M1m", sites[0])
