@@ -11,25 +11,34 @@ multiplies by (-A^3)^(-wri); a direct kink computation fixes the sign: a
 positive kink multiplies the bracket by -A^3, so this normalization is
 invariant under every move.
 
-One engine serves every state sum.  ``_Contraction``, built once per
+One engine serves both brackets.  ``_Contraction``, built once per
 diagram, matches every crossing port to the port at the far end of its
 arc, through the transits between them, which form the path leaving the
-port.  ``loops(mask)`` follows match and smoothing through one state and
-returns its curves as lists of path indices; ``states()`` enumerates all
-2^cro states.  The bracket counts the curves, the homotopy bracket
-multiplies per-path holonomies, and both tally integer counts per
-(|C|, loop exponent) before building their polynomials once, at the end.
+port.  The loop count of a state is then a question of connectivity in a
+perfect matching, so the complex need not be planar.  ``_state_sum``
+smooths the crossings one at a time, in a greedy order that keeps few
+ports open, and keeps one table entry per pairing of the open ports (for
+the homotopy bracket also per holonomy word of each open path and per
+multiset of nontrivial classes closed so far).  Each entry carries an
+integer tally over (|C|, trivial loops), and ``_tally_polynomial`` turns
+each tally into a Laurent polynomial once, at the end.  The work grows
+with the number of entries, not with the 2^cro states; the cap on
+crossings (``LINKCX_MAX_CROSSINGS``, 22 when unset) still applies.
+``loops(mask)`` traces the curves of one state; ``state_curves``,
+``smooth``, ``state_term`` and ``all_state_counts`` are per-state views.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .diagram import CrossVisit, Diagram, PlanarCode, Slot, arcs_of, transit_steps
+from .diagram import (CrossVisit, Diagram, PlanarCode, Slot, arcs_of, sc,
+                      transit_steps)
 from .errors import CrossingCapError, DiagramError
+from .groups import ConjClass, GroupSpec, Word, inv, mul, unoriented_class
 from .invariants import Wri, wri
 from .laurent import Laurent
 from .twocomplex import Incidence
@@ -44,6 +53,8 @@ __all__ = [
     "span",
     "check_span_theorem",
     "check_state_inequality",
+    "span_bound_holds",
+    "state_bound_holds",
     "classical_oracle",
     "classical_lk",
     "default_crossing_cap",
@@ -148,11 +159,6 @@ class _Contraction:
             out.append(loop)
         return out + self.fixed
 
-    def states(self) -> Iterator[Tuple[int, List[List[int]]]]:
-        """(|C|, curves) of every state."""
-        for mask in range(1 << len(self.order)):
-            yield mask.bit_count(), self.loops(mask)
-
 
 def _contract(d: Diagram, max_crossings: Optional[int], what: str) -> _Contraction:
     """The engine of a full state sum, after the emptiness and cap checks."""
@@ -166,12 +172,151 @@ def _contract(d: Diagram, max_crossings: Optional[int], what: str) -> _Contracti
 
 
 def _tally_polynomial(tally: Dict[Tuple[int, int], int], n: int) -> Laurent:
-    """Sum of count * (-A^2 - A^-2)^e * A^(2k - n) over a {(k, e): count} tally."""
-    loop = Laurent.loop_factor()
-    total = Laurent.zero()
+    """Sum of count * (-A^2 - A^-2)^e * A^(2k - n) over a {(k, e): count} tally.
+
+    (-A^2 - A^-2)^e is (-1)^e times the sum of C(e, j) * A^(2e - 4j).
+    """
+    acc: Dict[int, int] = {}
     for (k, e), count in tally.items():
-        total = total + (loop ** e) * Laurent.monomial(count, 2 * k - n)
-    return total
+        c = -count if e % 2 else count
+        top = 2 * k - n + 2 * e
+        for j in range(e + 1):
+            acc[top - 4 * j] = acc.get(top - 4 * j, 0) + c * comb(e, j)
+    return Laurent(acc)
+
+
+def _frontier_order(con: _Contraction) -> List[int]:
+    """Crossing indices in smoothing order: each next one leaves fewest ports open."""
+    n = len(con.order)
+    done = [False] * n
+    order = []
+    for _ in range(n):
+        best, best_grow = -1, 5
+        for i in range(n):
+            if done[i]:
+                continue
+            grow = 0
+            for p in range(4 * i, 4 * i + 4):
+                j = con.match[p] >> 2
+                if j != i:
+                    grow += -1 if done[j] else 1
+            if grow < best_grow:
+                best, best_grow = i, grow
+        done[best] = True
+        order.append(best)
+    return order
+
+
+def _glue(first: Dict[int, Tuple[int, Word]], second: Dict[int, Tuple[int, Word]],
+          group: Optional[GroupSpec]) -> Tuple[Dict[int, Tuple[int, Word]], List[Word]]:
+    """Two link maps joined at the ports they share.
+
+    A link map sends a port to the far end of its path and the word read
+    along it, and the far end back with the inverse word.  A port in both
+    maps joins a path of each.  Returns the links between the ports that
+    are in one map only, and the words of the closed loops.
+    """
+    links: Dict[int, Tuple[int, Word]] = {}
+    loops: List[Word] = []
+    met = set()
+    # the ends of paths first: a shared port left over lies on a loop
+    for a in (*(first.keys() ^ second.keys()), *(first.keys() & second.keys())):
+        if a in links or a in met:
+            continue
+        here, there = (first, second) if a in first else (second, first)
+        b, w = here[a]
+        while b in there and b != a:
+            met.add(b)
+            b, v = there[b]
+            if group:
+                w = mul(group, w, v)
+            here, there = there, here
+        if b == a:
+            loops.append(w)
+        else:
+            links[a] = (b, w)
+            links[b] = (a, inv(group, w) if group else None)
+    return links, loops
+
+
+def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
+               path_words: Sequence[Word] = ()) -> Dict[Tuple[ConjClass, ...],
+                                                        Dict[Tuple[int, int], int]]:
+    """{nontrivial classes: {(|C|, trivial loops): states}} over all states.
+
+    The crossings are smoothed one at a time.  A port is open while the far
+    end of its path is unsmoothed, and the smoothed part of every state is
+    a set of closed loops plus open paths joining the open ports in pairs.
+    States that pair the open ports alike (and, with a group, carry the
+    same words along those paths and the same closed classes) continue
+    alike, so the table keeps one integer tally per such key.  Without a
+    group every loop is trivial and every word is None.
+    """
+    match = con.match
+    stride = len(match) + len(con.fixed) + 1     # (k, e) is kept as k * stride + e
+    one = group.identity() if group else None
+    classes_of: Dict[Word, ConjClass] = {}
+
+    def classify(loops: List[Word]) -> Tuple[int, List[ConjClass]]:
+        """The number of trivial loops, and the classes of the others."""
+        if not group:
+            return len(loops), []
+        found = []
+        for w in loops:
+            cls = classes_of.get(w)
+            if cls is None:
+                cls = classes_of[w] = unoriented_class(group, w)
+            if not cls.is_identity():
+                found.append(cls)
+        return len(loops) - len(found), found
+
+    closed = [False] * len(match)
+    frontier: List[int] = []
+    # (mates, words, classes): mates[j] is the open port that the path from
+    # frontier[j] ends at, words[j] the word read along that path
+    table = {((), (), ()): {0: 1}}
+    for i in _frontier_order(con):
+        ports = range(4 * i, 4 * i + 4)
+        for p in ports:
+            closed[match[p]] = True
+        old = frontier
+        frontier = [p for p in old if not closed[p]] + [p for p in ports if not closed[p]]
+        # each smoothing links the ports it shuts or opens, and may close loops
+        paths = {a: (match[a], path_words[a] if group else None)
+                 for a in (*ports, *old) if closed[a]}
+        local = []
+        for join in con.join:
+            links, loops = _glue({p: (join[p], one) for p in ports}, paths, group)
+            local.append((links, *classify(loops)))
+        out: Dict[tuple, Dict[int, int]] = {}
+        for (mates, words, classes), weights in table.items():
+            before = dict(zip(old, zip(mates, words)))
+            for s, (links, trivial, found) in enumerate(local):
+                ends, loops = _glue(before, links, group)
+                if loops:
+                    more_trivial, more_found = classify(loops)
+                    trivial, found = trivial + more_trivial, found + more_found
+                key = (tuple([ends[a][0] for a in frontier]),
+                       tuple([ends[a][1] for a in frontier]),
+                       tuple(sorted(classes + tuple(found), key=ConjClass.sort_key))
+                       if found else classes)
+                shift = s * stride + trivial
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = {x + shift: c for x, c in weights.items()}
+                else:
+                    for x, c in weights.items():
+                        acc[x + shift] = acc.get(x + shift, 0) + c
+        table = out
+    trivial, found = classify([path_words[p] if group else None for (p,) in con.fixed])
+    tallies: Dict[Tuple[ConjClass, ...], Dict[Tuple[int, int], int]] = {}
+    for (_mates, _words, classes), weights in table.items():
+        key = tuple(sorted(classes + tuple(found), key=ConjClass.sort_key))
+        tally = tallies.setdefault(key, {})
+        for x, c in weights.items():
+            k, e = divmod(x, stride)
+            tally[k, e + trivial] = tally.get((k, e + trivial), 0) + c
+    return tallies
 
 
 def state_curves(d: Diagram, state: Iterable[str]) -> SimpleSystem:
@@ -204,8 +349,9 @@ def state_term(d: Diagram, state: Iterable[str]) -> Laurent:
 def bracket(d: Diagram, max_crossings: Optional[int] = None) -> Laurent:
     """Sum of state terms over all subsets of the crossing set."""
     con = _contract(d, max_crossings, "bracket")
-    tally = Counter((k, len(loops) - 1) for k, loops in con.states())
-    return _tally_polynomial(tally, len(con.order))
+    (tally,) = _state_sum(con).values()
+    return _tally_polynomial({(k, e - 1): c for (k, e), c in tally.items()},
+                             len(con.order))
 
 
 def normalized_bracket(d: Diagram, max_crossings: Optional[int] = None) -> Laurent:
@@ -228,18 +374,24 @@ def all_state_counts(d: Diagram) -> Tuple[int, int]:
     return len(con.loops((1 << len(con.order)) - 1)), len(con.loops(0))
 
 
+def span_bound_holds(cro: int, sc_count: int, f: Laurent) -> bool:
+    """cro >= 1 - sc + span(f)/4, checked exactly."""
+    return 4 * cro >= 4 * (1 - sc_count) + span(f)
+
+
+def state_bound_holds(cro: int, sc_count: int, full: int, empty: int) -> bool:
+    """|L,#L| + |L,empty| <= cro + 2 sc."""
+    return full + empty <= cro + 2 * sc_count
+
+
 def check_span_theorem(d: Diagram, max_crossings: Optional[int] = None) -> bool:
-    """cro >= 1 - sc + span/4, checked exactly."""
-    from .diagram import sc
-    f = bracket(d, max_crossings)
-    return 4 * len(d.crossings) >= 4 * (1 - sc(d)) + span(f)
+    """cro >= 1 - sc + span/4 for the bracket of d."""
+    return span_bound_holds(len(d.crossings), sc(d), bracket(d, max_crossings))
 
 
 def check_state_inequality(d: Diagram) -> bool:
-    """|L,#L| + |L,empty| <= cro + 2 sc, checked exactly."""
-    from .diagram import sc
-    full, empty = all_state_counts(d)
-    return full + empty <= len(d.crossings) + 2 * sc(d)
+    """|L,#L| + |L,empty| <= cro + 2 sc for the extreme states of d."""
+    return state_bound_holds(len(d.crossings), sc(d), *all_state_counts(d))
 
 
 # -- classical oracle ------------------------------------------------------

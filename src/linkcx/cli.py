@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from . import files, homotopy, invariants, moves
-from .bracket import (all_state_counts, bracket, check_span_theorem,
-                      check_state_inequality, default_crossing_cap,
-                      normalized_bracket, span)
+from .bracket import (all_state_counts, bracket, default_crossing_cap,
+                      normalized_bracket, span, span_bound_holds,
+                      state_bound_holds)
 from .diagram import sc
 from .errors import (ComplexError, CrossingCapError, DiagramError,
                      FormatError, MoveError)
@@ -110,8 +110,8 @@ def _cmd_span_check(args) -> int:
     cro = len(d.crossings)
     s = sc(d)
     full, empty = all_state_counts(d)
-    ok1 = check_span_theorem(d)
-    ok2 = check_state_inequality(d)
+    ok1 = span_bound_holds(cro, s, f)
+    ok2 = state_bound_holds(cro, s, full, empty)
     print(f"span = {span(f)}")
     print(f"crossing bound: {cro} >= 1 - {s} + {span(f)}/4: "
           f"{'ok' if ok1 else 'VIOLATED'}")

@@ -26,16 +26,16 @@ and ``parse_system_element``) inverts its ``to_text`` byte for byte.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 # state_curves is re-exported: callers look it up here too
-from .bracket import _contract, _tally_polynomial, state_curves  # noqa: F401
+from .bracket import (_contract, _state_sum, _tally_polynomial,  # noqa: F401
+                      state_curves)
 from .diagram import Diagram, transit_steps
 from .errors import DiagramError
 from .groups import (ConjClass, GroupSpec, Word, conj_class, inv, mul,
-                     text_to_word, unoriented_class, word_to_text)
+                     text_to_word, word_to_text)
 from .invariants import _sign_from_visits, _visit_pairs, wri
 from .laurent import Laurent
 from .twocomplex import Incidence, TwoComplex
@@ -312,26 +312,10 @@ def homotopy_bracket(d: Diagram, conn: Connection,
     the remaining classes form the basis multiset.
     """
     con = _contract(d, max_crossings, "homotopy bracket")
-    g = conn.group
     path_words = [holonomy(conn, steps) for steps in con.steps]
-    tallies: Dict[Tuple[ConjClass, ...], Counter] = {}
-    for k, loops in con.states():
-        trivial = 0
-        classes: List[ConjClass] = []
-        for loop in loops:
-            w = g.identity()
-            for p in loop:
-                w = mul(g, w, path_words[p])
-            cls = unoriented_class(g, w)
-            if cls.is_identity():
-                trivial += 1
-            else:
-                classes.append(cls)
-        key = SystemElement._key(classes)
-        tallies.setdefault(key, Counter())[(k, trivial)] += 1
     n = len(con.order)
-    return SystemElement({key: _tally_polynomial(tally, n)
-                          for key, tally in tallies.items()})
+    return SystemElement({key: _tally_polynomial(tally, n) for key, tally
+                          in _state_sum(con, conn.group, path_words).items()})
 
 
 def normalized_homotopy_bracket(d: Diagram, conn: Connection,

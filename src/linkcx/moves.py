@@ -1185,6 +1185,13 @@ def parse_trace(text: str) -> List[Tuple[MoveKind, MoveSite]]:
 
 
 def replay(d: Diagram, trace) -> Diagram:
-    for kind, site in trace:
-        d = apply(d, kind, site)
+    """Apply a trace's moves in order; a site of the wrong shape is a MoveError."""
+    for step, (kind, site) in enumerate(trace, 1):
+        try:
+            d = apply(d, kind, site)
+        except MoveError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise MoveError(f"trace step {step}: bad site for {MoveKind(kind).value}: "
+                            f"{exc}") from None
     return d

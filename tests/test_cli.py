@@ -140,3 +140,12 @@ def test_malformed_trace_line_is_an_error(tmp_path, capsys, line):
     capsys.readouterr()
     assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
     assert capsys.readouterr().err.startswith("error: trace line 1:")
+
+
+def test_ill_typed_trace_site_is_an_error(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "unknot_local")
+    trace = tmp_path / "trace.txt"
+    trace.write_text('M1p {"arc": "x", "bend": 3, "comp": 0}\n')
+    capsys.readouterr()
+    assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error: trace step 1:")

@@ -1,0 +1,143 @@
+"""The crossing-by-crossing state sum against the brute force over all states.
+
+The reference enumerates every mask and traces its curves with
+``_Contraction.loops``; the engine never looks at a single state.  Both
+brackets are compared through their text, byte for byte.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linkcx import moves as mv
+from linkcx.bracket import _Contraction, bracket, classical_oracle
+from linkcx.diagram import PlanarCode, braid_code, draw_local, mirror
+from linkcx.examples import EXAMPLE_IDS, example
+from linkcx.groups import GroupSpec, mul, unoriented_class
+from linkcx.homotopy import (Connection, SystemElement, holonomy,
+                             homotopy_bracket)
+from linkcx.laurent import Laurent
+from linkcx.twocomplex import build_disc
+
+LOOP = Laurent.loop_factor()
+
+
+def brute_bracket(d) -> Laurent:
+    con = _Contraction(d)
+    n = len(con.order)
+    total = Laurent.zero()
+    for mask in range(1 << n):
+        loops = len(con.loops(mask))
+        total = total + LOOP ** (loops - 1) * Laurent.A(2 * mask.bit_count() - n)
+    return total
+
+
+def brute_homotopy_bracket(d, conn) -> SystemElement:
+    con = _Contraction(d)
+    g = conn.group
+    words = [holonomy(conn, steps) for steps in con.steps]
+    n = len(con.order)
+    acc = {}
+    for mask in range(1 << n):
+        trivial, classes = 0, []
+        for loop in con.loops(mask):
+            w = g.identity()
+            for p in loop:
+                w = mul(g, w, words[p])
+            cls = unoriented_class(g, w)
+            if cls.is_identity():
+                trivial += 1
+            else:
+                classes.append(cls)
+        key = SystemElement._key(classes)
+        term = LOOP ** trivial * Laurent.A(2 * mask.bit_count() - n)
+        acc[key] = acc[key] + term if key in acc else term
+    return SystemElement(acc)
+
+
+def assert_engine_matches_brute(d, conn):
+    assert str(bracket(d)) == str(brute_bracket(d))
+    assert (homotopy_bracket(d, conn).to_text(conn.group)
+            == brute_homotopy_bracket(d, conn).to_text(conn.group))
+
+
+def _bundles():
+    for name in EXAMPLE_IDS:
+        for n in ((None,) if name not in ("Ln", "Kn") else range(5)):
+            yield example(name, n)
+
+
+def test_examples_and_mirrors():
+    for b in _bundles():
+        assert_engine_matches_brute(b.diagram, b.connection)
+        assert_engine_matches_brute(mirror(b.diagram), b.connection)
+
+
+FUZZ_BASES = [("trefoil_left", None), ("torus_link", None), ("moebius_link", None),
+              ("annulus_link", None), ("Ln", 0), ("Ln", 1), ("Kn", 0),
+              ("unknot_local", None)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FUZZ_BASES), st.integers(0, 2 ** 32 - 1))
+def test_fuzzed_diagrams(base, seed):
+    b = example(*base)
+    d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
+    assert_engine_matches_brute(d, b.connection)
+
+
+def test_crossing_free_diagrams():
+    for name, n in (("unknot_local", None), ("Ln", 0)):
+        b = example(name, n)
+        assert not b.diagram.crossings
+        assert_engine_matches_brute(b.diagram, b.connection)
+    disc = build_disc()
+    three = draw_local(disc, "F", PlanarCode((), 3))
+    assert bracket(three) == LOOP * LOOP
+    assert_engine_matches_brute(three, Connection.trivial(disc, GroupSpec.free()))
+
+
+def test_kinks():
+    # a kink matches a port to a port of its own crossing; on L(0) the
+    # other component stays crossing-free with a nontrivial class
+    for name, n in (("unknot_local", None), ("Ln", 0), ("hopf_local", None),
+                    ("Kn", 1)):
+        b = example(name, n)
+        for kind in (mv.MoveKind.M1P, mv.MoveKind.M1M):
+            d = mv.apply(b.diagram, kind, mv.find_sites(b.diagram, kind)[0])
+            d = mv.apply(d, kind, mv.find_sites(d, kind)[-1])
+            con = _Contraction(d)
+            assert any(con.match[p] >> 2 == p >> 2 for p in range(len(con.match)))
+            assert_engine_matches_brute(d, b.connection)
+
+
+def test_engine_matches_oracle_on_braid_closures():
+    disc = build_disc()
+    rng = random.Random(2024)
+    for _ in range(40):
+        strands = rng.randint(2, 5)
+        n = rng.randint(1, 10)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(n)]
+        code = braid_code(word, strands)
+        assert bracket(draw_local(disc, "F", code)) == classical_oracle(code), word
+
+
+# -- closed forms past the reach of the brute force ----------------------------
+
+def _closure(word, strands):
+    return draw_local(build_disc(), "F", braid_code(word, strands))
+
+
+def test_cancelling_braid_closures_are_unlinks():
+    two = _closure([1, -1] * 20, 2)
+    assert str(bracket(two, max_crossings=40)) == "-1*A^2 + -1*A^-2"
+    three = _closure([1, 2, -2, -1] * 10, 3)
+    assert str(bracket(three, max_crossings=40)) == "1*A^4 + 2*A^0 + 1*A^-4"
+
+
+def test_sixty_crossing_closure_specializes():
+    d = _closure([1, -2] * 30, 3)
+    conn = Connection.trivial(build_disc(), GroupSpec.free())
+    h = homotopy_bracket(d, conn, max_crossings=60)
+    assert h.specialize(LOOP) == LOOP * bracket(d, max_crossings=60)
