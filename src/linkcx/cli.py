@@ -11,6 +11,7 @@ non-negative integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -194,7 +195,9 @@ def _cmd_move(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="linkcx",
         description="dotted link diagrams on 2-complexes: validation, "

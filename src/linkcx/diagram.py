@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import DiagramError
 from .twocomplex import Incidence, PointClass, TwoComplex, edge_class
@@ -173,24 +173,27 @@ def edge_transit_order(d: Diagram, edge: str) -> List[str]:
 
 # -- face boundary and the planarity certificate ------------------------
 
-def face_boundary_marks(d: Diagram, f: str) -> List[Tuple[str, int]]:
-    """Transit ends on the boundary of face f, in boundary-word cyclic order.
+def boundary_marks(d: Diagram) -> Dict[str, List[Tuple[str, int]]]:
+    """Face -> transit ends on its boundary, in boundary-word cyclic order.
 
-    Each mark is (transit id, side index of the end lying on f).
+    Each mark is (transit id, side index of the end lying on the face).
+    One scan of the transits serves every face.
     """
-    marks: List[Tuple[str, int]] = []
-    word = d.complex.faces[f]
-    for j, (e, direction) in enumerate(word):
-        on_side = []
-        for t, tr in d.transits.items():
-            if tr.edge != e:
-                continue
-            for k in (0, 1):
-                if tr.sides[k] == (f, j):
-                    on_side.append((tr.pos, t, k))
-        on_side.sort(reverse=(direction < 0))
-        marks.extend((t, k) for _pos, t, k in on_side)
-    return marks
+    on_side: Dict[Tuple[str, int, str], List[Tuple[Fraction, str, int]]] = {}
+    for t, tr in d.transits.items():
+        for k in (0, 1):
+            f, j = tr.sides[k]
+            on_side.setdefault((f, j, tr.edge), []).append((tr.pos, t, k))
+    out = {}
+    for f, word in d.complex.faces.items():
+        marks: List[Tuple[str, int]] = []
+        for j, (e, direction) in enumerate(word):
+            side = on_side.get((f, j, e))
+            if side:
+                side.sort(reverse=(direction < 0))
+                marks.extend((t, k) for _pos, t, k in side)
+        out[f] = marks
+    return out
 
 
 class FaceMap:
@@ -200,89 +203,87 @@ class FaceMap:
     boundary mark carries (segment to next mark, arc end, segment from
     previous mark) counterclockwise, which matches a boundary walked in
     word order with the face interior on its left.
+
+    Darts are numbered node by node: crossing ``nodes[i]`` owns darts
+    ``4i .. 4i+3`` (its ports), and boundary mark ``m`` owns the three
+    darts from ``mark_dart(m, 0)``.  ``alpha`` pairs the two ends of an
+    arc or a boundary segment, ``succ`` is the counterclockwise successor
+    at a node, ``orbits`` are the face walks (dart -> ``succ[alpha[dart]]``,
+    region on the right of each traversed edge) and ``orbit_of`` names the
+    walk through each dart.
     """
 
-    def __init__(self, d: Diagram, f: str):
+    def __init__(self, d: Diagram, f: str, crossings: List[str],
+                 arcs: List[Arc], marks: List[Tuple[str, int]]):
+        """The face's crossings in name order, its arcs that are not
+        circles, and its boundary marks; ``face_maps`` groups them."""
         self.ok = True
-        marks = face_boundary_marks(d, f)
-        mark_index = {m: i for i, m in enumerate(marks)}
-        n_marks = len(marks)
-        nodes: List[tuple] = [("x", c) for c, cr in sorted(d.crossings.items())
-                              if cr.face == f]
-        nodes += [("b", i) for i in range(n_marks)]
-        self.nodes = nodes
-        rotation_size = {n: 4 if n[0] == "x" else 3 for n in nodes}
-        dart_id: Dict[tuple, int] = {}
-        darts: List[tuple] = []
-        for n in nodes:
-            for r in range(rotation_size[n]):
-                dart_id[(n, r)] = len(darts)
-                darts.append((n, r))
-        self.darts = darts
-        self.dart_id = dart_id
-        alpha = [-1] * len(darts)
-        arc_of: List[Optional[Tuple[int, int]]] = [None] * len(darts)
-
-        def pair(a, b):
-            alpha[dart_id[a]] = dart_id[b]
-            alpha[dart_id[b]] = dart_id[a]
+        self.marks = marks
+        n_x, n_marks = len(crossings), len(marks)
+        self.nodes = [("x", c) for c in crossings] + [("b", i) for i in range(n_marks)]
+        self.mark_base = base = 4 * n_x
+        n_darts = base + 3 * n_marks
+        self.x_index = {c: i for i, c in enumerate(crossings)}
+        self.mark_index = {m: i for i, m in enumerate(marks)}
+        alpha = [-1] * n_darts
+        arc_of: List[Optional[Tuple[int, int]]] = [None] * n_darts
 
         # boundary mark slots: 0 = to next mark, 1 = arc end, 2 = to previous
         for i in range(n_marks):
-            pair((("b", i), 0), (("b", (i + 1) % n_marks), 2))
+            a, b = base + 3 * i, base + 3 * ((i + 1) % n_marks) + 2
+            alpha[a], alpha[b] = b, a
 
-        def slot_dart(slot: Slot):
-            kind, ident, k = slot
-            if kind == "x":
-                return (("x", ident), k)
-            return (("b", mark_index[(ident, k)]), 1)
-
-        used = set()
-        for arc in arcs_of(d):
-            if arc.face != f or arc.src is None:
-                continue
+        slot_dart = self.slot_dart
+        for arc in arcs:
             if slot_face(d, arc.src) != f or slot_face(d, arc.dst) != f:
                 self.ok = False
                 return
             a, b = slot_dart(arc.src), slot_dart(arc.dst)
-            if dart_id[a] in used or dart_id[b] in used:
+            if alpha[a] >= 0 or alpha[b] >= 0:
                 self.ok = False
                 return
-            used.update((dart_id[a], dart_id[b]))
-            pair(a, b)
-            arc_of[dart_id[a]] = (arc.comp, arc.index)
-            arc_of[dart_id[b]] = (arc.comp, arc.index)
+            alpha[a], alpha[b] = b, a
+            arc_of[a] = arc_of[b] = (arc.comp, arc.index)
 
-        if any(a < 0 for a in alpha):
+        if -1 in alpha:
             self.ok = False      # an unmatched port or transit end
             return
         self.alpha = alpha
         self.arc_of = arc_of
-        succ = [0] * len(darts)
-        for (n, r), i in dart_id.items():
-            succ[i] = dart_id[(n, (r + 1) % rotation_size[n])]
-        self.succ = succ
-
-    def orbits(self) -> List[List[int]]:
-        """Face walks of the map: orbits of dart -> ccw successor of reverse."""
-        out = []
-        seen = [False] * len(self.darts)
-        for start in range(len(self.darts)):
-            if seen[start]:
+        self.succ = succ = ([i + 1 if i % 4 < 3 else i - 3 for i in range(base)]
+                            + [i + 1 if (i - base) % 3 < 2 else i - 2
+                               for i in range(base, n_darts)])
+        self.orbit_of = orbit_of = [-1] * n_darts
+        self.orbits: List[List[int]] = []
+        for start in range(n_darts):
+            if orbit_of[start] >= 0:
                 continue
             orbit = []
             i = start
-            while not seen[i]:
-                seen[i] = True
+            while orbit_of[i] < 0:
+                orbit_of[i] = len(self.orbits)
                 orbit.append(i)
-                i = self.succ[self.alpha[i]]
-            out.append(orbit)
-        return out
+                i = succ[alpha[i]]
+            self.orbits.append(orbit)
 
-    def genus_zero(self) -> bool:
-        if not self.ok:
-            return False
-        parent = list(range(len(self.darts)))
+    def slot_dart(self, slot: Slot) -> int:
+        """The dart of an arc end: a crossing port or a mark's arc slot."""
+        kind, ident, k = slot
+        if kind == "x":
+            return 4 * self.x_index[ident] + k
+        return self.mark_dart(self.mark_index[(ident, k)], 1)
+
+    def node_of(self, dart: int) -> int:
+        """Index into ``nodes`` of the node that owns the dart."""
+        base = self.mark_base
+        return dart >> 2 if dart < base else (base >> 2) + (dart - base) // 3
+
+    def mark_dart(self, mark: int, slot: int) -> int:
+        return self.mark_base + 3 * mark + slot
+
+    def components(self) -> List[int]:
+        """A representative node index per node; equal for connected nodes."""
+        parent = list(range(len(self.nodes)))
 
         def find(x):
             while parent[x] != x:
@@ -290,32 +291,43 @@ class FaceMap:
                 x = parent[x]
             return x
 
-        for i, a in enumerate(self.alpha):
-            ra, rb = find(i), find(a)
-            if ra != rb:
-                parent[ra] = rb
-            ra, rb = find(i), find(self.succ[i])
-            if ra != rb:
-                parent[ra] = rb
+        node_of = self.node_of
+        for i, j in enumerate(self.alpha):
+            if i < j:
+                ra, rb = find(node_of(i)), find(node_of(j))
+                if ra != rb:
+                    parent[ra] = rb
+        return [find(n) for n in range(len(parent))]
 
-        faces_per: Dict[int, int] = {}
-        for orbit in self.orbits():
-            root = find(orbit[0])
-            faces_per[root] = faces_per.get(root, 0) + 1
-        verts_per: Dict[int, set] = {}
-        edges_per: Dict[int, int] = {}
-        for (n, _r), i in self.dart_id.items():
-            root = find(i)
-            verts_per.setdefault(root, set()).add(n)
-            edges_per[root] = edges_per.get(root, 0) + 1
-        for root, nf in faces_per.items():
-            if len(verts_per[root]) - edges_per[root] // 2 + nf != 2:
-                return False
-        return True
+    def genus_zero(self) -> bool:
+        """Every connected component is a sphere: V - E + F = 2 per component.
+
+        No connected map has Euler characteristic above 2, so the
+        per-component condition is the sum V - E + F = 2 * components.
+        """
+        if not self.ok:
+            return False
+        n_comp = len(set(self.components()))
+        return (len(self.nodes) - len(self.alpha) // 2 + len(self.orbits)
+                == 2 * n_comp)
 
 
-def _face_map_genus_zero(d: Diagram, f: str) -> bool:
-    return FaceMap(d, f).genus_zero()
+def face_maps(d: Diagram, arcs: Optional[List[Arc]] = None) -> Iterator[Tuple[str, FaceMap]]:
+    """(face, face map) for every face in complex order, built on demand.
+
+    One pass over the arcs and one over the transits serve every face.
+    """
+    faces = d.complex.faces
+    crossings: Dict[str, List[str]] = {f: [] for f in faces}
+    for c in sorted(d.crossings):
+        crossings.setdefault(d.crossings[c].face, []).append(c)
+    face_arcs: Dict[str, List[Arc]] = {f: [] for f in faces}
+    for arc in (arcs_of(d) if arcs is None else arcs):
+        if arc.src is not None:
+            face_arcs.setdefault(arc.face, []).append(arc)
+    marks = boundary_marks(d)
+    for f in faces:
+        yield f, FaceMap(d, f, crossings[f], face_arcs[f], marks[f])
 
 
 # -- validation ---------------------------------------------------------
@@ -380,7 +392,8 @@ def validate_diagram(d: Diagram) -> Diagram:
         if len(vs) != 1:
             raise DiagramError(f"transit {t!r} visited {len(vs)} times, expected 1")
 
-    for arc in arcs_of(d):
+    arcs = arcs_of(d)
+    for arc in arcs:
         if arc.src is None:
             continue
         fa, fb = slot_face(d, arc.src), slot_face(d, arc.dst)
@@ -388,8 +401,8 @@ def validate_diagram(d: Diagram) -> Diagram:
             raise DiagramError(
                 f"arc {arc.comp}.{arc.index} labeled {arc.face!r} joins faces {fa!r}, {fb!r}")
 
-    for f in cx.faces:
-        if not _face_map_genus_zero(d, f):
+    for f, fm in face_maps(d, arcs):
+        if not fm.genus_zero():
             raise DiagramError(f"tangle of face {f!r} is not drawable in a disc")
     return d
 

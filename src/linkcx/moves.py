@@ -14,13 +14,15 @@ Nine basic moves and their inverses, as local rewrites:
 
 Sites are plain data and serialize as JSON fingerprints, one move per
 trace line.  ``find_sites`` returns every candidate whose application
-yields a valid diagram; ``apply`` performs the rewrite and validates.
+yields a valid diagram, after pruning by face region the candidates that
+cannot; ``apply`` performs the rewrite and validates.
 The fuzzer draws kinds and candidate sites from a seeded generator, so
 identical (diagram, steps, seed) always reproduce the same trace.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 from dataclasses import dataclass, replace
@@ -29,11 +31,12 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
-                      Transit, TransitVisit, arcs_of, crossing_visits,
-                      edge_transit_order, validate_diagram)
+                      Transit, TransitVisit, arcs_of, crossing_visits, edge_transit_order,
+                      face_maps, validate_diagram)
 from .errors import DiagramError, MoveError
 from .invariants import _sign_from_visits, _visit_pairs
-from .twocomplex import Incidence, PointClass, TwoComplex, edge_class, vertex_link
+from .twocomplex import (Incidence, PointClass, TwoComplex, corner_vertex, edge_class,
+                         vertex_link)
 
 __all__ = ["MoveKind", "MoveSite", "find_sites", "apply", "fuzz",
            "serialize_trace", "parse_trace"]
@@ -378,17 +381,18 @@ def _apply_m2_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 def _triangles(d: Diagram):
     seen = set()
-    for f in sorted(d.complex.faces):
-        fm = FaceMap(d, f)
+    maps = dict(face_maps(d))
+    for f in sorted(maps):
+        fm = maps[f]
         if not fm.ok:
             continue
-        for orbit in fm.orbits():
+        for orbit in fm.orbits:
             if len(orbit) != 3:
                 continue
             arcs = [fm.arc_of[i] for i in orbit]
             if any(a is None for a in arcs):
                 continue
-            nodes = [fm.darts[i][0] for i in orbit]
+            nodes = [fm.nodes[fm.node_of(i)] for i in orbit]
             if any(n[0] != "x" for n in nodes):
                 continue
             if len(set(arcs)) != 3 or len({n[1] for n in nodes}) != 3:
@@ -769,10 +773,13 @@ def _candidates_m6(d: Diagram, kind: MoveKind):
 
 
 def _apply_m6(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
-    t1, t2 = site.get("t1"), site.get("t2")
+    t1, t2, e = site.get("t1"), site.get("t2"), site.get("edge")
     tr1, tr2 = d.transits[t1], d.transits[t2]
     if tr1.edge != tr2.edge:
         raise MoveError("transits lie on different edges")
+    if tr1.edge != e:
+        raise MoveError(f"stale site for {kind.value}: the transits lie on edge "
+                        f"{tr1.edge!r}, not {e!r}")
     order = edge_transit_order(d, tr1.edge)
     if abs(order.index(t1) - order.index(t2)) != 1:
         raise MoveError("transits are not adjacent on the edge")
@@ -988,6 +995,11 @@ def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     entry, r = site.get("entry"), site.get("length")
     forward = site.get("forward") if r == 0 else None
     cx = d.complex
+    if not (v in cx.vertices
+            and all(cx.edges[e][end] == v for (e, end), _corner in cycle)
+            and all(corner_vertex(cx, f, i) == v for _node, (f, i) in cycle)):
+        raise MoveError(f"stale site for {kind.value}: the cycle does not run "
+                        f"round vertex {v!r}")
     comp = d.components[ci]
     m = len(cycle)
     if r == 0:
@@ -1093,10 +1105,122 @@ def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
                         f"diagram: {exc}") from exc
 
 
+class _Regions:
+    """Face-walk regions of a valid diagram, to rule out sites before apply.
+
+    A region is an orbit of a face map.  An arc record holds the arc's
+    connected component of its face map, the region on its right walked
+    forward (the orbit of its first dart) and the region on its left (the
+    orbit of its last dart, walked backward).  A crossing record holds its
+    component and, per port p, the region of the corner between ports
+    p - 1 and p.  Components are tagged with their face, so regions are
+    compared only within one face map.
+    """
+
+    def __init__(self, d: Diagram):
+        self.d = d
+        self.arcs: Dict[Tuple[int, int], Tuple[tuple, int, int]] = {}
+        self.crossings: Dict[str, Tuple[tuple, List[int]]] = {}
+        self.maps: Dict[str, Tuple[FaceMap, List[int], List[Tuple[int, int]]]] = {}
+        rank = {t: r for e in {tr.edge for tr in d.transits.values()}
+                for r, t in enumerate(edge_transit_order(d, e))}
+        arcs = arcs_of(d)
+        for f, fm in face_maps(d, arcs):
+            comp = fm.components()
+            for c, i in fm.x_index.items():
+                self.crossings[c] = ((f, comp[i]), fm.orbit_of[4 * i:4 * i + 4])
+            # marks sort by (side, rank along the side's walk); a gap between
+            # ranks r - 1 and r sits at 2r - 1
+            word = d.complex.faces[f]
+            keys = []
+            for t, k in fm.marks:
+                j = d.transits[t].sides[k][1]
+                keys.append((j, 2 * rank[t] if word[j][1] > 0 else -2 * rank[t]))
+            self.maps[f] = (fm, comp, keys)
+        for arc in arcs:
+            if arc.src is None:
+                continue
+            fm, comp, _keys = self.maps[arc.face]
+            a, b = fm.slot_dart(arc.src), fm.slot_dart(arc.dst)
+            self.arcs[(arc.comp, arc.index)] = ((arc.face, comp[fm.node_of(a)]),
+                                                fm.orbit_of[a], fm.orbit_of[b])
+
+    def segment(self, side: Incidence, slot: int):
+        """(component, regions) of the boundary segment that holds a gap.
+
+        The gap is ``slot`` on the edge of ``side``; the segment joins the
+        two boundary marks of the side's face that flank it.  None when the
+        face has no marks, so that its boundary is not part of the map.
+        """
+        f, j = side
+        fm, comp, keys = self.maps[f]
+        if not keys:
+            return None
+        gap = 2 * slot - 1 if self.d.complex.faces[f][j][1] > 0 else 1 - 2 * slot
+        i = bisect.bisect(keys, (j, gap)) - 1
+        first = fm.mark_dart(i % len(keys), 0)
+        last = fm.mark_dart((i + 1) % len(keys), 2)
+        return (f, comp[fm.node_of(first)]), {fm.orbit_of[first], fm.orbit_of[last]}
+
+    def rules_out(self, site: MoveSite) -> bool:
+        """True only when the site's result must fail the genus check.
+
+        Within one component of a face map the drawing is unique, so a move
+        that joins two parts of it through a region needs that region on
+        the right sides of both.  Across components nothing is ruled out.
+        """
+        kind = site.kind
+        if kind is MoveKind.M2:
+            a = self.arcs.get((site.get("comp_a"), site.get("arc_a")))
+            b = self.arcs.get((site.get("comp_b"), site.get("arc_b")))
+            if a is None or b is None or a[0] != b[0]:
+                return False
+            # b is pushed across a from the right of a walked forward; the
+            # finger leaves b on its right if anti, else on its left
+            return a[1] != (b[1] if site.get("anti") else b[2])
+        if kind is MoveKind.M4:
+            rec = self.arcs.get((site.get("comp"), site.get("arc")))
+            if rec is None:
+                return False
+            # the arc meets the gap with its right side where the boundary
+            # runs along the edge, with its left side where it runs against
+            f, j = _inc(site.get("s1"))
+            forward = self.d.complex.faces[f][j][1] > 0
+            component, region = rec[0], rec[1] if forward else rec[2]
+        elif kind in (MoveKind.M5P, MoveKind.M5M) and site.get("mode") == "push":
+            # the crossing meets the gap with the corner between the last
+            # and the first port of its fan
+            component, corners = self.crossings[site.get("crossing")]
+            region = corners[site.get("rot")]
+        else:
+            return False
+        seg = self.segment(_inc(site.get("s1")), site.get("slot"))
+        return seg is not None and seg[0] == component and region not in seg[1]
+
+
 def find_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
-    """Every candidate site whose application yields a valid diagram."""
+    """Every candidate site whose application yields a valid diagram.
+
+    On a valid diagram, candidates are first pruned by face region.  An M2
+    slide between two arcs of one face-map component needs a region on the
+    sides of both that the slide pushes through; an M4 tongue or an M5
+    push needs its arc's side or its crossing's corner that meets the gap
+    to share a region with the boundary segment holding the gap.  Without
+    it the face is not drawable, so the site is skipped.  Every other
+    candidate is applied and fully validated; on an invalid diagram that
+    is every candidate.
+    """
+    sites = candidate_sites(d, kind)
+    try:
+        validate_diagram(d)
+    except DiagramError:
+        regions = None
+    else:
+        regions = _Regions(d)
     out = []
-    for site in candidate_sites(d, kind):
+    for site in sites:
+        if regions is not None and regions.rules_out(site):
+            continue
         try:
             apply(d, kind, site)
         except MoveError:

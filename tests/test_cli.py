@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from linkcx import cli
 from linkcx.cli import main
 
 
@@ -149,3 +152,55 @@ def test_ill_typed_trace_site_is_an_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
     assert capsys.readouterr().err.startswith("error: trace step 1:")
+
+
+def test_stale_m6_site_in_a_trace_is_an_error(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "Ln", 1)
+    trace = tmp_path / "trace.txt"
+    assert main(["move", "fuzz", str(cx), str(d), "--steps", "10", "--seed", "4",
+                 "--trace", str(trace)]) == 0
+    with trace.open("a") as out:
+        out.write('M6 {"edge": "no-such-edge", "t1": "t8", "t2": "t4"}\n')
+    capsys.readouterr()
+    assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error: stale site for M6:")
+
+
+def test_stale_m7_site_in_a_trace_is_an_error(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "torus_link")
+    cycle = [[["h", 0], ["F", 2]], [["v", 1], ["F", 1]], [["h", 1], ["F", 0]],
+             [["v", 0], ["F", 3]]]
+    site = {"arc": 0, "comp": 0, "cycle": cycle, "entry": 1, "forward": True,
+            "length": 0}
+    trace = tmp_path / "trace.txt"
+    for vertex, code in (("P", 0), ("no-such-vertex", 1)):
+        trace.write_text("M7 " + json.dumps(dict(site, vertex=vertex)) + "\n")
+        capsys.readouterr()
+        assert main(["move", "replay", str(cx), str(d), str(trace)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: stale site for M7:")
+
+
+def test_repeated_calls_match_fresh_calls(tmp_path, capsys):
+    cx, d, conn = _emit(tmp_path, "Kn", 1)
+    calls = [["no-such-command"],
+             ["validate", str(cx), str(d)],
+             ["inv", str(cx), str(d), "--conn", str(conn)],
+             ["move"],
+             ["move", "apply", str(cx), str(d), "M1p", "--site", "1"],
+             ["inv", str(cx), str(d), "--wri", "--co", "--conn", str(conn)],
+             ["move", "apply", str(cx), str(d), "M9", "--site", "0"],
+             ["validate", str(cx), str(d)]]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    capsys.readouterr()
+    fresh = [run(argv, True) for argv in calls]
+    repeated = [run(argv, False) for argv in calls + calls]
+    assert repeated == fresh + fresh
+    assert [code for code, _out, _err in fresh] == [2, 0, 0, 2, 0, 0, 2, 0]

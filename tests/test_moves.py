@@ -1,10 +1,17 @@
+import hashlib
+from collections import Counter
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkcx as lx
 from linkcx import moves as mv
-from linkcx.diagram import same_diagram
-from linkcx.errors import MoveError
-from linkcx.examples import example
+from linkcx.diagram import Component, mirror, same_diagram, validate_diagram
+from linkcx.errors import DiagramError, MoveError
+from linkcx.examples import EXAMPLE_IDS, example
+from linkcx.files import serialize_diagram
 from linkcx.laurent import Laurent
 from linkcx.moves import MoveKind as K
 
@@ -238,3 +245,138 @@ def test_string_move_kinds_are_normalised():
     assert same_diagram(mv.apply(d, "M1p", sites[0]), mv.apply(d, K.M1P, sites[0]))
     with pytest.raises(MoveError, match="site is for M1p, not M1m"):
         mv.apply(d, "M1m", sites[0])
+
+
+def test_m6_site_must_name_its_edge():
+    d, _trace = mv.fuzz(example("Ln", 1).diagram, 10, seed=4)
+    site = mv.MoveSite.make(K.M6, edge="v.b", t1="t8", t2="t4")
+    assert mv.find_sites(d, K.M6) == [site]
+    stale = mv.MoveSite.make(K.M6, edge="no-such-edge", t1="t8", t2="t4")
+    with pytest.raises(MoveError, match="stale site for M6: .*'no-such-edge'"):
+        mv.apply(d, K.M6, stale)
+
+
+def test_m7_site_must_name_its_vertex():
+    d = example("torus_link").diagram
+    site = mv.find_sites(d, K.M7)[0]
+    data = dict(site.data)
+    mv.apply(d, K.M7, site)
+    for v in ("no-such-vertex",) + tuple(w for w in d.complex.vertices
+                                          if w != data["vertex"]):
+        data["vertex"] = v
+        with pytest.raises(MoveError, match="stale site for M7: .*round vertex"):
+            mv.apply(d, K.M7, mv.MoveSite.make(K.M7, **data))
+
+
+# -- find_sites against the brute force ------------------------------------------
+
+def brute_sites(d, kind):
+    """The reference: apply and fully validate every candidate."""
+    out = []
+    for site in mv.candidate_sites(d, kind):
+        try:
+            mv.apply(d, kind, site)
+        except MoveError:
+            continue
+        out.append(site)
+    return out
+
+
+def assert_sites_match_brute(d):
+    for kind in K:
+        assert mv.find_sites(d, kind) == brute_sites(d, kind), kind
+
+
+def with_floating_kink(d, face):
+    """d plus a kinked circle in the face: a second component of its face map."""
+    d = validate_diagram(replace(d, components=d.components + (Component((), (face,)),)))
+    site = mv.MoveSite.make(K.M1P, comp=len(d.components) - 1, arc=0, bend=1)
+    return mv.apply(d, K.M1P, site)
+
+
+def test_find_sites_matches_brute_force_on_examples_and_mirrors():
+    for name in EXAMPLE_IDS:
+        for n in ((None,) if name not in ("Ln", "Kn") else range(2)):
+            d = example(name, n).diagram
+            assert_sites_match_brute(d)
+            assert_sites_match_brute(mirror(d))
+    for name in ("Ln", "Kn"):
+        assert_sites_match_brute(example(name, 2).diagram)
+
+
+def test_find_sites_matches_brute_force_across_map_components():
+    # sites between two components of one face map are never pruned
+    for name, n, face in (("Ln", 1, "F.e0"), ("torus_link", None, "F"),
+                          ("hopf_local", None, "F")):
+        assert_sites_match_brute(with_floating_kink(example(name, n).diagram, face))
+
+
+def test_find_sites_on_an_invalid_diagram_prunes_nothing():
+    d = example("Ln", 1).diagram
+    comp = d.components[0]
+    bad = replace(d, components=(replace(comp, arc_faces=comp.arc_faces[1:]
+                                         + comp.arc_faces[:1]),) + d.components[1:])
+    with pytest.raises(DiagramError):
+        validate_diagram(bad)
+    for kind in (K.M2, K.M4, K.M5P, K.M5M):
+        assert mv.find_sites(bad, kind) == brute_sites(bad, kind)
+
+
+SITE_FUZZ_BASES = [("torus_link", None, "F"), ("moebius_link", None, None),
+                   ("annulus_link", None, None), ("Ln", 1, None), ("Kn", 0, None),
+                   ("Ln", 0, "F.e0")]
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(SITE_FUZZ_BASES), st.integers(0, 2 ** 32 - 1))
+def test_find_sites_matches_brute_force_on_fuzzed_diagrams(base, seed):
+    name, n, face = base
+    d = example(name, n).diagram
+    if face is not None:
+        d = with_floating_kink(d, face)
+    d, _trace = mv.fuzz(d, 8, seed=seed, max_crossings=4, max_transits=8)
+    assert_sites_match_brute(d)
+
+
+# -- outputs pinned to recorded values -------------------------------------------
+
+FUZZ_DIGEST = "331631cb63f784a7d670908a8155e3c138a91d5dfb8eda413e13dd4c0f1c0b18"
+
+
+def test_fuzz_traces_are_pinned():
+    records = []
+    for name in EXAMPLE_IDS:
+        for n in ((None,) if name not in ("Ln", "Kn") else (1, 2)):
+            d = example(name, n).diagram
+            for seed in range(4):
+                try:
+                    out, trace = mv.fuzz(d, 30, seed, max_crossings=6, max_transits=12)
+                except MoveError as exc:
+                    records.append("ERR " + str(exc))
+                    continue
+                records.append(mv.serialize_trace(trace) + serialize_diagram(out))
+    assert len(records) == 44
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == FUZZ_DIGEST
+
+
+def test_rejection_texts_are_pinned():
+    d = example("Ln", 2).diagram
+    lines = []
+    for kind in (K.M2, K.M4, K.M5P, K.M5M):
+        for site in mv.candidate_sites(d, kind):
+            try:
+                mv.apply(d, kind, site)
+            except MoveError as exc:
+                lines.append(f"{kind.value} {site.fingerprint()} {exc}")
+    undrawable = "{0} at this site does not yield a valid diagram: " \
+                 "tangle of face {1!r} is not drawable in a disc"
+    assert Counter(line.split("} ", 1)[1] for line in lines) == {
+        undrawable.format("M2", "F.e0"): 310,
+        undrawable.format("M4", "F.e0"): 96,
+        undrawable.format("M4", "F.e1"): 6,
+        undrawable.format("M4", "F.e2"): 6,
+        undrawable.format("M5p", "F.e0"): 92,
+        undrawable.format("M5m", "F.e0"): 64,
+    }
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == "62ea2397a2f7bc82626fd3e3f5d76d1bbace80838713af853bad35991d1a2440")
