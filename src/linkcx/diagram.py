@@ -213,10 +213,16 @@ class FaceMap:
     walk through each dart.
     """
 
-    def __init__(self, d: Diagram, f: str, crossings: List[str],
-                 arcs: List[Arc], marks: List[Tuple[str, int]]):
+    def __init__(self, crossings: List[str], arcs: List[Arc],
+                 marks: List[Tuple[str, int]]):
         """The face's crossings in name order, its arcs that are not
-        circles, and its boundary marks; ``face_maps`` groups them."""
+        circles, and its boundary marks; ``face_maps`` groups them.
+
+        ``ok`` is False when an arc end has no dart in this face (its
+        crossing lies elsewhere, or its transit end is not one of the
+        face's marks), when two arcs share a dart, or when a dart is left
+        unmatched.
+        """
         self.ok = True
         self.marks = marks
         n_x, n_marks = len(crossings), len(marks)
@@ -235,10 +241,12 @@ class FaceMap:
 
         slot_dart = self.slot_dart
         for arc in arcs:
-            if slot_face(d, arc.src) != f or slot_face(d, arc.dst) != f:
+            try:
+                # an end off this face has no dart here
+                a, b = slot_dart(arc.src), slot_dart(arc.dst)
+            except KeyError:
                 self.ok = False
                 return
-            a, b = slot_dart(arc.src), slot_dart(arc.dst)
             if alpha[a] >= 0 or alpha[b] >= 0:
                 self.ok = False
                 return
@@ -327,7 +335,7 @@ def face_maps(d: Diagram, arcs: Optional[List[Arc]] = None) -> Iterator[Tuple[st
             face_arcs.setdefault(arc.face, []).append(arc)
     marks = boundary_marks(d)
     for f in faces:
-        yield f, FaceMap(d, f, crossings[f], face_arcs[f], marks[f])
+        yield f, FaceMap(crossings[f], face_arcs[f], marks[f])
 
 
 # -- validation ---------------------------------------------------------

@@ -14,8 +14,9 @@ Nine basic moves and their inverses, as local rewrites:
 
 Sites are plain data and serialize as JSON fingerprints, one move per
 trace line.  ``find_sites`` returns every candidate whose application
-yields a valid diagram, after pruning by face region the candidates that
-cannot; ``apply`` performs the rewrite and validates.
+yields a valid diagram: on a valid diagram the face walks of the face maps
+decide M1p, M1m, M2, M4, M5p and M5m exactly, and every other candidate is
+applied.  ``apply`` performs the rewrite and validates.
 The fuzzer draws kinds and candidate sites from a seeded generator, so
 identical (diagram, steps, seed) always reproduce the same trace.
 """
@@ -745,9 +746,14 @@ def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         del transits[transit_of[p][0]]
     d2 = replace(d, crossings=crossings, transits=transits)
     visits = sorted(crossing_visits(d)[c], key=lambda v: v[1], reverse=True)
+    shift: Dict[int, int] = {}
     for ci, ei in visits:
         comp = d2.components[ci]
         k = len(comp.events)
+        ei -= shift.get(ci, 0)
+        if ei == k - 1:
+            # the block wraps, and the new listing starts one event later
+            shift[ci] = 1
         ev = comp.events[ei]
         prev_ev, next_ev = comp.events[(ei - 1) % k], comp.events[(ei + 1) % k]
         if not (isinstance(prev_ev, TransitVisit) and isinstance(next_ev, TransitVisit)
@@ -1105,16 +1111,39 @@ def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
                         f"diagram: {exc}") from exc
 
 
-class _Regions:
-    """Face-walk regions of a valid diagram, to rule out sites before apply.
+# the kinds that _Regions.admits decides on a valid diagram
+_DECIDED = {MoveKind.M1P, MoveKind.M1M, MoveKind.M2, MoveKind.M4,
+            MoveKind.M5P, MoveKind.M5M}
 
-    A region is an orbit of a face map.  An arc record holds the arc's
-    connected component of its face map, the region on its right walked
-    forward (the orbit of its first dart) and the region on its left (the
-    orbit of its last dart, walked backward).  A crossing record holds its
-    component and, per port p, the region of the corner between ports
-    p - 1 and p.  Components are tagged with their face, so regions are
-    compared only within one face map.
+
+class _Regions:
+    """Face-walk regions of a valid diagram, and the site predicates on them.
+
+    A region is an orbit of a face map, that is a face walk of its
+    rotation system.  An arc record holds the arc's connected component of
+    its face map, the region on its right walked forward (the orbit of its
+    first dart) and the region on its left (the orbit of its last dart,
+    walked backward).  A crossing record holds its component and, per port
+    p, the region of the corner between ports p - 1 and p.  Components are
+    tagged with their face, so regions are compared only within one face
+    map.
+
+    The predicates rest on the face tracing of rotation systems (Mohar &
+    Thomassen, *Graphs on Surfaces*, 2001, ch. 3-4): a connected map of
+    genus zero has one drawing on the sphere up to homeomorphism, and the
+    regions of that drawing are exactly its face walks.  A face map is the
+    face's tangle with the boundary circle, whose outer walk holds no arc,
+    so a drawing of the map is a drawing of the tangle in the disc.  The
+    genus check is made per component, so a component that does not hold
+    the boundary may be drawn in any region of the others, with any of its
+    own regions outermost.  Each decided move works at a few places of one
+    face map (an arc's side, a crossing's corner, a gap in a boundary
+    segment) joined by a short path.  If the places share a region, draw
+    the old map, run the path inside that region and make the move along
+    it: the result is drawn, so it passes the genus check.  If the result
+    passes, draw it and undo the move along the path it leaves: that draws
+    the old map with the places in one region, which is one face walk when
+    they lie in one component.
     """
 
     def __init__(self, d: Diagram):
@@ -1145,87 +1174,237 @@ class _Regions:
             self.arcs[(arc.comp, arc.index)] = ((arc.face, comp[fm.node_of(a)]),
                                                 fm.orbit_of[a], fm.orbit_of[b])
 
-    def segment(self, side: Incidence, slot: int):
-        """(component, regions) of the boundary segment that holds a gap.
+    def _meets_gap(self, site: MoveSite, component: tuple, region: int) -> bool:
+        """Whether a place of a face map lies on the region of the site's gap.
 
-        The gap is ``slot`` on the edge of ``side``; the segment joins the
-        two boundary marks of the side's face that flank it.  None when the
-        face has no marks, so that its boundary is not part of the map.
+        The gap is ``slot`` on the edge of side ``s1``; the boundary segment
+        that holds it joins the two marks of the side's face that flank it.
+        Its inner region is the walk from the later mark back along the
+        segment, which turns into the earlier mark's arc; the walk on its
+        other side is the outer one.  A place in another component of the
+        face map, or in a face without marks (whose boundary is not part
+        of the map), shares no face walk with the gap and always meets it.
         """
-        f, j = side
+        f, j = _inc(site.get("s1"))
         fm, comp, keys = self.maps[f]
         if not keys:
-            return None
+            return True
+        slot = site.get("slot")
         gap = 2 * slot - 1 if self.d.complex.faces[f][j][1] > 0 else 1 - 2 * slot
         i = bisect.bisect(keys, (j, gap)) - 1
-        first = fm.mark_dart(i % len(keys), 0)
         last = fm.mark_dart((i + 1) % len(keys), 2)
-        return (f, comp[fm.node_of(first)]), {fm.orbit_of[first], fm.orbit_of[last]}
+        return (f, comp[fm.node_of(last)]) != component or fm.orbit_of[last] == region
 
-    def rules_out(self, site: MoveSite) -> bool:
-        """True only when the site's result must fail the genus check.
+    def admits(self, site: MoveSite) -> Optional[bool]:
+        """Whether ``apply`` accepts a candidate site; None when undecided.
 
-        Within one component of a face map the drawing is unique, so a move
-        that joins two parts of it through a region needs that region on
-        the right sides of both.  Across components nothing is ruled out.
+        Exact for M1p, M1m, M2, M4, M5p and M5m, for the sites that
+        ``candidate_sites`` lists on the (valid) diagram; None for every
+        other kind.  Besides the genus of each face map, each predicate
+        below accounts for every other check of ``validate_diagram``.
         """
         kind = site.kind
+        if kind in (MoveKind.M1P, MoveKind.M1M):
+            return self._kink(site)
         if kind is MoveKind.M2:
-            a = self.arcs.get((site.get("comp_a"), site.get("arc_a")))
-            b = self.arcs.get((site.get("comp_b"), site.get("arc_b")))
-            if a is None or b is None or a[0] != b[0]:
-                return False
-            # b is pushed across a from the right of a walked forward; the
-            # finger leaves b on its right if anti, else on its left
-            return a[1] != (b[1] if site.get("anti") else b[2])
+            return self._slide(site)
         if kind is MoveKind.M4:
-            rec = self.arcs.get((site.get("comp"), site.get("arc")))
-            if rec is None:
-                return False
-            # the arc meets the gap with its right side where the boundary
-            # runs along the edge, with its left side where it runs against
-            f, j = _inc(site.get("s1"))
-            forward = self.d.complex.faces[f][j][1] > 0
-            component, region = rec[0], rec[1] if forward else rec[2]
-        elif kind in (MoveKind.M5P, MoveKind.M5M) and site.get("mode") == "push":
-            # the crossing meets the gap with the corner between the last
-            # and the first port of its fan
-            component, corners = self.crossings[site.get("crossing")]
-            region = corners[site.get("rot")]
-        else:
-            return False
-        seg = self.segment(_inc(site.get("s1")), site.get("slot"))
-        return seg is not None and seg[0] == component and region not in seg[1]
+            return self._tongue(site)
+        if kind in (MoveKind.M5P, MoveKind.M5M):
+            if site.get("mode") == "push":
+                return self._push(site)
+            return self._retract(site)
+        return None
+
+    def _kink(self, site: MoveSite) -> bool:
+        """M1 insertion: every candidate is admitted.
+
+        Other checks: the crossing's name is fresh; it is entered at port
+        0 and at port ``bend`` (1 or 3), once per diameter; its three arcs
+        lie in the arc's face, where both old ends lie.
+
+        Face walk: the new node takes the two halves of the arc on the
+        adjacent ports 0 and ``bend + 2`` and a loop on the adjacent ports
+        2 and ``bend``.  The loop's inner side is a new one-dart walk, and
+        the two walks along the old arc pass round the node, so V - E + F
+        changes by 1 - 2 + 1 = 0 in the arc's component.  On a circle the
+        kink is a new component, one node with loops on two disjoint pairs
+        of adjacent ports: 1 - 2 + 3 = 2.  So the result always passes;
+        drawn, it is a small curl on the arc, and there is no converse to
+        argue.
+        """
+        return True
+
+    def _slide(self, site: MoveSite) -> bool:
+        """M2: admitted unless the finger would join two different regions.
+
+        Arc b is pushed across arc a from the right of a walked forward,
+        so the finger leaves b on its right if ``anti``, else on its left.
+        When both arcs are in one component of their face map, the site is
+        admitted exactly when that side of b and the right of a are one
+        face walk.  When they are in different components, or one is a
+        circle (which is in no face map), it is always admitted.
+
+        Sufficiency: in a drawing of the old map, run a path from a's right
+        to b's side inside their common region and push the finger of b
+        along it; a component that is apart is drawn inside the region on
+        a's right with b's side outermost.  Necessity: the result holds the
+        bigon x1 - x2 (the two-dart walk of the darts at x1 port 0 and x2
+        port 3); shrinking it to a point and lifting the finger off a
+        draws the old map with a's right and b's side in the region the
+        bigon came from.  If that drawing is of one component, the two
+        sides are one face walk.  Same arc with ``anti``: a's right meets
+        itself, and the self-poke is always drawn.
+
+        Other checks: two fresh crossing names, each entered once by a
+        (ports 1, 3) and once by b (ports 2, 2 or 0, 0), so once per
+        diameter; the five new arcs lie in the shared face.
+        """
+        a = self.arcs.get((site.get("comp_a"), site.get("arc_a")))
+        b = self.arcs.get((site.get("comp_b"), site.get("arc_b")))
+        if a is None or b is None or a[0] != b[0]:
+            return True
+        return a[1] == (b[1] if site.get("anti") else b[2])
+
+    def _tongue(self, site: MoveSite) -> bool:
+        """M4: admitted unless the arc's side facing the gap misses its region.
+
+        The tongue leaves the arc through transit ``ta`` and comes back
+        through ``tb``, next along the edge, so the new boundary segment
+        between them lies on one side of the arc and the old segment's
+        region on the other.  That facing side is the arc's right when
+        side ``s1`` runs along the edge, its left when it runs against it.
+        When the arc and the gap are in one component of the face map of
+        ``s1``'s face, the site is admitted exactly when the facing side
+        is the segment's inner region.  An arc in another component, a
+        circle, or a face without marks is always admitted.
+
+        Source face: sufficiency draws the old map, pulls a finger of the
+        arc along a path in the shared region to the gap and cuts its tip
+        off at the boundary; an arc apart is drawn in the gap's region with
+        the facing side outermost.  Necessity: in a drawing of the result,
+        join the two new arc ends by a path along the short segment
+        between ``ta`` and ``tb`` and lift it off the boundary; that draws
+        the old map with the facing side on the gap's region.
+
+        Target face: the cap joins two marks of side ``s2`` with no mark
+        between them, which cuts a half-disc off the boundary: +2 nodes,
+        +3 edges, +1 walk, or a new theta-graph component where the face
+        had no marks.  Its genus never changes, also when ``s2`` is a
+        second side of the same face, as on the torus: the cap is drawn
+        beside its own gap whatever is drawn at the other.
+
+        Other checks: two fresh transit names at positions strictly
+        inside the gap, so in (0, 1) and off every position on the edge;
+        the edge is not a boundary edge and ``s1 != s2`` are incidences
+        of it (``candidate_sites`` lists only those); each new transit is
+        visited once; the arc's halves lie in ``s1``'s face and the cap in
+        ``s2``'s, as their ends do.
+        """
+        rec = self.arcs.get((site.get("comp"), site.get("arc")))
+        if rec is None:
+            return True
+        f, j = _inc(site.get("s1"))
+        forward = self.d.complex.faces[f][j][1] > 0
+        return self._meets_gap(site, rec[0], rec[1] if forward else rec[2])
+
+    def _push(self, site: MoveSite) -> bool:
+        """M5 push: admitted unless the crossing's open corner misses the gap.
+
+        The fan ports ``rot`` .. ``rot + 3`` meet the side in the order
+        that puts the corner between ports ``rot - 1`` and ``rot`` on the
+        gap's region.  When the crossing and the gap are in one component
+        of the face map, the site is admitted exactly when that corner is
+        the segment's inner region; a crossing in another component, or a
+        face without marks, is always admitted.
+
+        Source face: sufficiency drags the crossing along a path in the
+        shared region to the gap and splits it into four marks in fan
+        order, which is the order ``apply`` gives the new transits; a
+        component apart is drawn in the gap's region with that corner
+        outermost.  Necessity: in a drawing of the result, pull the four
+        consecutive marks off the boundary together into one node just
+        inside the gap; that draws the old map with the open corner on the
+        gap's region.
+
+        Target face: the crossing sits beside four consecutive marks of
+        ``s2`` with its ports counterclockwise in the side's walk order, a
+        fan that cuts three triangles off the boundary, so its genus never
+        changes, also when ``s2``'s face is the crossing's own.
+
+        Other checks: four fresh transits at positions strictly inside the
+        gap, on a non-boundary edge between the distinct incidences ``s1``
+        and ``s2``, each visited once; the ports are renumbered by a
+        rotation or a reflection of their cycle, which keeps the two
+        diameters apart and a dotted pair of adjacent ports a pair, so the
+        dots transport and the two visits stay one per diameter; the flank
+        arcs keep the crossing's face and the four short arcs lie in
+        ``s2``'s face.
+        """
+        component, corners = self.crossings[site.get("crossing")]
+        return self._meets_gap(site, component, corners[site.get("rot")])
+
+    def _retract(self, site: MoveSite) -> bool:
+        """M5 retract: every candidate is admitted.
+
+        ``candidate_sites`` lists a crossing only when ``_retract_info``
+        matched it: its four ports run straight to four distinct transits,
+        consecutive on one edge, with one near side in the crossing's face
+        and one far side, and the ports meet the near side as a
+        counterclockwise fan in its walk order.  In a valid diagram that
+        fan is forced, since a node joined to four consecutive marks is
+        drawn only so; a fan in the inverted order would fail the genus
+        check, and it is never listed.
+
+        Face walks: the near face loses the node, its four arcs and their
+        marks, and a part of a drawing is a drawing.  In the far face four
+        consecutive marks of one gap become one node just inside it, with
+        its ports counterclockwise in the far side's walk order (the same
+        ports when the two sides run opposite ways along the edge, their
+        reflection when they run the same way), which is again a drawing.
+        So the result always passes, and there is no converse to argue.
+
+        Other checks: the four transits are deleted with the two events
+        that flank each visit, so no transit is left unvisited; the ports
+        are kept or reflected, so the visits stay one per diameter; each
+        new visit's flanking arcs are the far face's arcs that met the
+        deleted transits.
+        """
+        return True
 
 
 def find_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
     """Every candidate site whose application yields a valid diagram.
 
-    On a valid diagram, candidates are first pruned by face region.  An M2
-    slide between two arcs of one face-map component needs a region on the
-    sides of both that the slide pushes through; an M4 tongue or an M5
-    push needs its arc's side or its crossing's corner that meets the gap
-    to share a region with the boundary segment holding the gap.  Without
-    it the face is not drawable, so the site is skipped.  Every other
-    candidate is applied and fully validated; on an invalid diagram that
-    is every candidate.
+    On a valid diagram, ``_Regions.admits`` decides M1p, M1m, M2, M4, M5p
+    and M5m exactly from the face walks of the face maps (Mohar &
+    Thomassen, *Graphs on Surfaces*, 2001), without applying a candidate.
+    Every candidate of the other kinds (M1pi, M1mi, M2i, M3, M3i, M4i,
+    M6, M6i and M7) is applied and fully validated, and so is every
+    candidate of an invalid diagram, which is never pruned.  The sites
+    come in ``candidate_sites`` order.
     """
+    kind, _entry = _move(kind)
     sites = candidate_sites(d, kind)
-    try:
-        validate_diagram(d)
-    except DiagramError:
-        regions = None
-    else:
-        regions = _Regions(d)
+    regions = None
+    if kind in _DECIDED:
+        try:
+            validate_diagram(d)
+        except DiagramError:
+            pass
+        else:
+            regions = _Regions(d)
     out = []
     for site in sites:
-        if regions is not None and regions.rules_out(site):
-            continue
-        try:
-            apply(d, kind, site)
-        except MoveError:
-            continue
-        out.append(site)
+        admitted = None if regions is None else regions.admits(site)
+        if admitted is None:
+            try:
+                apply(d, kind, site)
+            except MoveError:
+                continue
+            admitted = True
+        if admitted:
+            out.append(site)
     return out
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import linkcx as lx
 from linkcx import moves as mv
-from linkcx.diagram import Component, mirror, same_diagram, validate_diagram
+from linkcx.diagram import Component, CrossVisit, mirror, same_diagram, validate_diagram
 from linkcx.errors import DiagramError, MoveError
 from linkcx.examples import EXAMPLE_IDS, example
 from linkcx.files import serialize_diagram
@@ -320,6 +322,113 @@ def test_find_sites_on_an_invalid_diagram_prunes_nothing():
         validate_diagram(bad)
     for kind in (K.M2, K.M4, K.M5P, K.M5M):
         assert mv.find_sites(bad, kind) == brute_sites(bad, kind)
+
+
+def invalid_ln1():
+    """Ln(1) with one component's arc faces rotated by one: every arc mislabeled."""
+    d = example("Ln", 1).diagram
+    comp = d.components[0]
+    return replace(d, components=(replace(comp, arc_faces=comp.arc_faces[1:]
+                                          + comp.arc_faces[:1]),) + d.components[1:])
+
+
+def test_face_maps_of_an_invalid_diagram_list_no_triangle():
+    bad = invalid_ln1()
+    assert mv.candidate_sites(bad, K.M3) == []
+
+
+DECIDED = (K.M1P, K.M1M, K.M2, K.M4, K.M5P, K.M5M)
+
+
+def test_decided_kinds_apply_nothing_on_a_valid_diagram(monkeypatch):
+    calls = Counter()
+    real_apply = mv.apply
+
+    def counting_apply(d, kind, site):
+        calls[kind] += 1
+        return real_apply(d, kind, site)
+
+    monkeypatch.setattr(mv, "apply", counting_apply)
+    for name, n in (("Ln", 2), ("Kn", 2), ("torus_link", None)):
+        d = example(name, n).diagram
+        for kind in DECIDED:
+            assert mv.find_sites(d, kind)
+    assert calls == Counter()
+    bad = invalid_ln1()
+    for kind in DECIDED:
+        mv.find_sites(bad, kind)
+        assert calls[kind] == len(mv.candidate_sites(bad, kind)) > 0
+
+
+def pushed_diagrams():
+    """Every M5 push of five base diagrams, with the pushed crossing."""
+    out = []
+    for name, n in (("Ln", 1), ("Kn", 0), ("torus_link", None),
+                    ("moebius_link", None), ("annulus_link", None)):
+        d = example(name, n).diagram
+        for kind in (K.M5P, K.M5M):
+            for site in mv.find_sites(d, kind):
+                if dict(site.data)["mode"] == "push":
+                    out.append((mv.apply(d, kind, site), site.get("crossing")))
+    return out
+
+
+def retract_sites(d):
+    return [s for kind in (K.M5P, K.M5M) for s in mv.candidate_sites(d, kind)
+            if dict(s.data)["mode"] == "retract"]
+
+
+def test_find_sites_matches_brute_force_after_every_push():
+    pushed = pushed_diagrams()
+    assert len(pushed) == 56
+    assert sum(len(retract_sites(d)) for d, _c in pushed) == 60
+    for d, _c in pushed:
+        for kind in DECIDED:
+            assert mv.find_sites(d, kind) == brute_sites(d, kind), kind
+
+
+def test_retract_applies_whatever_the_listing_start():
+    # a visit at the end of its listing makes the retract block wrap round
+    for d, c in pushed_diagrams():
+        for ci, comp in enumerate(d.components):
+            k = len(comp.events)
+            for r in range(1, k):
+                comps = list(d.components)
+                comps[ci] = Component(comp.events[r:] + comp.events[:r],
+                                      comp.arc_faces[r:] + comp.arc_faces[:r],
+                                      comp.directed)
+                d2 = validate_diagram(replace(d, components=tuple(comps)))
+                sites = retract_sites(d2)
+                assert any(s.get("crossing") == c for s in sites)
+                for site in sites:
+                    mv.apply(d2, site.kind, site)
+
+
+def test_an_inverted_fan_is_no_retract_site():
+    # reflecting the pushed crossing's ports inverts its fan at the edge
+    for d, c in pushed_diagrams():
+        comps = tuple(Component(tuple(CrossVisit(ev.crossing, (4 - ev.enter) % 4)
+                                      if getattr(ev, "crossing", None) == c else ev
+                                      for ev in comp.events),
+                                comp.arc_faces, comp.directed)
+                      for comp in d.components)
+        flipped = replace(d, components=comps)
+        with pytest.raises(DiagramError, match="not drawable"):
+            validate_diagram(flipped)
+        assert all(s.get("crossing") != c for s in retract_sites(flipped))
+
+
+def test_site_counts_match_the_recorded_fixture_counts():
+    # recorded by applying and validating every candidate
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    counts = json.loads(path.read_text())["cli_site_counts"]
+    fixtures = [("Ln", n) for n in range(2, 7)] + [("Kn", n) for n in range(2, 6)]
+    fixtures += [(name, None) for name in ("torus_link", "moebius_link", "annulus_link")]
+    assert len(counts) == len(fixtures) == 12
+    for name, n in fixtures:
+        d = example(name, n).diagram
+        stem = name if n is None else f"{name}{n}"
+        assert {k.value: len(mv.find_sites(d, k)) for k in K} == counts[stem], stem
 
 
 SITE_FUZZ_BASES = [("torus_link", None, "F"), ("moebius_link", None, None),
