@@ -12,12 +12,13 @@ positive kink multiplies the bracket by -A^3, so this normalization is
 invariant under every move.
 
 One engine serves both brackets.  ``_Contraction``, built once per
-diagram, matches every crossing port to the port at the far end of its
-arc, through the transits between them, which form the path leaving the
-port.  The loop count of a state is then a question of connectivity in a
-perfect matching, so the complex need not be planar.  ``_state_sum``
-smooths the crossings one at a time, in a greedy order that keeps few
-ports open, and keeps one table entry per pairing of the open ports (for
+diagram and kept in its record (``diagram.derived``), matches every
+crossing port to the port at the far end of its arc, through the
+transits between them, which form the path leaving the port.  The loop
+count of a state is then a question of connectivity in a perfect
+matching, so the complex need not be planar.  ``_state_sum`` smooths the
+crossings one at a time, in a greedy order that keeps few ports open,
+and keeps one table entry per pairing of the open ports (for
 the homotopy bracket also per holonomy word of each open path and per
 multiset of nontrivial classes closed so far).  Each entry carries an
 integer tally over (|C|, trivial loops), and ``_tally_polynomial`` turns
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .diagram import (CrossVisit, Diagram, PlanarCode, Slot, arcs_of, sc,
-                      transit_steps)
+from .diagram import (CrossVisit, Diagram, PlanarCode, Slot, arcs_of, derived,
+                      sc, transit_steps)
 from .errors import CrossingCapError, DiagramError
 from .groups import ConjClass, GroupSpec, Word, inv, mul, unoriented_class
 from .invariants import Wri, wri
@@ -111,7 +112,7 @@ class _Contraction:
         self.order = sorted(d.crossings)
         self.index = {c: i for i, c in enumerate(self.order)}
         arc_at: Dict[Slot, Slot] = {}
-        for arc in arcs_of(d):
+        for arc in derived(d, "arcs", arcs_of):
             if arc.src is not None:
                 arc_at[arc.src] = arc.dst
                 arc_at[arc.dst] = arc.src
@@ -160,6 +161,11 @@ class _Contraction:
         return out + self.fixed
 
 
+def _contraction(d: Diagram) -> _Contraction:
+    """The contraction of d, built once and kept in the record of d."""
+    return derived(d, "contraction", _Contraction)
+
+
 def _contract(d: Diagram, max_crossings: Optional[int], what: str) -> _Contraction:
     """The engine of a full state sum, after the emptiness and cap checks."""
     if not d.components:
@@ -168,7 +174,7 @@ def _contract(d: Diagram, max_crossings: Optional[int], what: str) -> _Contracti
     n = len(d.crossings)
     if n > cap:
         raise CrossingCapError(f"{n} crossings exceed the state-sum cap {cap}")
-    return _Contraction(d)
+    return _contraction(d)
 
 
 def _tally_polynomial(tally: Dict[Tuple[int, int], int], n: int) -> Laurent:
@@ -321,7 +327,7 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
 
 def state_curves(d: Diagram, state: Iterable[str]) -> SimpleSystem:
     """Curves of a smoothed state, each with its transit step sequence."""
-    con = _Contraction(d)
+    con = _contraction(d)
     loops = con.loops(sum(1 << con.index[c] for c in state))
     return SimpleSystem(tuple(tuple(step for p in loop for step in con.steps[p])
                               for loop in loops))
@@ -370,7 +376,7 @@ def span(f: Laurent) -> int:
 
 def all_state_counts(d: Diagram) -> Tuple[int, int]:
     """(|L, #L|, |L, empty|): curve counts of the two extreme states."""
-    con = _Contraction(d)
+    con = _contraction(d)
     return len(con.loops((1 << len(con.order)) - 1)), len(con.loops(0))
 
 

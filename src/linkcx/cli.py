@@ -27,13 +27,22 @@ from .examples import EXAMPLE_IDS, example
 __all__ = ["main"]
 
 
+def _read(path) -> str:
+    """A UTF-8 input file's text; undecodable bytes are a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                          f"{exc.reason})") from None
+
+
 def _load(cx_path, diag_path=None, conn_path=None):
-    cx = files.parse_complex(Path(cx_path).read_text())
+    cx = files.parse_complex(_read(cx_path))
     d = conn = None
     if diag_path is not None:
-        d = files.parse_diagram(Path(diag_path).read_text(), cx)
+        d = files.parse_diagram(_read(diag_path), cx)
     if conn_path is not None:
-        conn = files.parse_connection(Path(conn_path).read_text(), cx)
+        conn = files.parse_connection(_read(conn_path), cx)
     return cx, d, conn
 
 
@@ -177,7 +186,7 @@ def _cmd_move(args) -> int:
         sys.stdout.write(files.serialize_diagram(d2))
         return 0
     if args.action == "replay":
-        trace = moves.parse_trace(Path(args.trace_file).read_text())
+        trace = moves.parse_trace(_read(args.trace_file))
         d2 = moves.replay(d, trace)
         sys.stdout.write(files.serialize_diagram(d2))
         return 0

@@ -17,9 +17,11 @@ dots: 0 puts them in sectors (p0,p1) and (p2,p3), 1 in (p1,p2) and
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    TypeVar, Union)
 
 from .errors import DiagramError
 from .twocomplex import Incidence, PointClass, TwoComplex, edge_class
@@ -86,6 +88,15 @@ class Component:
 
 @dataclass(frozen=True)
 class Diagram:
+    """Crossings, transits and components on a complex.
+
+    A diagram is treated as immutable: the library keeps data derived from
+    it (arcs, visit maps, face maps, a passed validation, the state-sum
+    contraction) keyed by the object, so changing its dicts in place after
+    a library call is unsupported.  Build a new diagram with
+    ``dataclasses.replace`` instead.
+    """
+
     complex: TwoComplex
     crossings: Dict[str, Crossing]
     transits: Dict[str, Transit]
@@ -96,6 +107,36 @@ class Diagram:
 
     def crossing_count(self) -> int:
         return len(self.crossings)
+
+
+# -- derived data ------------------------------------------------------
+
+_T = TypeVar("_T")
+
+# The record of the diagram used last: (weak reference to it, {key: value}).
+_last: Tuple[Callable[[], Optional[Diagram]], Dict[str, object]] = (lambda: None, {})
+
+
+def derived(d: Diagram, key: str, build: Callable[[Diagram], _T]) -> _T:
+    """``build(d)``, computed once and kept under ``key`` in the record of ``d``.
+
+    One module-level slot holds the record of the diagram used last, with a
+    weak reference to that diagram; a call with another diagram replaces
+    the slot in one assignment.  The identity check means that an equal
+    but distinct diagram, or a new one that reuses the address of a freed
+    one, starts from an empty record.  There is one slot, not a record per
+    diagram, because a caller that keeps many diagrams alive would keep all
+    their records alive too.  A build that raises stores nothing.  The
+    value is shared by every caller: do not change it.
+    """
+    global _last
+    ref, record = _last
+    if ref() is not d:
+        record = {}
+        _last = (weakref.ref(d), record)
+    if key not in record:
+        record[key] = build(d)
+    return record[key]
 
 
 # -- slots and arcs ----------------------------------------------------
@@ -165,10 +206,18 @@ def transit_visits(d: Diagram) -> Dict[str, List[Tuple[int, int]]]:
     return out
 
 
+def _transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:
+    """edge -> its transits by increasing position, for every edge with one."""
+    on_edge: Dict[str, List[str]] = {}
+    for t, tr in d.transits.items():
+        on_edge.setdefault(tr.edge, []).append(t)
+    return {e: tuple(sorted(ts, key=lambda t: d.transits[t].pos))
+            for e, ts in on_edge.items()}
+
+
 def edge_transit_order(d: Diagram, edge: str) -> List[str]:
     """Transits on an edge, by increasing position."""
-    ts = [t for t, tr in d.transits.items() if tr.edge == edge]
-    return sorted(ts, key=lambda t: d.transits[t].pos)
+    return list(derived(d, "transit_orders", _transit_orders).get(edge, ()))
 
 
 # -- face boundary and the planarity certificate ------------------------
@@ -320,7 +369,7 @@ class FaceMap:
                 == 2 * n_comp)
 
 
-def face_maps(d: Diagram, arcs: Optional[List[Arc]] = None) -> Iterator[Tuple[str, FaceMap]]:
+def face_maps(d: Diagram) -> Iterator[Tuple[str, FaceMap]]:
     """(face, face map) for every face in complex order, built on demand.
 
     One pass over the arcs and one over the transits serve every face.
@@ -330,10 +379,10 @@ def face_maps(d: Diagram, arcs: Optional[List[Arc]] = None) -> Iterator[Tuple[st
     for c in sorted(d.crossings):
         crossings.setdefault(d.crossings[c].face, []).append(c)
     face_arcs: Dict[str, List[Arc]] = {f: [] for f in faces}
-    for arc in (arcs_of(d) if arcs is None else arcs):
+    for arc in derived(d, "arcs", arcs_of):
         if arc.src is not None:
             face_arcs.setdefault(arc.face, []).append(arc)
-    marks = boundary_marks(d)
+    marks = derived(d, "marks", boundary_marks)
     for f in faces:
         yield f, FaceMap(crossings[f], face_arcs[f], marks[f])
 
@@ -341,7 +390,26 @@ def face_maps(d: Diagram, arcs: Optional[List[Arc]] = None) -> Iterator[Tuple[st
 # -- validation ---------------------------------------------------------
 
 def validate_diagram(d: Diagram) -> Diagram:
-    """Check every structural invariant; return the diagram unchanged."""
+    """Check every structural invariant; return the diagram unchanged.
+
+    A second call on a diagram that passed returns at once, as long as
+    its record is still the one kept (see ``derived``).
+    """
+    valid_face_maps(d)
+    return d
+
+
+def valid_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
+    """(face, face map) for every face of a valid diagram, in complex order.
+
+    Raises DiagramError at the first check that fails.  The maps of a
+    diagram that passed are kept in its record.
+    """
+    return derived(d, "face_maps", _checked_face_maps)
+
+
+def _checked_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
+    """The checks of ``validate_diagram``, in order; the face maps if all pass."""
     cx = d.complex
     for c, cr in d.crossings.items():
         if cr.face not in cx.faces:
@@ -389,19 +457,17 @@ def validate_diagram(d: Diagram) -> Diagram:
                 if ev.enter not in (0, 1):
                     raise DiagramError(f"component {ci}: bad transit side {ev.enter}")
 
-    xvisits = crossing_visits(d)
-    for c, vs in xvisits.items():
+    for c, vs in derived(d, "crossing_visits", crossing_visits).items():
         if len(vs) != 2:
             raise DiagramError(f"crossing {c!r} visited {len(vs)} times, expected 2")
         enters = sorted(d.components[ci].events[ei].enter % 2 for ci, ei in vs)
         if enters != [0, 1]:
             raise DiagramError(f"crossing {c!r}: visits do not cover both diameters")
-    for t, vs in transit_visits(d).items():
+    for t, vs in derived(d, "transit_visits", transit_visits).items():
         if len(vs) != 1:
             raise DiagramError(f"transit {t!r} visited {len(vs)} times, expected 1")
 
-    arcs = arcs_of(d)
-    for arc in arcs:
+    for arc in derived(d, "arcs", arcs_of):
         if arc.src is None:
             continue
         fa, fb = slot_face(d, arc.src), slot_face(d, arc.dst)
@@ -409,10 +475,12 @@ def validate_diagram(d: Diagram) -> Diagram:
             raise DiagramError(
                 f"arc {arc.comp}.{arc.index} labeled {arc.face!r} joins faces {fa!r}, {fb!r}")
 
-    for f, fm in face_maps(d, arcs):
+    maps = []
+    for f, fm in face_maps(d):
         if not fm.genus_zero():
             raise DiagramError(f"tangle of face {f!r} is not drawable in a disc")
-    return d
+        maps.append((f, fm))
+    return maps
 
 
 # -- elementary operations ----------------------------------------------
@@ -478,7 +546,7 @@ def split_components(d: Diagram) -> List[List[int]]:
             x = parent[x]
         return x
 
-    for vs in crossing_visits(d).values():
+    for vs in derived(d, "crossing_visits", crossing_visits).values():
         (c1, _), (c2, _) = vs
         r1, r2 = find(c1), find(c2)
         if r1 != r2:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .diagram import Diagram, crossing_visits
+from .diagram import Diagram, crossing_visits, derived
 from .errors import DiagramError
 
 __all__ = [
@@ -31,9 +31,13 @@ Visit = Tuple[int, int]                  # (component index, event index)
 
 
 def _visit_pairs(d: Diagram) -> Dict[str, Tuple[Visit, Visit]]:
-    """crossing -> its two visits in listing order, from one pass over the events."""
+    """crossing -> its two visits in listing order, kept in the record of d."""
+    return derived(d, "visit_pairs", _pairs_of_visits)
+
+
+def _pairs_of_visits(d: Diagram) -> Dict[str, Tuple[Visit, Visit]]:
     out = {}
-    for c, vs in crossing_visits(d).items():
+    for c, vs in derived(d, "crossing_visits", crossing_visits).items():
         if len(vs) != 2:
             raise DiagramError(f"crossing {c!r} is not visited exactly twice")
         out[c] = (vs[0], vs[1])

@@ -18,7 +18,8 @@ yields a valid diagram: on a valid diagram the face walks of the face maps
 decide M1p, M1m, M2, M4, M5p and M5m exactly, and every other candidate is
 applied.  ``apply`` performs the rewrite and validates.
 The fuzzer draws kinds and candidate sites from a seeded generator, so
-identical (diagram, steps, seed) always reproduce the same trace.
+identical (diagram, steps, seed) always reproduce the same trace; it skips
+the candidates that the face walks reject without applying them.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
-                      Transit, TransitVisit, arcs_of, crossing_visits, edge_transit_order,
-                      face_maps, validate_diagram)
+                      Transit, TransitVisit, arcs_of, crossing_visits, derived,
+                      edge_transit_order, face_maps, valid_face_maps, validate_diagram)
 from .errors import DiagramError, MoveError
 from .invariants import _sign_from_visits, _visit_pairs
 from .twocomplex import (Incidence, PointClass, TwoComplex, corner_vertex, edge_class,
@@ -188,6 +189,12 @@ def _replace_event_block(comp: Component, start: int, length: int,
                                 new_events, inner_faces)
 
 
+def _arc_index(d: Diagram) -> Dict[Tuple[int, int], Arc]:
+    """(component, arc index) -> arc, kept in the record of d."""
+    return derived(d, "arc_index", lambda d: {(a.comp, a.index): a
+                                              for a in derived(d, "arcs", arcs_of)})
+
+
 def _with_component(d: Diagram, ci: int, comp: Component) -> Diagram:
     comps = list(d.components)
     comps[ci] = comp
@@ -256,7 +263,7 @@ def _apply_m1_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 # -- slide moves (M2) --------------------------------------------------------
 
 def _candidates_m2(d: Diagram, kind: MoveKind):
-    arcs = arcs_of(d)
+    arcs = derived(d, "arcs", arcs_of)
     by_face: Dict[str, List[Arc]] = {}
     for arc in arcs:
         by_face.setdefault(arc.face, []).append(arc)
@@ -304,7 +311,7 @@ def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 
 def _candidates_m2_inv(d: Diagram, kind: MoveKind):
-    arcs = arcs_of(d)
+    arcs = derived(d, "arcs", arcs_of)
     between: Dict[frozenset, List[Arc]] = {}
     for arc in arcs:
         if arc.src is None or arc.src[0] != "x" or arc.dst[0] != "x":
@@ -353,7 +360,7 @@ def _bigon_ok(d: Diagram, a: Arc, b: Arc) -> bool:
 
 def _apply_m2_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     key_a, key_b = _dejson(site.get("arc_a")), _dejson(site.get("arc_b"))
-    arcs = {(a.comp, a.index): a for a in arcs_of(d)}
+    arcs = _arc_index(d)
     try:
         a, b = arcs[tuple(key_a)], arcs[tuple(key_b)]
     except KeyError:
@@ -408,7 +415,7 @@ def _triangles(d: Diagram):
 def _strand_extremal(d: Diagram, arc_key) -> Optional[bool]:
     """True if the strand through the arc is over at both its crossings,
     False if under at both, None if mixed."""
-    arcs = {(a.comp, a.index): a for a in arcs_of(d)}
+    arcs = _arc_index(d)
     arc = arcs[arc_key]
     x1, x2 = arc.src[1], arc.dst[1]
     over1 = arc.src[2] % 2 == d.crossings[x1].dot % 2
@@ -430,7 +437,7 @@ def _candidates_m3(d: Diagram, kind: MoveKind):
 def _apply_m3(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     arc_keys = [tuple(a) for a in _dejson(site.get("arcs"))]
     slide = site.get("slide")
-    arcs = {(a.comp, a.index): a for a in arcs_of(d)}
+    arcs = _arc_index(d)
     try:
         tri = [arcs[k] for k in arc_keys]
     except KeyError:
@@ -587,15 +594,24 @@ def _candidates_m5(d: Diagram, kind: MoveKind):
     yield from _candidates_m5_retract(d, kind)
 
 
+def _port_arcs(d: Diagram) -> Dict[Tuple[str, int], Arc]:
+    """(crossing, port) -> the arc that ends there, kept in the record of d."""
+
+    def build(d: Diagram) -> Dict[Tuple[str, int], Arc]:
+        out = {}
+        for arc in derived(d, "arcs", arcs_of):
+            if arc.src is None:
+                continue
+            for slot in (arc.src, arc.dst):
+                if slot[0] == "x":
+                    out[(slot[1], slot[2])] = arc
+        return out
+
+    return derived(d, "port_arcs", build)
+
+
 def _candidates_m5_retract(d: Diagram, kind: MoveKind):
-    arcs = {(a.comp, a.index): a for a in arcs_of(d)}
-    port_arc: Dict[tuple, Arc] = {}
-    for arc in arcs.values():
-        if arc.src is None:
-            continue
-        for slot in (arc.src, arc.dst):
-            if slot[0] == "x":
-                port_arc[(slot[1], slot[2])] = arc
+    port_arc = _port_arcs(d)
     for c in sorted(d.crossings):
         info = _retract_info(d, c, port_arc)
         if info is None:
@@ -700,7 +716,8 @@ def _apply_m5_push(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     crossings = dict(d.crossings)
     crossings[c] = Crossing(s2[0], dot)
     d2 = replace(d, crossings=crossings, transits=transits)
-    visits = sorted(crossing_visits(d)[c], key=lambda v: v[1], reverse=True)
+    visits = sorted(derived(d, "crossing_visits", crossing_visits)[c],
+                    key=lambda v: v[1], reverse=True)
     for ci, ei in visits:
         comp = d2.components[ci]
         ev = comp.events[ei]
@@ -714,15 +731,7 @@ def _apply_m5_push(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     c = site.get("crossing")
-    arcs = {(a.comp, a.index): a for a in arcs_of(d)}
-    port_arc: Dict[tuple, Arc] = {}
-    for arc in arcs.values():
-        if arc.src is None:
-            continue
-        for slot in (arc.src, arc.dst):
-            if slot[0] == "x":
-                port_arc[(slot[1], slot[2])] = arc
-    info = _retract_info(d, c, port_arc)
+    info = _retract_info(d, c, _port_arcs(d))
     if info is None:
         raise MoveError("crossing is not retractable across an edge")
     if _m5_kind_of(d.crossings[c].dot, info["fan_rot"]) is not kind:
@@ -745,7 +754,8 @@ def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     for p in range(4):
         del transits[transit_of[p][0]]
     d2 = replace(d, crossings=crossings, transits=transits)
-    visits = sorted(crossing_visits(d)[c], key=lambda v: v[1], reverse=True)
+    visits = sorted(derived(d, "crossing_visits", crossing_visits)[c],
+                    key=lambda v: v[1], reverse=True)
     shift: Dict[int, int] = {}
     for ci, ei in visits:
         comp = d2.components[ci]
@@ -1147,14 +1157,14 @@ class _Regions:
     """
 
     def __init__(self, d: Diagram):
+        """The regions of d; DiagramError when d is not valid."""
         self.d = d
         self.arcs: Dict[Tuple[int, int], Tuple[tuple, int, int]] = {}
         self.crossings: Dict[str, Tuple[tuple, List[int]]] = {}
         self.maps: Dict[str, Tuple[FaceMap, List[int], List[Tuple[int, int]]]] = {}
         rank = {t: r for e in {tr.edge for tr in d.transits.values()}
                 for r, t in enumerate(edge_transit_order(d, e))}
-        arcs = arcs_of(d)
-        for f, fm in face_maps(d, arcs):
+        for f, fm in valid_face_maps(d):
             comp = fm.components()
             for c, i in fm.x_index.items():
                 self.crossings[c] = ((f, comp[i]), fm.orbit_of[4 * i:4 * i + 4])
@@ -1166,7 +1176,7 @@ class _Regions:
                 j = d.transits[t].sides[k][1]
                 keys.append((j, 2 * rank[t] if word[j][1] > 0 else -2 * rank[t]))
             self.maps[f] = (fm, comp, keys)
-        for arc in arcs:
+        for arc in derived(d, "arcs", arcs_of):
             if arc.src is None:
                 continue
             fm, comp, _keys = self.maps[arc.face]
@@ -1389,11 +1399,9 @@ def find_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
     regions = None
     if kind in _DECIDED:
         try:
-            validate_diagram(d)
+            regions = _Regions(d)
         except DiagramError:
             pass
-        else:
-            regions = _Regions(d)
     out = []
     for site in sites:
         admitted = None if regions is None else regions.admits(site)
@@ -1423,10 +1431,21 @@ def fuzz(d: Diagram, steps: int, seed: int,
     diagrams but never block progress: if nothing else applies, growth is
     allowed again.  ``on_step(i, kind, before, after)`` is called after
     every applied move.
+
+    Each step tries at most 40 shuffled candidates of a kind.  On a valid
+    diagram, a candidate of a kind that ``_Regions.admits`` decides (M1p,
+    M1m, M2, M4, M5p, M5m) and rejects is skipped without being applied;
+    every other candidate goes through ``apply``.  ``admits`` is exact,
+    so the trace is the one that applying every candidate would give.
     """
     rng = random.Random(seed)
     trace: List[Tuple[MoveKind, MoveSite]] = []
     cur = d
+    try:
+        validate_diagram(d)
+        valid = True
+    except DiagramError:
+        valid = False
     for i in range(steps):
         kinds = list(MoveKind)
         if len(cur.crossings) >= max_crossings:
@@ -1435,7 +1454,7 @@ def fuzz(d: Diagram, steps: int, seed: int,
             preferred = kinds
         if len(cur.transits) >= max_transits:
             preferred = [k for k in preferred if k not in _TRANSIT_GROWING]
-        applied = None
+        applied = regions = None
         for pool in (preferred, kinds):
             attempts = rng.sample(pool, len(pool))
             for kind in attempts:
@@ -1443,7 +1462,12 @@ def fuzz(d: Diagram, steps: int, seed: int,
                 if not cands:
                     continue
                 rng.shuffle(cands)
+                decided = valid and kind in _DECIDED
+                if decided and regions is None:
+                    regions = _Regions(cur)
                 for site in cands[:40]:
+                    if decided and regions.admits(site) is False:
+                        continue
                     try:
                         nxt = apply(cur, kind, site)
                     except MoveError:
@@ -1460,7 +1484,7 @@ def fuzz(d: Diagram, steps: int, seed: int,
         trace.append((kind, site))
         if on_step is not None:
             on_step(i, kind, cur, nxt)
-        cur = nxt
+        cur, valid = nxt, True
     return cur, trace
 
 

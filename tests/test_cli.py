@@ -204,3 +204,19 @@ def test_repeated_calls_match_fresh_calls(tmp_path, capsys):
     repeated = [run(argv, False) for argv in calls + calls]
     assert repeated == fresh + fresh
     assert [code for code, _out, _err in fresh] == [2, 0, 0, 2, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("which", ["complex", "diagram", "conn", "trace"])
+def test_non_utf8_input_is_a_format_error(tmp_path, capsys, which):
+    cx, d, conn = _emit(tmp_path, "annulus_link")
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00garbage\x80\n")
+    argv = {"complex": ["validate", binary, d],
+            "diagram": ["validate", cx, binary],
+            "conn": ["inv", cx, d, "--conn", binary],
+            "trace": ["move", "replay", cx, d, binary]}[which]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {binary}: not UTF-8 text")
+    assert err.count("\n") == 1

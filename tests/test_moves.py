@@ -17,6 +17,8 @@ from linkcx.files import serialize_diagram
 from linkcx.laurent import Laurent
 from linkcx.moves import MoveKind as K
 
+from test_acceptance import FUZZ_EXAMPLES
+
 M1_DELTA = {K.M1P: 1, K.M1M: -1, K.M1P_INV: -1, K.M1M_INV: 1}
 
 
@@ -466,6 +468,27 @@ def test_fuzz_traces_are_pinned():
                 records.append(mv.serialize_trace(trace) + serialize_diagram(out))
     assert len(records) == 44
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == FUZZ_DIGEST
+
+
+def test_fuzz_applies_no_candidate_that_the_regions_reject(monkeypatch):
+    tried, rejected = Counter(), Counter()
+    apply = mv.apply
+
+    def counting(d, kind, site):
+        tried[kind] += 1
+        try:
+            return apply(d, kind, site)
+        except MoveError:
+            rejected[kind] += 1
+            raise
+
+    monkeypatch.setattr(mv, "apply", counting)
+    for name, n in FUZZ_EXAMPLES:
+        d = example(name, n).diagram
+        for seed in range(3):
+            mv.fuzz(d, 30, seed, max_crossings=6, max_transits=12)
+    assert sum(tried[k] for k in mv._DECIDED) > 0
+    assert {k: rejected[k] for k in mv._DECIDED if rejected[k]} == {}
 
 
 def test_rejection_texts_are_pinned():

@@ -1,0 +1,111 @@
+"""The record of derived data kept for the diagram used last.
+
+One module-level slot holds (weak reference to a diagram, its record).
+These tests check that a record serves only the object it was built for,
+that the three state sums share one contraction, and that the order of
+calls across diagrams never changes a result.
+"""
+
+import gc
+from dataclasses import replace
+
+import pytest
+
+from linkcx import diagram as dg
+from linkcx.bracket import _Contraction, all_state_counts, bracket
+from linkcx.diagram import derived, validate_diagram
+from linkcx.examples import example
+from linkcx.homotopy import LK, co, homotopy_bracket
+
+
+def _count_contractions(monkeypatch):
+    builds = []
+    init = _Contraction.__init__
+
+    def counting(self, d):
+        builds.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(_Contraction, "__init__", counting)
+    return builds
+
+
+def test_the_three_state_sums_share_one_contraction(monkeypatch):
+    bundle = example("Kn", 2)
+    d = replace(bundle.diagram)          # an object no earlier call has seen
+    builds = _count_contractions(monkeypatch)
+    bracket(d)
+    homotopy_bracket(d, bundle.connection)
+    all_state_counts(d)
+    assert builds == [d]
+
+
+def test_an_equal_but_distinct_diagram_gets_its_own_record(monkeypatch):
+    d = example("Ln", 2).diagram
+    twin = replace(d)
+    assert twin == d and twin is not d
+    builds = _count_contractions(monkeypatch)
+    bracket(d)
+    bracket(twin)
+    bracket(d)
+    assert len(builds) == 3
+    assert derived(d, "probe", lambda _d: "d") == "d"
+    assert derived(twin, "probe", lambda _d: "twin") == "twin"
+
+
+def test_a_rebuilt_diagram_never_sees_the_freed_ones_record():
+    def build():
+        return example("Kn", 1).diagram
+
+    d = build()
+    assert derived(d, "probe", lambda _d: "old") == "old"
+    del d
+    gc.collect()
+    # the new object may reuse the freed address; its record starts empty
+    d = build()
+    assert derived(d, "probe", lambda _d: "new") == "new"
+
+
+def test_a_diagram_that_passed_is_not_validated_again(monkeypatch):
+    d = replace(example("torus_link").diagram)
+    assert validate_diagram(d) is d
+
+    def fail(_d):
+        raise AssertionError("validated twice")
+
+    monkeypatch.setattr(dg, "_checked_face_maps", fail)
+    assert validate_diagram(d) is d
+    with pytest.raises(AssertionError):
+        validate_diagram(replace(d))
+
+
+def _results(bundle):
+    d, conn = bundle.diagram, bundle.connection
+    calls = {"bracket": lambda: bracket(d),
+             "homotopy_bracket": lambda: homotopy_bracket(d, conn).to_text(conn.group),
+             "all_state_counts": lambda: all_state_counts(d)}
+    if len(d.components) == 2:
+        calls["LK"] = lambda: LK(d, conn).to_text(conn.group)
+    else:
+        calls["co"] = lambda: co(d, conn).to_text(conn.group)
+    return calls
+
+
+def test_call_order_does_not_change_results():
+    a, b = example("Ln", 2), example("Kn", 1)
+    alone = {}
+    for name, bundle in (("A", a), ("B", b)):
+        fresh = replace(bundle, diagram=replace(bundle.diagram))
+        alone[name] = {key: f() for key, f in _results(fresh).items()}
+    calls = {"A": _results(a), "B": _results(b)}
+    keys = ("bracket", "homotopy_bracket", "all_state_counts", "LK", "co")
+    for key in keys:
+        for name in ("A", "B", "A"):
+            if key in calls[name]:
+                assert calls[name][key]() == alone[name][key], (name, key)
+    # and each diagram's record filled piecewise between the other's calls
+    for first, second in (("A", "B"), ("B", "A")):
+        for key in reversed(keys):
+            for name in (first, second):
+                if key in calls[name]:
+                    assert calls[name][key]() == alone[name][key], (name, key)
