@@ -126,16 +126,24 @@ def derived(d: Diagram, key: str, build: Callable[[Diagram], _T]) -> _T:
     but distinct diagram, or a new one that reuses the address of a freed
     one, starts from an empty record.  There is one slot, not a record per
     diagram, because a caller that keeps many diagrams alive would keep all
-    their records alive too.  A build that raises stores nothing.  The
-    value is shared by every caller: do not change it.
+    their records alive too.  A build that raises stores nothing, and puts
+    back the slot it replaced: a move whose result fails validation leaves
+    the record of the diagram it was applied to.  The value is shared by
+    every caller: do not change it.
     """
     global _last
-    ref, record = _last
+    last = _last
+    ref, record = last
     if ref() is not d:
         record = {}
         _last = (weakref.ref(d), record)
     if key not in record:
-        record[key] = build(d)
+        try:
+            record[key] = build(d)
+        except BaseException:
+            if record is not last[1]:
+                _last = last
+            raise
     return record[key]
 
 

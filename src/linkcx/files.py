@@ -105,7 +105,7 @@ def _event_text(ev) -> str:
 
 
 def _parse_event(token: str, n: int):
-    if not (token.endswith(")") and token[1] == "(" and token[0] in "xt"):
+    if not (token[:2] in ("x(", "t(") and token.endswith(")")):
         raise FormatError(f"bad event {token!r}", n)
     body = token[2:-1]
     ident, _, num = body.rpartition(",")

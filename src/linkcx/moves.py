@@ -17,9 +17,11 @@ trace line.  ``find_sites`` returns every candidate whose application
 yields a valid diagram: on a valid diagram the face walks of the face maps
 decide M1p, M1m, M2, M4, M5p and M5m exactly, and every other candidate is
 applied.  ``apply`` performs the rewrite and validates.
-The fuzzer draws kinds and candidate sites from a seeded generator, so
-identical (diagram, steps, seed) always reproduce the same trace; it skips
-the candidates that the face walks reject without applying them.
+Each kind has one indexed candidate sequence, which ``candidate_sites``
+lists in full.  The fuzzer draws kinds and candidate indices from a seeded
+generator, so identical (diagram, steps, seed) always reproduce the same
+trace; it builds only the sites it tries, and skips the candidates that
+the face walks reject without applying them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import wraps
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
@@ -201,6 +205,46 @@ def _with_component(d: Diagram, ci: int, comp: Component) -> Diagram:
     return replace(d, components=tuple(comps))
 
 
+# -- candidate sequences -----------------------------------------------------
+
+class _Rows:
+    """A candidate sequence that builds a site only when it is read.
+
+    The sequence is the concatenation of rows ``(length, site)``, where
+    ``site(j)`` builds the row's j-th site; a list of sites is the row
+    ``(len(sites), sites.__getitem__)``.  ``seq[i]`` finds the row of i by
+    bisection over the row starts; iteration walks the rows in order.
+    """
+
+    def __init__(self, rows):
+        self.rows = [row for row in rows if row[0]]
+        self.starts = list(accumulate((n for n, _site in self.rows), initial=0))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, i: int) -> MoveSite:
+        if not 0 <= i < self.starts[-1]:
+            raise IndexError(i)
+        r = bisect.bisect_right(self.starts, i) - 1
+        return self.rows[r][1](i - self.starts[r])
+
+    def __iter__(self):
+        for n, site in self.rows:
+            for j in range(n):
+                yield site(j)
+
+
+def _listed(candidates):
+    """A generator of pattern-matched sites, as the list of its sites."""
+
+    @wraps(candidates)
+    def listed(d: Diagram, kind: MoveKind) -> List[MoveSite]:
+        return list(candidates(d, kind))
+
+    return listed
+
+
 # -- kink moves (M1) --------------------------------------------------------
 
 def _m1_dot(kind: MoveKind, bend: int) -> int:
@@ -208,12 +252,14 @@ def _m1_dot(kind: MoveKind, bend: int) -> int:
     return (0 if bend == 1 else 1) if positive else (1 if bend == 1 else 0)
 
 
-def _candidates_m1(d: Diagram, kind: MoveKind):
-    for ci, comp in enumerate(d.components):
-        n_arcs = max(len(comp.events), 1)
-        for ai in range(n_arcs):
-            for bend in (1, 3):
-                yield MoveSite.make(kind, comp=ci, arc=ai, bend=bend)
+def _candidates_m1(d: Diagram, kind: MoveKind) -> _Rows:
+    """A row per component: each arc (a circle has one), bend 1 then 3."""
+
+    def row(ci: int, comp: Component):
+        return (2 * max(len(comp.events), 1),
+                lambda j: MoveSite.make(kind, comp=ci, arc=j >> 1, bend=(1, 3)[j & 1]))
+
+    return _Rows(row(ci, comp) for ci, comp in enumerate(d.components))
 
 
 def _apply_m1_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
@@ -230,6 +276,7 @@ def _apply_m1_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     return replace(_with_component(d, ci, comp2), crossings=crossings)
 
 
+@_listed
 def _candidates_m1_inv(d: Diagram, kind: MoveKind):
     want = 1 if kind is MoveKind.M1P_INV else -1
     pairs = _visit_pairs(d)
@@ -262,22 +309,37 @@ def _apply_m1_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 # -- slide moves (M2) --------------------------------------------------------
 
-def _candidates_m2(d: Diagram, kind: MoveKind):
-    arcs = derived(d, "arcs", arcs_of)
+def _candidates_m2(d: Diagram, kind: MoveKind) -> _Rows:
+    """A row per arc a, faces in the order of their first arc.
+
+    The row runs over the arcs b of a's face, and per b over ``over`` a
+    then b and ``anti`` False then True; with b = a only the two ``anti``
+    sites are listed, so a face of m arcs gives rows of 4m - 2 sites.
+    """
     by_face: Dict[str, List[Arc]] = {}
-    for arc in arcs:
+    for arc in derived(d, "arcs", arcs_of):
         by_face.setdefault(arc.face, []).append(arc)
-    for group in by_face.values():
-        for a in group:
-            for b in group:
-                same = (a.comp, a.index) == (b.comp, b.index)
-                for over in ("a", "b"):
-                    for anti in (False, True):
-                        if same and not anti:
-                            continue
-                        yield MoveSite.make(kind, comp_a=a.comp, arc_a=a.index,
-                                            comp_b=b.comp, arc_b=b.index,
-                                            over=over, anti=anti)
+
+    def row(group: List[Arc], p: int):
+        a = group[p]
+
+        def site(j: int) -> MoveSite:
+            # j counts the full 4-site grid of b, less the two non-anti
+            # sites of b = a at grid places 4p and 4p + 2
+            if j >= 4 * p + 2:
+                j += 2
+            elif j >= 4 * p:
+                j = 2 * j - 4 * p + 1
+            q, r = divmod(j, 4)
+            b = group[q]
+            return MoveSite.make(kind, comp_a=a.comp, arc_a=a.index,
+                                 comp_b=b.comp, arc_b=b.index,
+                                 over="ab"[r >> 1], anti=bool(r & 1))
+
+        return 4 * len(group) - 2, site
+
+    return _Rows(row(group, p) for group in by_face.values()
+                 for p in range(len(group)))
 
 
 def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
@@ -310,6 +372,7 @@ def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     return replace(d2, crossings=crossings)
 
 
+@_listed
 def _candidates_m2_inv(d: Diagram, kind: MoveKind):
     arcs = derived(d, "arcs", arcs_of)
     between: Dict[frozenset, List[Arc]] = {}
@@ -427,6 +490,7 @@ def _strand_extremal(d: Diagram, arc_key) -> Optional[bool]:
     return None
 
 
+@_listed
 def _candidates_m3(d: Diagram, kind: MoveKind):
     for arcs in _triangles(d):
         for slide in range(3):
@@ -477,20 +541,42 @@ def _edge_sides(cx: TwoComplex, face: str) -> List[Tuple[str, Incidence]]:
     return out
 
 
-def _candidates_m4(d: Diagram, kind: MoveKind):
+def _ways_out(d: Diagram, face: str) -> List[Tuple[str, Incidence, Incidence, int]]:
+    """(edge, s1, s2, slots) for each way out of the face across an edge.
+
+    ``s1`` runs over the non-boundary sides of the face, ``s2`` over the
+    other incidences of s1's edge; ``slots`` is the number of gaps between
+    the transits on that edge.
+    """
     cx = d.complex
-    for ci, comp in enumerate(d.components):
-        n_arcs = max(len(comp.events), 1)
-        for ai in range(n_arcs):
-            face = comp.arc_faces[ai]
-            for e, s1 in _edge_sides(cx, face):
-                slots = len(edge_transit_order(d, e)) + 1
-                for s2 in cx.incidences[e]:
-                    if s2 == s1:
-                        continue
-                    for slot in range(slots):
-                        yield MoveSite.make(kind, comp=ci, arc=ai, edge=e,
-                                            s1=s1, s2=s2, slot=slot)
+    out = []
+    for e, s1 in _edge_sides(cx, face):
+        slots = len(edge_transit_order(d, e)) + 1
+        out.extend((e, s1, s2, slots) for s2 in cx.incidences[e] if s2 != s1)
+    return out
+
+
+def _candidates_m4(d: Diagram, kind: MoveKind) -> _Rows:
+    """A row per arc (a circle has one): each way out of its face, each slot."""
+    ways: Dict[str, Tuple[int, list]] = {}
+
+    def row(ci: int, ai: int, face: str):
+        if face not in ways:
+            out = _ways_out(d, face)
+            ways[face] = (sum(way[3] for way in out), out)
+        count, out = ways[face]
+
+        def site(j: int) -> MoveSite:
+            for e, s1, s2, slots in out:
+                if j < slots:
+                    return MoveSite.make(kind, comp=ci, arc=ai, edge=e,
+                                         s1=s1, s2=s2, slot=j)
+                j -= slots
+
+        return count, site
+
+    return _Rows(row(ci, ai, comp.arc_faces[ai]) for ci, comp in enumerate(d.components)
+                 for ai in range(max(len(comp.events), 1)))
 
 
 def _apply_m4_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
@@ -514,6 +600,7 @@ def _apply_m4_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     return replace(_with_component(d, ci, comp2), transits=transits)
 
 
+@_listed
 def _candidates_m4_inv(d: Diagram, kind: MoveKind):
     for ci, comp in enumerate(d.components):
         k = len(comp.events)
@@ -576,22 +663,29 @@ def _m5_kind_of(dot: int, fan_rot: int) -> MoveKind:
     return MoveKind.M5P if middle in _dotted_pairs(dot) else MoveKind.M5M
 
 
-def _candidates_m5(d: Diagram, kind: MoveKind):
-    cx = d.complex
-    for c in sorted(d.crossings):
-        cr = d.crossings[c]
-        for e, s1 in _edge_sides(cx, cr.face):
-            slots = len(edge_transit_order(d, e)) + 1
-            for s2 in cx.incidences[e]:
-                if s2 == s1:
-                    continue
-                for rot in range(4):
-                    if _m5_kind_of(cr.dot, rot) is not kind:
-                        continue
-                    for slot in range(slots):
-                        yield MoveSite.make(kind, crossing=c, mode="push",
-                                            s1=s1, s2=s2, slot=slot, rot=rot)
-    yield from _candidates_m5_retract(d, kind)
+def _candidates_m5(d: Diagram, kind: MoveKind) -> _Rows:
+    """A push row per crossing, by name, then the list of retracts.
+
+    A push row runs over the ways out of the crossing's face, and per way
+    over the rotations whose dot variant is the kind, then the slots.
+    """
+
+    def row(c: str, cr: Crossing):
+        rots = [rot for rot in range(4) if _m5_kind_of(cr.dot, rot) is kind]
+        out = _ways_out(d, cr.face)
+
+        def site(j: int) -> MoveSite:
+            for _e, s1, s2, slots in out:
+                if j < len(rots) * slots:
+                    return MoveSite.make(kind, crossing=c, mode="push", s1=s1, s2=s2,
+                                         slot=j % slots, rot=rots[j // slots])
+                j -= len(rots) * slots
+
+        return len(rots) * sum(way[3] for way in out), site
+
+    retracts = _candidates_m5_retract(d, kind)
+    return _Rows([row(c, d.crossings[c]) for c in sorted(d.crossings)]
+                 + [(len(retracts), retracts.__getitem__)])
 
 
 def _port_arcs(d: Diagram) -> Dict[Tuple[str, int], Arc]:
@@ -610,6 +704,7 @@ def _port_arcs(d: Diagram) -> Dict[Tuple[str, int], Arc]:
     return derived(d, "port_arcs", build)
 
 
+@_listed
 def _candidates_m5_retract(d: Diagram, kind: MoveKind):
     port_arc = _port_arcs(d)
     for c in sorted(d.crossings):
@@ -778,6 +873,7 @@ def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 # -- transit exchange (M6) -----------------------------------------------------
 
+@_listed
 def _candidates_m6(d: Diagram, kind: MoveKind):
     for e in sorted({tr.edge for tr in d.transits.values()}):
         order = edge_transit_order(d, e)
@@ -886,9 +982,10 @@ def _vertex_end_rank_ok(d: Diagram, transit: str, node: Tuple[str, int]) -> bool
     return (order[0] == transit) if node[1] == 0 else (order[-1] == transit)
 
 
-def _near_vertex_position(d: Diagram, edge: str, end: int,
+def _near_vertex_position(d: Diagram, edge: str, end: int, removed: set,
                           taken: Dict[str, List[Fraction]]) -> Fraction:
-    existing = [d.transits[t].pos for t in edge_transit_order(d, edge)]
+    existing = [d.transits[t].pos for t in edge_transit_order(d, edge)
+                if t not in removed]
     existing += taken.get(edge, [])
     if end == 0:
         lo = min(existing) if existing else Fraction(1)
@@ -928,37 +1025,44 @@ def _cycle_path_transits(cx: TwoComplex, cycle: Tuple[CycleStep, ...],
     return steps
 
 
-def _candidates_m7(d: Diagram, kind: MoveKind):
+def _candidates_m7(d: Diagram, kind: MoveKind) -> _Rows:
+    """Per vertex and link cycle: the empty runs, then the transit runs.
+
+    An empty run reroutes an arc across the whole disc: a row per arc (a
+    circle has one), over the cycle's entry corners in the arc's face,
+    forward then backward.  The transit runs, which follow part or all of
+    the cycle, are matched and listed.
+    """
     cx = d.complex
+    rows = []
+
+    def row(v: str, cycle, ci: int, ai: int, entries: List[int]):
+        return (2 * len(entries),
+                lambda j: MoveSite.make(kind, vertex=v, cycle=cycle, comp=ci, arc=ai,
+                                        entry=entries[j >> 1], length=0,
+                                        forward=not j & 1))
+
     for v in cx.vertices:
-        cycles = _link_cycles(cx, v)
-        for cyc_idx, cycle in enumerate(cycles):
-            m = len(cycle)
-            corners = [c for _n, c in cycle]
-            # empty runs: reroute an arc across the whole disc
+        for cycle in _link_cycles(cx, v):
+            entries: Dict[str, List[int]] = {}
+            for entry, (_node, corner) in enumerate(cycle):
+                entries.setdefault(corner[0], []).append(entry)
             for ci, comp in enumerate(d.components):
-                n_arcs = max(len(comp.events), 1)
-                for ai in range(n_arcs):
-                    face = comp.arc_faces[ai]
-                    for entry, corner in enumerate(corners):
-                        if corner[0] != face:
-                            continue
-                        for forward in (True, False):
-                            yield MoveSite.make(kind, vertex=v, cycle=cycle,
-                                                comp=ci, arc=ai, entry=entry,
-                                                length=0, forward=forward)
-            # transit runs following part or all of the cycle
+                rows.extend(row(v, cycle, ci, ai, entries.get(comp.arc_faces[ai], []))
+                            for ai in range(max(len(comp.events), 1)))
+            runs = []
             for ci, comp in enumerate(d.components):
-                k = len(comp.events)
-                for start in range(k):
-                    for r in range(1, m + 1):
+                for start in range(len(comp.events)):
+                    for r in range(1, len(cycle) + 1):
                         match = _match_m7_run(d, cycle, ci, start, r)
                         if match is None:
                             break
                         entry, forward = match
-                        yield MoveSite.make(kind, vertex=v, cycle=cycle,
-                                            comp=ci, arc=start, entry=entry,
-                                            length=r, forward=forward)
+                        runs.append(MoveSite.make(kind, vertex=v, cycle=cycle,
+                                                  comp=ci, arc=start, entry=entry,
+                                                  length=r, forward=forward))
+            rows.append((len(runs), runs.__getitem__))
+    return _Rows(rows)
 
 
 def _match_m7_run(d: Diagram, cycle, ci: int, start: int, r: int):
@@ -1030,13 +1134,12 @@ def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         entry, fwd = match
         steps = _cycle_path_transits(cx, cycle, entry, r, fwd)
     transits = dict(d.transits)
-    removed = []
+    removed = set()
     k = len(comp.events)
     for i in range(r):
         ev = comp.events[(start + i) % k]
-        removed.append(ev.transit)
+        removed.add(ev.transit)
         del transits[ev.transit]
-    d_removed = replace(d, transits=transits)
     taken: Dict[str, List[Fraction]] = {}
     new_events = []
     inner_faces = []
@@ -1051,7 +1154,7 @@ def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         inc_out = flank_out[-1] if flank_out[-1] != inc_in else flank_out[0]
         if inc_in == inc_out:
             raise MoveError("transit would join an incidence to itself")
-        pos = _near_vertex_position(d_removed, edge, end, taken)
+        pos = _near_vertex_position(d, edge, end, removed, taken)
         taken.setdefault(edge, []).append(pos)
         t = names[idx]
         transits[t] = Transit(edge, pos, (inc_in, inc_out))
@@ -1070,7 +1173,8 @@ def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 # -- dispatch ---------------------------------------------------------------
 
-# kind -> (candidates(d, kind), apply(d, kind, site))
+# kind -> (candidates(d, kind), apply(d, kind, site)); the candidates are a
+# _Rows for the kinds with many sites, a list for the others
 _MOVES = {
     MoveKind.M1P: (_candidates_m1, _apply_m1_insert),
     MoveKind.M1M: (_candidates_m1, _apply_m1_insert),
@@ -1099,10 +1203,24 @@ def _move(kind: MoveKind):
     return kind, _MOVES[kind]
 
 
-def candidate_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
-    """Pattern-matched candidate sites, before the validity filter."""
+def _candidates(d: Diagram, kind: MoveKind) -> Sequence[MoveSite]:
+    """The candidate sequence of a kind: ``len(seq)`` and ``seq[i]``.
+
+    M1p, M1m, M2, M4, the M5 pushes and the M7 empty runs are rows of
+    sites built on demand from a few counts per row; the other kinds, whose
+    candidates pass a pattern match, are plain lists.
+    """
     kind, (candidates, _apply) = _move(kind)
-    return list(candidates(d, kind))
+    return candidates(d, kind)
+
+
+def candidate_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
+    """Pattern-matched candidate sites, before the validity filter.
+
+    Every site of the kind's candidate sequence, in its order; ``fuzz``
+    reads the same sequence but builds only the sites it tries.
+    """
+    return list(_candidates(d, kind))
 
 
 def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
@@ -1432,11 +1550,15 @@ def fuzz(d: Diagram, steps: int, seed: int,
     allowed again.  ``on_step(i, kind, before, after)`` is called after
     every applied move.
 
-    Each step tries at most 40 shuffled candidates of a kind.  On a valid
-    diagram, a candidate of a kind that ``_Regions.admits`` decides (M1p,
-    M1m, M2, M4, M5p, M5m) and rejects is skipped without being applied;
-    every other candidate goes through ``apply``.  ``admits`` is exact,
-    so the trace is the one that applying every candidate would give.
+    Each step tries at most 40 shuffled candidates of a kind.  It shuffles
+    the indices of the kind's candidate sequence and builds only the sites
+    it tries; ``random.shuffle`` draws depend only on the length, so the
+    trace is the one that shuffling the full ``candidate_sites`` list
+    gives.  On a valid diagram, a candidate of a kind that
+    ``_Regions.admits`` decides (M1p, M1m, M2, M4, M5p, M5m) and rejects
+    is skipped without being applied; every other candidate goes through
+    ``apply``.  ``admits`` is exact, so the trace is the one that applying
+    every candidate would give.
     """
     rng = random.Random(seed)
     trace: List[Tuple[MoveKind, MoveSite]] = []
@@ -1458,14 +1580,15 @@ def fuzz(d: Diagram, steps: int, seed: int,
         for pool in (preferred, kinds):
             attempts = rng.sample(pool, len(pool))
             for kind in attempts:
-                cands = candidate_sites(cur, kind)
-                if not cands:
+                cands = _candidates(cur, kind)
+                if not len(cands):
                     continue
-                rng.shuffle(cands)
+                order = list(range(len(cands)))
+                rng.shuffle(order)
                 decided = valid and kind in _DECIDED
                 if decided and regions is None:
                     regions = _Regions(cur)
-                for site in cands[:40]:
+                for site in map(cands.__getitem__, order[:40]):
                     if decided and regions.admits(site) is False:
                         continue
                     try:

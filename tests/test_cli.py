@@ -220,3 +220,19 @@ def test_non_utf8_input_is_a_format_error(tmp_path, capsys, which):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {binary}: not UTF-8 text")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["inv", "bracket", "move apply"])
+def test_a_one_character_event_is_a_format_error(tmp_path, capsys, command):
+    cx, d, _ = _emit(tmp_path, "Ln", 2)
+    text = d.read_text().replace(" x(c1,2) ", " ) ", 1)
+    assert " ) " in text
+    d.write_text(text)
+    argv = {"inv": ["inv", cx, d, "--lk"],
+            "bracket": ["bracket", cx, d],
+            "move apply": ["move", "apply", cx, d, "M1p", "--site", "0"]}[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad event ')'" in err
+    assert err.count("\n") == 1

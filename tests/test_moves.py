@@ -491,6 +491,63 @@ def test_fuzz_applies_no_candidate_that_the_regions_reject(monkeypatch):
     assert {k: rejected[k] for k in mv._DECIDED if rejected[k]} == {}
 
 
+def candidate_diagrams():
+    """The examples, their mirrors and three fuzzed variants of each."""
+    for name in EXAMPLE_IDS:
+        for n in ((None,) if name not in ("Ln", "Kn") else (1, 2)):
+            d = example(name, n).diagram
+            yield d
+            yield mirror(d)
+            for seed in range(3):
+                yield mv.fuzz(d, 12, seed, max_crossings=6, max_transits=12)[0]
+
+
+CANDIDATE_DIGEST = "0ec0d01b11ef6ced6d1d62fa32806c9c740b930b48a8dfef72e7b402c1aad824"
+
+
+def test_candidate_sites_are_pinned():
+    # recorded from the nested-loop generators that the indexed sequences replaced
+    records, sizes = [], Counter()
+    for d in candidate_diagrams():
+        for kind in K:
+            sites = mv.candidate_sites(d, kind)
+            sizes[kind] += len(sites)
+            records.extend(f"{kind.value} {site.fingerprint()}" for site in sites)
+    assert all(sizes[kind] for kind in K)
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == CANDIDATE_DIGEST
+
+
+def test_fuzz_builds_only_the_sites_it_tries(monkeypatch):
+    made, tried, longest, over = Counter(), Counter(), [0], []
+    make = mv.MoveSite.make.__func__
+    candidates = mv._candidates
+
+    def counting_make(cls, kind, **data):
+        made[kind] += 1
+        return make(cls, kind, **data)
+
+    def counting_candidates(d, kind):
+        seq = candidates(d, kind)
+        tried[kind] += 1
+        longest[0] = max(longest[0], len(seq))
+        return seq
+
+    def on_step(i, _kind, _before, _after):
+        over.extend((i, kind, made[kind], tried[kind]) for kind in made
+                    if made[kind] > 40 * tried[kind])
+        made.clear()
+        tried.clear()
+
+    monkeypatch.setattr(mv.MoveSite, "make", classmethod(counting_make))
+    monkeypatch.setattr(mv, "_candidates", counting_candidates)
+    for name, n in FUZZ_EXAMPLES:
+        for seed in range(2):
+            mv.fuzz(example(name, n).diagram, 25, seed, max_crossings=6,
+                    max_transits=12, on_step=on_step)
+    assert longest[0] > 40
+    assert over == []
+
+
 def test_rejection_texts_are_pinned():
     d = example("Ln", 2).diagram
     lines = []

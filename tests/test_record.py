@@ -2,8 +2,9 @@
 
 One module-level slot holds (weak reference to a diagram, its record).
 These tests check that a record serves only the object it was built for,
-that the three state sums share one contraction, and that the order of
-calls across diagrams never changes a result.
+that the three state sums share one contraction, that a rejected move
+leaves its input's record in the slot, and that the order of calls across
+diagrams never changes a result.
 """
 
 import gc
@@ -14,8 +15,10 @@ import pytest
 from linkcx import diagram as dg
 from linkcx.bracket import _Contraction, all_state_counts, bracket
 from linkcx.diagram import derived, validate_diagram
+from linkcx.errors import MoveError
 from linkcx.examples import example
 from linkcx.homotopy import LK, co, homotopy_bracket
+from linkcx.moves import MoveKind, apply, candidate_sites, fuzz
 
 
 def _count_contractions(monkeypatch):
@@ -109,3 +112,32 @@ def test_call_order_does_not_change_results():
             for name in (first, second):
                 if key in calls[name]:
                     assert calls[name][key]() == alone[name][key], (name, key)
+
+
+def _rejected_sites():
+    """(diagram, kind, site) whose apply raises MoveError, one per kind."""
+    torus = example("torus_link").diagram
+    ln1 = example("Ln", 1).diagram
+    out = [(torus, MoveKind.M7)]
+    for steps, kind in ((10, MoveKind.M4_INV), (12, MoveKind.M6)):
+        out.append((fuzz(ln1, steps, 0, max_crossings=6, max_transits=12)[0], kind))
+    return [(d, kind, candidate_sites(d, kind)[0]) for d, kind in out]
+
+
+def test_a_rejected_apply_keeps_the_record_of_its_input(monkeypatch):
+    checked = []
+    check = dg._checked_face_maps
+
+    def counting(d):
+        checked.append(d)
+        return check(d)
+
+    monkeypatch.setattr(dg, "_checked_face_maps", counting)
+    for d, kind, site in _rejected_sites():
+        cur = replace(d)                 # an object no earlier call has seen
+        validate_diagram(cur)
+        with pytest.raises(MoveError):
+            apply(cur, kind, site)
+        candidate_sites(cur, kind)
+        validate_diagram(cur)
+        assert sum(x is cur for x in checked) == 1, kind
