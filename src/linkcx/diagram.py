@@ -91,9 +91,9 @@ class Diagram:
     """Crossings, transits and components on a complex.
 
     A diagram is treated as immutable: the library keeps data derived from
-    it (arcs, visit maps, face maps, a passed validation, the state-sum
-    contraction) keyed by the object, so changing its dicts in place after
-    a library call is unsupported.  Build a new diagram with
+    it (arcs, visit maps, face maps, a passed validation, the face walks of
+    the move predicates, the state-sum contraction) keyed by the object, so
+    changing its dicts in place after a library call is unsupported.  Build a new diagram with
     ``dataclasses.replace`` instead.
     """
 
@@ -621,6 +621,15 @@ def orient_all(d: Diagram) -> Diagram:
 
 # -- canonical relabeling (equality up to entity names) ------------------
 
+def _normalized_positions(d: Diagram) -> Dict[str, Fraction]:
+    """transit -> its position re-spaced to i/(n+1) along its edge."""
+    pos = {}
+    for order in derived(d, "transit_orders", _transit_orders).values():
+        for i, t in enumerate(order):
+            pos[t] = Fraction(i + 1, len(order) + 1)
+    return pos
+
+
 def canonical_relabel(d: Diagram) -> Diagram:
     """Rename entities, normalize positions, and fix port rotations.
 
@@ -643,12 +652,7 @@ def canonical_relabel(d: Diagram) -> Diagram:
                 tmap.setdefault(ev.transit, f"t{len(tmap) + 1}")
     crossings = {xmap[c]: Crossing(cr.face, (cr.dot - rot[c]) % 2)
                  for c, cr in d.crossings.items()}
-    new_pos: Dict[str, Fraction] = {}
-    for e in sorted({tr.edge for tr in d.transits.values()}):
-        order = edge_transit_order(d, e)
-        n = len(order)
-        for i, t in enumerate(order):
-            new_pos[t] = Fraction(i + 1, n + 1)
+    new_pos = _normalized_positions(d)
     transits = {tmap[t]: replace(tr, pos=new_pos[t]) for t, tr in d.transits.items()}
 
     def remap(ev: Event) -> Event:
@@ -768,12 +772,10 @@ def braid_code(word: Iterable[int], strands: int, prefix: str = "b") -> PlanarCo
         dot = 1 if letter > 0 else 0
         crossings.append((f"{n}", ports, dot))
         arc_at[i], arc_at[i + 1] = a_out, b_out
-    closed = 0
     circles = 0
     for i in range(strands):
         if arc_at[i] == f"{prefix}s{i}":
             circles += 1
-            continue
     # merge the closure: the final arc at position i is the same arc as the initial one
     rename = {}
     for i in range(strands):

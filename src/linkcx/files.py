@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .diagram import (Component, Crossing, CrossVisit, Diagram, PlanarCode,
-                      Transit, TransitVisit, edge_transit_order, enter_slot,
-                      exit_slot, validate_diagram)
+                      Transit, TransitVisit, _normalized_positions, arcs_of, derived,
+                      validate_diagram)
 from .errors import FormatError
 from .groups import GroupSpec, text_to_word, word_to_text
 from .homotopy import Connection
@@ -116,34 +116,30 @@ def _parse_event(token: str, n: int):
     return TransitVisit(ident, int(num))
 
 
-def _normalized_positions(d: Diagram) -> Dict[str, Fraction]:
-    pos = {}
-    for e in sorted({tr.edge for tr in d.transits.values()}):
-        order = edge_transit_order(d, e)
-        for i, t in enumerate(order):
-            pos[t] = Fraction(i + 1, len(order) + 1)
-    return pos
+def _port_ends(d: Diagram) -> Dict[Tuple[str, int], Tuple[int, int, int]]:
+    """(crossing, port) -> (component, arc, end) of the arc end at that port."""
+    out = {}
+    for arc in derived(d, "arcs", arcs_of):
+        if arc.src is None:
+            continue
+        for end, slot in ((0, arc.src), (1, arc.dst)):
+            if slot[0] == "x":
+                out[(slot[1], slot[2])] = (arc.comp, arc.index, end)
+    return out
 
 
 def serialize_diagram(d: Diagram) -> str:
     """Write a diagram; components are named k1, k2, ... in order."""
     out = [f"diagram on {d.complex.name}"]
     # ports are reported as arc-end references derived from the components
-    port_ref: Dict[tuple, str] = {}
-    for ci, comp in enumerate(d.components):
-        k = len(comp.events)
-        for ai in range(k):
-            src = exit_slot(comp.events[ai])
-            dst = enter_slot(comp.events[(ai + 1) % k])
-            for end, slot in ((0, src), (1, dst)):
-                if slot[0] == "x":
-                    port_ref[(slot[1], slot[2])] = f"k{ci + 1}.{ai}.{end}"
+    port_end = _port_ends(d)
     for c in sorted(d.crossings):
         cr = d.crossings[c]
         try:
-            refs = " ".join(port_ref[(c, p)] for p in range(4))
+            ends = [port_end[(c, p)] for p in range(4)]
         except KeyError:
             raise FormatError(f"crossing {c!r} has unused ports")
+        refs = " ".join(f"k{ci + 1}.{ai}.{end}" for ci, ai, end in ends)
         out.append(f"crossing {c} in {cr.face} ports {refs} dots {cr.dot}")
     pos = _normalized_positions(d)
     for t in sorted(d.transits):
@@ -261,14 +257,7 @@ def _check_port_refs(d: Diagram, ports: Dict[str, Tuple[str, ...]],
                      comp_names: List[str]) -> None:
     """The serialized arc-end references must match the component data."""
     names = {f"k{i + 1}": i for i in range(len(d.components))}
-    actual: Dict[tuple, str] = {}
-    for ci, comp in enumerate(d.components):
-        k = len(comp.events)
-        for ai in range(k):
-            for end, slot in ((0, exit_slot(comp.events[ai])),
-                              (1, enter_slot(comp.events[(ai + 1) % k]))):
-                if slot[0] == "x":
-                    actual[(slot[1], slot[2])] = f"{ci}.{ai}.{end}"
+    actual = {port: "{}.{}.{}".format(*end) for port, end in _port_ends(d).items()}
     for c, refs in ports.items():
         if c not in d.crossings:
             raise FormatError(f"port list for unknown crossing {c!r}")

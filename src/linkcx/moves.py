@@ -13,15 +13,17 @@ Nine basic moves and their inverses, as local rewrites:
   M7           reroute an arc around a vertex along its link (self-inverse)
 
 Sites are plain data and serialize as JSON fingerprints, one move per
-trace line.  ``find_sites`` returns every candidate whose application
-yields a valid diagram: on a valid diagram the face walks of the face maps
-decide M1p, M1m, M2, M4, M5p and M5m exactly, and every other candidate is
-applied.  ``apply`` performs the rewrite and validates.
-Each kind has one indexed candidate sequence, which ``candidate_sites``
-lists in full.  The fuzzer draws kinds and candidate indices from a seeded
-generator, so identical (diagram, steps, seed) always reproduce the same
-trace; it builds only the sites it tries, and skips the candidates that
-the face walks reject without applying them.
+trace line.  Each kind has one row in the registry ``_MOVES``: its indexed
+candidate sequence, which ``candidate_sites`` lists in full, its rewrite,
+which ``apply`` performs and validates, and, for M1p, M1m, M2, M4, M5p and
+M5m, the predicate that decides its candidates exactly from the face walks
+of a valid diagram's face maps.  The face walks (``_Regions``) are kept in
+the diagram's record.  ``find_sites`` returns every candidate whose
+application yields a valid diagram: it asks the predicate where there is
+one and applies every other candidate.  The fuzzer draws kinds and
+candidate indices from a seeded generator, so identical (diagram, steps,
+seed) always reproduce the same trace; it builds only the sites it tries,
+and skips the candidates that a predicate rejects without applying them.
 """
 
 from __future__ import annotations
@@ -358,33 +360,25 @@ def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     ev_b = ([CrossVisit(x1, 2), CrossVisit(x2, 2)] if not anti
             else [CrossVisit(x2, 0), CrossVisit(x1, 0)])
     if (ca, aa) == (cb, ab):
-        comp = _replace_arc(d.components[ca], aa, ev_a + ev_b, [face] * 5)
-        return replace(_with_component(d, ca, comp), crossings=crossings)
-    if ca == cb:
-        first, second = ((aa, ev_a), (ab, ev_b))
-        if aa < ab:
-            first, second = second, first
-        comp = _replace_arc(d.components[ca], first[0], first[1], [face] * 3)
-        comp = _replace_arc(comp, second[0], second[1], [face] * 3)
-        return replace(_with_component(d, ca, comp), crossings=crossings)
-    d2 = _with_component(d, ca, _replace_arc(d.components[ca], aa, ev_a, [face] * 3))
-    d2 = _with_component(d2, cb, _replace_arc(d2.components[cb], ab, ev_b, [face] * 3))
+        splices = [((ca, aa), ev_a + ev_b)]
+    else:
+        # the later arc first, so that the earlier arc keeps its index
+        splices = sorted([((ca, aa), ev_a), ((cb, ab), ev_b)], reverse=True)
+    d2 = d
+    for (ci, ai), events in splices:
+        comp = _replace_arc(d2.components[ci], ai, events, [face] * (len(events) + 1))
+        d2 = _with_component(d2, ci, comp)
     return replace(d2, crossings=crossings)
 
 
 @_listed
 def _candidates_m2_inv(d: Diagram, kind: MoveKind):
-    arcs = derived(d, "arcs", arcs_of)
     between: Dict[frozenset, List[Arc]] = {}
-    for arc in arcs:
-        if arc.src is None or arc.src[0] != "x" or arc.dst[0] != "x":
-            continue
-        if arc.src[1] == arc.dst[1]:
-            continue
-        between.setdefault(frozenset((arc.src[1], arc.dst[1])), []).append(arc)
-    for pair, group in sorted(between.items(), key=lambda kv: sorted(kv[0])):
-        if len(group) < 2:
-            continue
+    for arc in derived(d, "arcs", arcs_of):
+        if (arc.src is not None and arc.src[0] == arc.dst[0] == "x"
+                and arc.src[1] != arc.dst[1]):
+            between.setdefault(frozenset((arc.src[1], arc.dst[1])), []).append(arc)
+    for _pair, group in sorted(between.items(), key=lambda kv: sorted(kv[0])):
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 if _bigon_ok(d, a, b):
@@ -452,7 +446,10 @@ def _apply_m2_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 def _triangles(d: Diagram):
     seen = set()
-    maps = dict(face_maps(d))
+    try:
+        maps = dict(valid_face_maps(d))
+    except DiagramError:
+        maps = dict(face_maps(d))
     for f in sorted(maps):
         fm = maps[f]
         if not fm.ok:
@@ -483,11 +480,7 @@ def _strand_extremal(d: Diagram, arc_key) -> Optional[bool]:
     x1, x2 = arc.src[1], arc.dst[1]
     over1 = arc.src[2] % 2 == d.crossings[x1].dot % 2
     over2 = arc.dst[2] % 2 == d.crossings[x2].dot % 2
-    if over1 and over2:
-        return True
-    if not over1 and not over2:
-        return False
-    return None
+    return over1 if over1 == over2 else None
 
 
 @_listed
@@ -976,12 +969,6 @@ def _corner_flank(cx: TwoComplex, corner: Tuple[str, int],
     return out
 
 
-def _vertex_end_rank_ok(d: Diagram, transit: str, node: Tuple[str, int]) -> bool:
-    """The transit is the closest one to the vertex end of its edge."""
-    order = edge_transit_order(d, d.transits[transit].edge)
-    return (order[0] == transit) if node[1] == 0 else (order[-1] == transit)
-
-
 def _near_vertex_position(d: Diagram, edge: str, end: int, removed: set,
                           taken: Dict[str, List[Fraction]]) -> Fraction:
     existing = [d.transits[t].pos for t in edge_transit_order(d, edge)
@@ -994,35 +981,18 @@ def _near_vertex_position(d: Diagram, edge: str, end: int, removed: set,
     return (hi + 1) / 2
 
 
-def _cycle_path_transits(cx: TwoComplex, cycle: Tuple[CycleStep, ...],
-                         entry: int, length: int, forward: bool):
-    """Nodes and flanking corner pairs crossed by the complementary path.
+def _cycle_step(cycle: Tuple[CycleStep, ...], entry: int, j: int, forward: bool):
+    """(node, corner before, corner after) of the j-th node on a path round the cycle.
 
-    The replaced segment starts in the corner at ``entry`` and crosses
-    ``length`` nodes going forward; the complement leaves the same corner
-    the other way round.  Returns the crossed (node, corner_before,
-    corner_after) triples of the complement, in travel order.
+    The path leaves the corner at ``entry`` forward or backward round the
+    cycle; its nodes are the edge ends it crosses, in travel order.
     """
     m = len(cycle)
-    steps = []
     if forward:
-        # complement runs backward from the entry corner
-        pos = entry
-        for _ in range(m - length):
-            node = cycle[pos][0]
-            before = cycle[pos][1]
-            after = cycle[(pos - 1) % m][1]
-            steps.append((node, before, after))
-            pos = (pos - 1) % m
-    else:
-        pos = entry
-        for _ in range(m - length):
-            node = cycle[(pos + 1) % m][0]
-            before = cycle[pos][1]
-            after = cycle[(pos + 1) % m][1]
-            steps.append((node, before, after))
-            pos = (pos + 1) % m
-    return steps
+        i = (entry + 1 + j) % m
+        return cycle[i][0], cycle[i - 1][1], cycle[i][1]
+    i = (entry - j) % m
+    return cycle[i][0], cycle[i][1], cycle[i - 1][1]
 
 
 def _candidates_m7(d: Diagram, kind: MoveKind) -> _Rows:
@@ -1071,38 +1041,27 @@ def _match_m7_run(d: Diagram, cycle, ci: int, start: int, r: int):
     k = len(comp.events)
     if k == 0 or r > len(cycle) or r > k:
         return None
-    events = [comp.events[(start + i) % k] for i in range(r)]
-    if not all(isinstance(ev, TransitVisit) for ev in events):
-        return None
-    m = len(cycle)
+    # per transit: its edge, the incidences it enters and leaves by, and
+    # whether it is the transit nearest to end 0 and to end 1 of the edge
+    walk = []
+    for i in range(r):
+        ev = comp.events[(start + i) % k]
+        if not isinstance(ev, TransitVisit):
+            return None
+        tr = d.transits[ev.transit]
+        order = edge_transit_order(d, tr.edge)
+        walk.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter],
+                     (order[0] == ev.transit, order[-1] == ev.transit)))
     cx = d.complex
-    for entry in range(m):
+    for entry in range(len(cycle)):
         for forward in (True, False):
-            ok = True
-            for j, ev in enumerate(events):
-                tr = d.transits[ev.transit]
-                if forward:
-                    node = cycle[(entry + 1 + j) % m][0]
-                    before = cycle[(entry + j) % m][1]
-                    after = cycle[(entry + 1 + j) % m][1]
-                else:
-                    node = cycle[(entry - j) % m][0]
-                    before = cycle[(entry - j) % m][1]
-                    after = cycle[(entry - 1 - j) % m][1]
-                if tr.edge != node[0]:
-                    ok = False
+            for j, (edge, inc_in, inc_out, nearest) in enumerate(walk):
+                node, before, after = _cycle_step(cycle, entry, j, forward)
+                if (edge != node[0] or not nearest[node[1]]
+                        or inc_in not in _corner_flank(cx, before, node)
+                        or inc_out not in _corner_flank(cx, after, node)):
                     break
-                inc_in, inc_out = tr.sides[ev.enter], tr.sides[1 - ev.enter]
-                if inc_in not in _corner_flank(cx, before, node):
-                    ok = False
-                    break
-                if inc_out not in _corner_flank(cx, after, node):
-                    ok = False
-                    break
-                if not _vertex_end_rank_ok(d, ev.transit, node):
-                    ok = False
-                    break
-            if ok:
+            else:
                 return entry, forward
     return None
 
@@ -1126,13 +1085,15 @@ def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         face = comp.arc_faces[start]
         if cycle[entry][1][0] != face:
             raise MoveError("entry corner does not match the arc's face")
-        steps = _cycle_path_transits(cx, cycle, entry, 0, not forward)
+        way = forward
     else:
         match = _match_m7_run(d, cycle, ci, start, r)
         if match is None:
             raise MoveError("arc does not follow the cycle near the vertex")
         entry, fwd = match
-        steps = _cycle_path_transits(cx, cycle, entry, r, fwd)
+        way = not fwd
+    # the new path crosses the m - r nodes of the cycle that the run does not
+    steps = [_cycle_step(cycle, entry, j, way) for j in range(m - r)]
     transits = dict(d.transits)
     removed = set()
     k = len(comp.events)
@@ -1171,78 +1132,7 @@ def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     return _with_component(d2, ci, comp2)
 
 
-# -- dispatch ---------------------------------------------------------------
-
-# kind -> (candidates(d, kind), apply(d, kind, site)); the candidates are a
-# _Rows for the kinds with many sites, a list for the others
-_MOVES = {
-    MoveKind.M1P: (_candidates_m1, _apply_m1_insert),
-    MoveKind.M1M: (_candidates_m1, _apply_m1_insert),
-    MoveKind.M1P_INV: (_candidates_m1_inv, _apply_m1_delete),
-    MoveKind.M1M_INV: (_candidates_m1_inv, _apply_m1_delete),
-    MoveKind.M2: (_candidates_m2, _apply_m2_insert),
-    MoveKind.M2_INV: (_candidates_m2_inv, _apply_m2_delete),
-    MoveKind.M3: (_candidates_m3, _apply_m3),
-    MoveKind.M3_INV: (_candidates_m3, _apply_m3),
-    MoveKind.M4: (_candidates_m4, _apply_m4_insert),
-    MoveKind.M4_INV: (_candidates_m4_inv, _apply_m4_delete),
-    MoveKind.M5P: (_candidates_m5, _apply_m5),
-    MoveKind.M5M: (_candidates_m5, _apply_m5),
-    MoveKind.M6: (_candidates_m6, _apply_m6),
-    MoveKind.M6_INV: (_candidates_m6, _apply_m6),
-    MoveKind.M7: (_candidates_m7, _apply_m7),
-}
-
-
-def _move(kind: MoveKind):
-    """The normalised kind (a MoveKind or its value) and its registry entry."""
-    try:
-        kind = MoveKind(kind)
-    except ValueError:
-        raise MoveError(f"unknown move kind {kind!r}") from None
-    return kind, _MOVES[kind]
-
-
-def _candidates(d: Diagram, kind: MoveKind) -> Sequence[MoveSite]:
-    """The candidate sequence of a kind: ``len(seq)`` and ``seq[i]``.
-
-    M1p, M1m, M2, M4, the M5 pushes and the M7 empty runs are rows of
-    sites built on demand from a few counts per row; the other kinds, whose
-    candidates pass a pattern match, are plain lists.
-    """
-    kind, (candidates, _apply) = _move(kind)
-    return candidates(d, kind)
-
-
-def candidate_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
-    """Pattern-matched candidate sites, before the validity filter.
-
-    Every site of the kind's candidate sequence, in its order; ``fuzz``
-    reads the same sequence but builds only the sites it tries.
-    """
-    return list(_candidates(d, kind))
-
-
-def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
-    """Apply one move and validate the result."""
-    kind, (_candidates, apply_kind) = _move(kind)
-    if site.kind is not kind:
-        raise MoveError(f"site is for {site.kind.value}, not {kind.value}")
-    try:
-        out = apply_kind(d, kind, site)
-    except (KeyError, IndexError) as exc:
-        raise MoveError(f"stale site for {kind.value}: {exc}") from exc
-    try:
-        return validate_diagram(out)
-    except DiagramError as exc:
-        raise MoveError(f"{kind.value} at this site does not yield a valid "
-                        f"diagram: {exc}") from exc
-
-
-# the kinds that _Regions.admits decides on a valid diagram
-_DECIDED = {MoveKind.M1P, MoveKind.M1M, MoveKind.M2, MoveKind.M4,
-            MoveKind.M5P, MoveKind.M5M}
-
+# -- face-walk regions -------------------------------------------------------
 
 class _Regions:
     """Face-walk regions of a valid diagram, and the site predicates on them.
@@ -1276,7 +1166,7 @@ class _Regions:
 
     def __init__(self, d: Diagram):
         """The regions of d; DiagramError when d is not valid."""
-        self.d = d
+        self.faces = d.complex.faces
         self.arcs: Dict[Tuple[int, int], Tuple[tuple, int, int]] = {}
         self.crossings: Dict[str, Tuple[tuple, List[int]]] = {}
         self.maps: Dict[str, Tuple[FaceMap, List[int], List[Tuple[int, int]]]] = {}
@@ -1318,31 +1208,20 @@ class _Regions:
         if not keys:
             return True
         slot = site.get("slot")
-        gap = 2 * slot - 1 if self.d.complex.faces[f][j][1] > 0 else 1 - 2 * slot
+        gap = 2 * slot - 1 if self.faces[f][j][1] > 0 else 1 - 2 * slot
         i = bisect.bisect(keys, (j, gap)) - 1
         last = fm.mark_dart((i + 1) % len(keys), 2)
         return (f, comp[fm.node_of(last)]) != component or fm.orbit_of[last] == region
 
-    def admits(self, site: MoveSite) -> Optional[bool]:
-        """Whether ``apply`` accepts a candidate site; None when undecided.
+    def admits(self, site: MoveSite) -> bool:
+        """Whether ``apply`` accepts a candidate site of a decided kind.
 
-        Exact for M1p, M1m, M2, M4, M5p and M5m, for the sites that
-        ``candidate_sites`` lists on the (valid) diagram; None for every
-        other kind.  Besides the genus of each face map, each predicate
-        below accounts for every other check of ``validate_diagram``.
+        The kind's predicate is the last entry of its ``_MOVES`` row; each
+        is exact for the sites that ``candidate_sites`` lists on the (valid)
+        diagram.  Besides the genus of each face map, each predicate below
+        accounts for every other check of ``validate_diagram``.
         """
-        kind = site.kind
-        if kind in (MoveKind.M1P, MoveKind.M1M):
-            return self._kink(site)
-        if kind is MoveKind.M2:
-            return self._slide(site)
-        if kind is MoveKind.M4:
-            return self._tongue(site)
-        if kind in (MoveKind.M5P, MoveKind.M5M):
-            if site.get("mode") == "push":
-                return self._push(site)
-            return self._retract(site)
-        return None
+        return _MOVES[site.kind][2](self, site)
 
     def _kink(self, site: MoveSite) -> bool:
         """M1 insertion: every candidate is admitted.
@@ -1433,13 +1312,13 @@ class _Regions:
         if rec is None:
             return True
         f, j = _inc(site.get("s1"))
-        forward = self.d.complex.faces[f][j][1] > 0
+        forward = self.faces[f][j][1] > 0
         return self._meets_gap(site, rec[0], rec[1] if forward else rec[2])
 
-    def _push(self, site: MoveSite) -> bool:
-        """M5 push: admitted unless the crossing's open corner misses the gap.
+    def _carry(self, site: MoveSite) -> bool:
+        """M5: a retract is always admitted, a push unless it misses the gap.
 
-        The fan ports ``rot`` .. ``rot + 3`` meet the side in the order
+        Push: the fan ports ``rot`` .. ``rot + 3`` meet the side in the order
         that puts the corner between ports ``rot - 1`` and ``rot`` on the
         gap's region.  When the crossing and the gap are in one component
         of the face map, the site is admitted exactly when that corner is
@@ -1468,21 +1347,15 @@ class _Regions:
         dots transport and the two visits stay one per diameter; the flank
         arcs keep the crossing's face and the four short arcs lie in
         ``s2``'s face.
-        """
-        component, corners = self.crossings[site.get("crossing")]
-        return self._meets_gap(site, component, corners[site.get("rot")])
 
-    def _retract(self, site: MoveSite) -> bool:
-        """M5 retract: every candidate is admitted.
-
-        ``candidate_sites`` lists a crossing only when ``_retract_info``
-        matched it: its four ports run straight to four distinct transits,
-        consecutive on one edge, with one near side in the crossing's face
-        and one far side, and the ports meet the near side as a
-        counterclockwise fan in its walk order.  In a valid diagram that
-        fan is forced, since a node joined to four consecutive marks is
-        drawn only so; a fan in the inverted order would fail the genus
-        check, and it is never listed.
+        Retract: ``candidate_sites`` lists a crossing only when
+        ``_retract_info`` matched it: its four ports run straight to four
+        distinct transits, consecutive on one edge, with one near side in
+        the crossing's face and one far side, and the ports meet the near
+        side as a counterclockwise fan in its walk order.  In a valid
+        diagram that fan is forced, since a node joined to four consecutive
+        marks is drawn only so; a fan in the inverted order would fail the
+        genus check, and it is never listed.
 
         Face walks: the near face loses the node, its four arcs and their
         marks, and a part of a drawing is a drawing.  In the far face four
@@ -1498,39 +1371,122 @@ class _Regions:
         new visit's flanking arcs are the far face's arcs that met the
         deleted transits.
         """
-        return True
+        if site.get("mode") != "push":
+            return True
+        component, corners = self.crossings[site.get("crossing")]
+        return self._meets_gap(site, component, corners[site.get("rot")])
+
+
+# -- dispatch ---------------------------------------------------------------
+
+# kind -> (candidates(d, kind), apply(d, kind, site), predicate): the
+# candidates are a _Rows for the kinds with many sites, a list for the
+# others; the predicate is the _Regions method that decides the kind on a
+# valid diagram, or None where every candidate is applied
+_MOVES = {
+    MoveKind.M1P: (_candidates_m1, _apply_m1_insert, _Regions._kink),
+    MoveKind.M1M: (_candidates_m1, _apply_m1_insert, _Regions._kink),
+    MoveKind.M1P_INV: (_candidates_m1_inv, _apply_m1_delete, None),
+    MoveKind.M1M_INV: (_candidates_m1_inv, _apply_m1_delete, None),
+    MoveKind.M2: (_candidates_m2, _apply_m2_insert, _Regions._slide),
+    MoveKind.M2_INV: (_candidates_m2_inv, _apply_m2_delete, None),
+    MoveKind.M3: (_candidates_m3, _apply_m3, None),
+    MoveKind.M3_INV: (_candidates_m3, _apply_m3, None),
+    MoveKind.M4: (_candidates_m4, _apply_m4_insert, _Regions._tongue),
+    MoveKind.M4_INV: (_candidates_m4_inv, _apply_m4_delete, None),
+    MoveKind.M5P: (_candidates_m5, _apply_m5, _Regions._carry),
+    MoveKind.M5M: (_candidates_m5, _apply_m5, _Regions._carry),
+    MoveKind.M6: (_candidates_m6, _apply_m6, None),
+    MoveKind.M6_INV: (_candidates_m6, _apply_m6, None),
+    MoveKind.M7: (_candidates_m7, _apply_m7, None),
+}
+
+# the kinds that _Regions decides
+_DECIDED = {kind for kind, (_cands, _apply, decide) in _MOVES.items() if decide}
+
+
+def _move(kind: MoveKind):
+    """The normalised kind (a MoveKind or its value) and its registry entry."""
+    try:
+        kind = MoveKind(kind)
+    except ValueError:
+        raise MoveError(f"unknown move kind {kind!r}") from None
+    return kind, _MOVES[kind]
+
+
+def _candidates(d: Diagram, kind: MoveKind) -> Sequence[MoveSite]:
+    """The candidate sequence of a kind: ``len(seq)`` and ``seq[i]``.
+
+    M1p, M1m, M2, M4, the M5 pushes and the M7 empty runs are rows of
+    sites built on demand from a few counts per row; the other kinds, whose
+    candidates pass a pattern match, are plain lists.
+    """
+    kind, (candidates, _apply, _decide) = _move(kind)
+    return candidates(d, kind)
+
+
+def candidate_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
+    """Pattern-matched candidate sites, before the validity filter.
+
+    Every site of the kind's candidate sequence, in its order; ``fuzz``
+    reads the same sequence but builds only the sites it tries.
+    """
+    return list(_candidates(d, kind))
+
+
+def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
+    """Apply one move and validate the result."""
+    kind, (_candidates, apply_kind, _decide) = _move(kind)
+    if site.kind is not kind:
+        raise MoveError(f"site is for {site.kind.value}, not {kind.value}")
+    try:
+        out = apply_kind(d, kind, site)
+    except (KeyError, IndexError) as exc:
+        raise MoveError(f"stale site for {kind.value}: {exc}") from exc
+    try:
+        return validate_diagram(out)
+    except DiagramError as exc:
+        raise MoveError(f"{kind.value} at this site does not yield a valid "
+                        f"diagram: {exc}") from exc
+
+
+def _regions(d: Diagram, kind: MoveKind) -> Optional[_Regions]:
+    """The face-walk regions of d, kept in its record, when they decide kind.
+
+    None when the kind's ``_MOVES`` row has no predicate, or when d is not
+    valid: its candidates are then applied.
+    """
+    if kind not in _DECIDED:
+        return None
+    try:
+        return derived(d, "regions", _Regions)
+    except DiagramError:
+        return None
 
 
 def find_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
     """Every candidate site whose application yields a valid diagram.
 
-    On a valid diagram, ``_Regions.admits`` decides M1p, M1m, M2, M4, M5p
-    and M5m exactly from the face walks of the face maps (Mohar &
-    Thomassen, *Graphs on Surfaces*, 2001), without applying a candidate.
-    Every candidate of the other kinds (M1pi, M1mi, M2i, M3, M3i, M4i,
-    M6, M6i and M7) is applied and fully validated, and so is every
-    candidate of an invalid diagram, which is never pruned.  The sites
-    come in ``candidate_sites`` order.
+    On a valid diagram, the predicate in a kind's ``_MOVES`` row decides
+    its candidates exactly from the face walks of the face maps (Mohar &
+    Thomassen, *Graphs on Surfaces*, 2001), without applying one: M1p,
+    M1m, M2, M4, M5p and M5m have one.  Every candidate of the other kinds
+    (M1pi, M1mi, M2i, M3, M3i, M4i, M6, M6i and M7) is applied and fully
+    validated, and so is every candidate of an invalid diagram, which is
+    never pruned.  The sites come in ``candidate_sites`` order.
     """
     kind, _entry = _move(kind)
     sites = candidate_sites(d, kind)
-    regions = None
-    if kind in _DECIDED:
-        try:
-            regions = _Regions(d)
-        except DiagramError:
-            pass
+    regions = _regions(d, kind)
+    if regions is not None:
+        return [site for site in sites if regions.admits(site)]
     out = []
     for site in sites:
-        admitted = None if regions is None else regions.admits(site)
-        if admitted is None:
-            try:
-                apply(d, kind, site)
-            except MoveError:
-                continue
-            admitted = True
-        if admitted:
-            out.append(site)
+        try:
+            apply(d, kind, site)
+        except MoveError:
+            continue
+        out.append(site)
     return out
 
 
@@ -1554,20 +1510,15 @@ def fuzz(d: Diagram, steps: int, seed: int,
     the indices of the kind's candidate sequence and builds only the sites
     it tries; ``random.shuffle`` draws depend only on the length, so the
     trace is the one that shuffling the full ``candidate_sites`` list
-    gives.  On a valid diagram, a candidate of a kind that
-    ``_Regions.admits`` decides (M1p, M1m, M2, M4, M5p, M5m) and rejects
-    is skipped without being applied; every other candidate goes through
-    ``apply``.  ``admits`` is exact, so the trace is the one that applying
-    every candidate would give.
+    gives.  On a valid diagram, a candidate that the predicate in its
+    kind's ``_MOVES`` row rejects (M1p, M1m, M2, M4, M5p, M5m) is skipped
+    without being applied; every other candidate goes through ``apply``.
+    The predicates are exact, so the trace is the one that applying every
+    candidate would give.
     """
     rng = random.Random(seed)
     trace: List[Tuple[MoveKind, MoveSite]] = []
     cur = d
-    try:
-        validate_diagram(d)
-        valid = True
-    except DiagramError:
-        valid = False
     for i in range(steps):
         kinds = list(MoveKind)
         if len(cur.crossings) >= max_crossings:
@@ -1576,7 +1527,7 @@ def fuzz(d: Diagram, steps: int, seed: int,
             preferred = kinds
         if len(cur.transits) >= max_transits:
             preferred = [k for k in preferred if k not in _TRANSIT_GROWING]
-        applied = regions = None
+        applied = None
         for pool in (preferred, kinds):
             attempts = rng.sample(pool, len(pool))
             for kind in attempts:
@@ -1585,11 +1536,9 @@ def fuzz(d: Diagram, steps: int, seed: int,
                     continue
                 order = list(range(len(cands)))
                 rng.shuffle(order)
-                decided = valid and kind in _DECIDED
-                if decided and regions is None:
-                    regions = _Regions(cur)
+                regions = _regions(cur, kind)
                 for site in map(cands.__getitem__, order[:40]):
-                    if decided and regions.admits(site) is False:
+                    if regions is not None and not regions.admits(site):
                         continue
                     try:
                         nxt = apply(cur, kind, site)
@@ -1607,7 +1556,7 @@ def fuzz(d: Diagram, steps: int, seed: int,
         trace.append((kind, site))
         if on_step is not None:
             on_step(i, kind, cur, nxt)
-        cur, valid = nxt, True
+        cur = nxt
     return cur, trace
 
 
@@ -1635,13 +1584,23 @@ def parse_trace(text: str) -> List[Tuple[MoveKind, MoveSite]]:
 
 
 def replay(d: Diagram, trace) -> Diagram:
-    """Apply a trace's moves in order; a site of the wrong shape is a MoveError."""
+    """Apply a trace's moves in order.
+
+    A site of the wrong shape is a MoveError, and so is a site that
+    ``apply`` accepts but ``candidate_sites`` does not list (compared by
+    fingerprint, since ``True == 1`` in a tuple).
+    """
     for step, (kind, site) in enumerate(trace, 1):
         try:
-            d = apply(d, kind, site)
+            nxt = apply(d, kind, site)
         except MoveError:
             raise
         except (TypeError, ValueError) as exc:
             raise MoveError(f"trace step {step}: bad site for {MoveKind(kind).value}: "
                             f"{exc}") from None
+        listed = {s.fingerprint() for s in candidate_sites(d, kind)}
+        if site.fingerprint() not in listed:
+            raise MoveError(f"trace step {step}: {site.kind.value} {site.fingerprint()} "
+                            f"is not a candidate site")
+        d = nxt
     return d

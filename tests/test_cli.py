@@ -154,6 +154,20 @@ def test_ill_typed_trace_site_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: trace step 1:")
 
 
+@pytest.mark.parametrize("line", [
+    'M1p {"arc": 0, "bend": 1, "comp": -1}',
+    'M1p {"arc": true, "bend": 1, "comp": 0}',
+    'M2 {"anti": "yes", "arc_a": 0, "arc_b": 0, "comp_a": 0, "comp_b": 0, "over": "a"}'])
+def test_unlisted_trace_site_is_an_error(tmp_path, capsys, line):
+    # apply accepts each site, but candidate_sites never lists it
+    cx, d, _ = _emit(tmp_path, "Ln", 1)
+    trace = tmp_path / "trace.txt"
+    trace.write_text(line + "\n")
+    capsys.readouterr()
+    assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error: trace step 1:")
+
+
 def test_stale_m6_site_in_a_trace_is_an_error(tmp_path, capsys):
     cx, d, _ = _emit(tmp_path, "Ln", 1)
     trace = tmp_path / "trace.txt"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkcx as lx
+from linkcx import diagram as dg
 from linkcx import moves as mv
 from linkcx.diagram import Component, CrossVisit, mirror, same_diagram, validate_diagram
 from linkcx.errors import DiagramError, MoveError
@@ -339,7 +340,29 @@ def test_face_maps_of_an_invalid_diagram_list_no_triangle():
     assert mv.candidate_sites(bad, K.M3) == []
 
 
+def test_m3_candidates_of_a_valid_diagram_build_no_face_map(monkeypatch):
+    d, _trace = mv.fuzz(example("trefoil_left").diagram, 12, 3, max_crossings=6,
+                        max_transits=12)
+    validate_diagram(d)
+    built = []
+    init = dg.FaceMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dg.FaceMap, "__init__", counting_init)
+    assert mv.candidate_sites(d, K.M3)
+    assert built == []
+
+
 DECIDED = (K.M1P, K.M1M, K.M2, K.M4, K.M5P, K.M5M)
+
+
+def test_each_kind_has_one_registry_row():
+    assert len(mv._MOVES) == len(K) and set(mv._MOVES) == set(K)
+    assert all(len(row) == 3 for row in mv._MOVES.values())
+    assert set(mv._DECIDED) == set(DECIDED)
 
 
 def test_decided_kinds_apply_nothing_on_a_valid_diagram(monkeypatch):
