@@ -25,7 +25,17 @@ integer tally over (|C|, trivial loops), and ``_tally_polynomial`` turns
 each tally into a Laurent polynomial once, at the end.  The work grows
 with the number of entries, not with the 2^cro states; the cap on
 crossings (``LINKCX_MAX_CROSSINGS``, 22 when unset) still applies.
-``loops(mask)`` traces the curves of one state; ``state_curves``,
+
+What does not depend on the group is planned once per contraction
+(``_Contraction.plan``): the smoothing order, and for each crossing a
+``_Step`` that numbers the open ports before and after it by position
+and says, for each smoothing, where every walk through the crossing
+comes out and which paths it crosses.  A table entry then stores its
+pairing as positions and is extended by walking lists; with a group, the
+word of each walk is multiplied out once per call and step.  The
+bracket of a diagram is kept in its record, so the normalized brackets
+and the span check reuse it; the emptiness and cap checks run on every
+call.  ``loops(mask)`` traces the curves of one state; ``state_curves``,
 ``smooth``, ``state_term`` and ``all_state_counts`` are per-state views.
 """
 
@@ -104,9 +114,10 @@ class _Contraction:
     port a to ``match[a]`` through the transit steps ``steps[a]``, and
     ``join[s][a]`` is the port that smoothing s (1 in the state) joins to
     a.  Crossing-free components are the fixed closed paths from 4 * cro.
+    ``plan()`` is the group-free part of the state sum, built on first use.
     """
 
-    __slots__ = ("order", "index", "match", "join", "steps", "fixed")
+    __slots__ = ("order", "index", "match", "join", "steps", "fixed", "_plan")
 
     def __init__(self, d: Diagram):
         self.order = sorted(d.crossings)
@@ -139,6 +150,13 @@ class _Contraction:
             if not any(isinstance(ev, CrossVisit) for ev in comp.events):
                 self.fixed.append([len(self.steps)])
                 self.steps.append(tuple(transit_steps(d, ci)))
+        self._plan: Optional[List[_Step]] = None
+
+    def plan(self) -> List[_Step]:
+        """One ``_Step`` per crossing in smoothing order, built once and kept."""
+        if self._plan is None:
+            self._plan = _build_plan(self)
+        return self._plan
 
     def loops(self, mask: int) -> List[List[int]]:
         """Curves of the state given by mask, each as its list of paths."""
@@ -213,36 +231,95 @@ def _frontier_order(con: _Contraction) -> List[int]:
     return order
 
 
-def _glue(first: Dict[int, Tuple[int, Word]], second: Dict[int, Tuple[int, Word]],
-          group: Optional[GroupSpec]) -> Tuple[Dict[int, Tuple[int, Word]], List[Word]]:
-    """Two link maps joined at the ports they share.
+class _Step:
+    """One crossing of the plan: how the open ports before it reach those after.
 
-    A link map sends a port to the far end of its path and the word read
-    along it, and the far end back with the inverse word.  A port in both
-    maps joins a path of each.  Returns the links between the ports that
-    are in one map only, and the words of the closed loops.
+    The old and new frontiers are the open ports before and after the
+    crossing is smoothed, numbered by position: the ports that survive come
+    first in the new frontier, in their old order, then the open ports of
+    the crossing.  ``closing`` lists the old positions whose ports close
+    here.  A walk through the smoothing ends either at an old position,
+    where the smoothed part before the crossing takes over, or at new
+    position q, coded ~q.  For smoothing s, ``exits[s][k]`` is where the
+    walk that leaves old position k into the crossing ends (~q at once for
+    a port that survives at q), and ``starts[s][q]`` is where the walk that
+    leaves new position q first arrives (its own old position for a port
+    that survives).  ``exit_paths`` and ``start_paths`` hold the path
+    indices each walk crosses, and ``inner[s]`` those of each loop that
+    closes inside the crossing.
     """
-    links: Dict[int, Tuple[int, Word]] = {}
-    loops: List[Word] = []
-    met = set()
-    # the ends of paths first: a shared port left over lies on a loop
-    for a in (*(first.keys() ^ second.keys()), *(first.keys() & second.keys())):
-        if a in links or a in met:
-            continue
-        here, there = (first, second) if a in first else (second, first)
-        b, w = here[a]
-        while b in there and b != a:
-            met.add(b)
-            b, v = there[b]
-            if group:
-                w = mul(group, w, v)
-            here, there = there, here
-        if b == a:
-            loops.append(w)
-        else:
-            links[a] = (b, w)
-            links[b] = (a, inv(group, w) if group else None)
-    return links, loops
+
+    __slots__ = ("width", "closing", "exits", "starts", "exit_paths",
+                 "start_paths", "inner")
+
+    def __init__(self, con: _Contraction, i: int, closed: List[bool],
+                 old: List[int], new: List[int]):
+        match = con.match
+        ports = range(4 * i, 4 * i + 4)
+        at_old = {a: k for k, a in enumerate(old) if closed[a]}
+        at_new = {a: q for q, a in enumerate(new)}
+        self.width = len(new)
+        self.closing = list(at_old.values())
+        self.exits, self.starts = [], []
+        self.exit_paths, self.start_paths, self.inner = [], [], []
+        for join in con.join:
+            met = set()
+
+            def walk(c: int, path: List[int]) -> int:
+                """From port c of the crossing, reached through the smoothing."""
+                while closed[c]:
+                    path.append(c)
+                    far = match[c]
+                    if far in at_old:
+                        return at_old[far]
+                    met.update((c, far))         # a path back into the crossing
+                    c = join[far]
+                return ~at_new[c]
+
+            exits, exit_paths = [], []
+            for a in old:
+                path = [a] if closed[a] else []
+                exits.append(walk(join[match[a]], path) if path else ~at_new[a])
+                exit_paths.append(tuple(path))
+            starts = [k for k, a in enumerate(old) if not closed[a]]
+            start_paths = [()] * len(starts)
+            for p in ports:
+                if not closed[p]:
+                    path = []
+                    starts.append(walk(join[p], path))
+                    start_paths.append(tuple(path))
+            inner = []
+            for c in ports:
+                if closed[c] and match[c] in ports and c not in met:
+                    path = [c]
+                    met.update((c, match[c]))
+                    x = join[match[c]]
+                    while x != c:
+                        path.append(x)
+                        met.update((x, match[x]))
+                        x = join[match[x]]
+                    inner.append(tuple(path))
+            self.exits.append(exits)
+            self.exit_paths.append(exit_paths)
+            self.starts.append(starts)
+            self.start_paths.append(start_paths)
+            self.inner.append(inner)
+
+
+def _build_plan(con: _Contraction) -> List[_Step]:
+    """One ``_Step`` per crossing, in ``_frontier_order``."""
+    closed = [False] * len(con.match)
+    frontier: List[int] = []
+    plan = []
+    for i in _frontier_order(con):
+        ports = range(4 * i, 4 * i + 4)
+        for p in ports:
+            closed[con.match[p]] = True
+        old = frontier
+        frontier = ([a for a in old if not closed[a]]
+                    + [p for p in ports if not closed[p]])
+        plan.append(_Step(con, i, closed, old, frontier))
+    return plan
 
 
 def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
@@ -250,18 +327,23 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
                                                         Dict[Tuple[int, int], int]]:
     """{nontrivial classes: {(|C|, trivial loops): states}} over all states.
 
-    The crossings are smoothed one at a time.  A port is open while the far
-    end of its path is unsmoothed, and the smoothed part of every state is
-    a set of closed loops plus open paths joining the open ports in pairs.
-    States that pair the open ports alike (and, with a group, carry the
-    same words along those paths and the same closed classes) continue
-    alike, so the table keeps one integer tally per such key.  Without a
-    group every loop is trivial and every word is None.
+    The crossings are smoothed one at a time, as the plan of ``con`` says.
+    A port is open while the far end of its path is unsmoothed, and the
+    smoothed part of every state is a set of closed loops plus open paths
+    joining the open ports in pairs.  States that pair the open ports alike
+    (and, with a group, carry the same words along those paths and the same
+    closed classes) continue alike, so the table keeps one integer tally per
+    such key.  Without a group every loop is trivial and there are no words.
     """
-    match = con.match
-    stride = len(match) + len(con.fixed) + 1     # (k, e) is kept as k * stride + e
+    stride = len(con.match) + len(con.fixed) + 1     # (k, e) is kept as k * stride + e
     one = group.identity() if group else None
     classes_of: Dict[Word, ConjClass] = {}
+
+    def word(path: Sequence[int]) -> Word:
+        w = one
+        for p in path:
+            w = mul(group, w, path_words[p])
+        return w
 
     def classify(loops: List[Word]) -> Tuple[int, List[ConjClass]]:
         """The number of trivial loops, and the classes of the others."""
@@ -276,34 +358,55 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
                 found.append(cls)
         return len(loops) - len(found), found
 
-    closed = [False] * len(match)
-    frontier: List[int] = []
-    # (mates, words, classes): mates[j] is the open port that the path from
-    # frontier[j] ends at, words[j] the word read along that path
+    # (mates, words, classes): mates[j] is the frontier position that the
+    # path from position j ends at, words[j] the word read along that path
     table = {((), (), ()): {0: 1}}
-    for i in _frontier_order(con):
-        ports = range(4 * i, 4 * i + 4)
-        for p in ports:
-            closed[match[p]] = True
-        old = frontier
-        frontier = [p for p in old if not closed[p]] + [p for p in ports if not closed[p]]
-        # each smoothing links the ports it shuts or opens, and may close loops
-        paths = {a: (match[a], path_words[a] if group else None)
-                 for a in (*ports, *old) if closed[a]}
-        local = []
-        for join in con.join:
-            links, loops = _glue({p: (join[p], one) for p in ports}, paths, group)
-            local.append((links, *classify(loops)))
+    for step in con.plan():
+        width, closing = step.width, step.closing
         out: Dict[tuple, Dict[int, int]] = {}
-        for (mates, words, classes), weights in table.items():
-            before = dict(zip(old, zip(mates, words)))
-            for s, (links, trivial, found) in enumerate(local):
-                ends, loops = _glue(before, links, group)
+        for s in (0, 1):
+            exits, starts = step.exits[s], step.starts[s]
+            if group:
+                exit_words = [word(path) for path in step.exit_paths[s]]
+                start_words = [word(path) for path in step.start_paths[s]]
+                inner = classify([word(path) for path in step.inner[s]])
+            else:
+                inner = len(step.inner[s]), []
+            for (mates, words, classes), weights in table.items():
+                new = [-1] * width
+                new_words = [one] * width if group else None
+                seen = [False] * len(mates)
+                for q, y in enumerate(starts):
+                    if new[q] >= 0:
+                        continue
+                    w = start_words[q] if group else None
+                    # seen[y] holds only on an inconsistent plan: it keeps walks finite
+                    while y >= 0 and not seen[y]:
+                        z = mates[y]
+                        seen[y] = seen[z] = True
+                        if group:
+                            w = mul(group, mul(group, w, words[y]), exit_words[z])
+                        y = exits[z]
+                    new[q], new[~y] = ~y, q
+                    if group:
+                        new_words[q], new_words[~y] = w, inv(group, w)
+                loops = []
+                for k in closing:
+                    if seen[k]:
+                        continue
+                    y, w = k, one
+                    while not seen[y]:
+                        z = mates[y]
+                        seen[y] = seen[z] = True
+                        if group:
+                            w = mul(group, mul(group, w, words[y]), exit_words[z])
+                        y = exits[z]
+                    loops.append(w)
+                trivial, found = inner
                 if loops:
                     more_trivial, more_found = classify(loops)
                     trivial, found = trivial + more_trivial, found + more_found
-                key = (tuple([ends[a][0] for a in frontier]),
-                       tuple([ends[a][1] for a in frontier]),
+                key = (tuple(new), tuple(new_words) if group else (),
                        tuple(sorted(classes + tuple(found), key=ConjClass.sort_key))
                        if found else classes)
                 shift = s * stride + trivial
@@ -354,7 +457,12 @@ def state_term(d: Diagram, state: Iterable[str]) -> Laurent:
 
 def bracket(d: Diagram, max_crossings: Optional[int] = None) -> Laurent:
     """Sum of state terms over all subsets of the crossing set."""
-    con = _contract(d, max_crossings, "bracket")
+    _contract(d, max_crossings, "bracket")
+    return derived(d, "bracket", _bracket_of)
+
+
+def _bracket_of(d: Diagram) -> Laurent:
+    con = _contraction(d)
     (tally,) = _state_sum(con).values()
     return _tally_polynomial({(k, e - 1): c for (k, e), c in tally.items()},
                              len(con.order))

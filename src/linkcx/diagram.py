@@ -91,10 +91,11 @@ class Diagram:
     """Crossings, transits and components on a complex.
 
     A diagram is treated as immutable: the library keeps data derived from
-    it (arcs, visit maps, face maps, a passed validation, the face walks of
-    the move predicates, the state-sum contraction) keyed by the object, so
-    changing its dicts in place after a library call is unsupported.  Build a new diagram with
-    ``dataclasses.replace`` instead.
+    it (arcs, port ends, visit maps, crossing signs, face maps, a passed
+    validation, the face walks of the move predicates, the state-sum
+    contraction with its plan, the bracket) keyed by the object, so
+    changing its dicts in place after a library call is unsupported.  Build
+    a new diagram with ``dataclasses.replace`` instead.
     """
 
     complex: TwoComplex
@@ -112,39 +113,48 @@ class Diagram:
 # -- derived data ------------------------------------------------------
 
 _T = TypeVar("_T")
+_O = TypeVar("_O")
 
-# The record of the diagram used last: (weak reference to it, {key: value}).
-_last: Tuple[Callable[[], Optional[Diagram]], Dict[str, object]] = (lambda: None, {})
+class _Record:
+    """Derived data for the object used last: one slot, (weak reference, record).
 
-
-def derived(d: Diagram, key: str, build: Callable[[Diagram], _T]) -> _T:
-    """``build(d)``, computed once and kept under ``key`` in the record of ``d``.
-
-    One module-level slot holds the record of the diagram used last, with a
-    weak reference to that diagram; a call with another diagram replaces
-    the slot in one assignment.  The identity check means that an equal
-    but distinct diagram, or a new one that reuses the address of a freed
-    one, starts from an empty record.  There is one slot, not a record per
-    diagram, because a caller that keeps many diagrams alive would keep all
+    ``get(obj, key, build)`` is ``build(obj)``, computed once and kept under
+    ``key`` in the record of ``obj``.  A call with another object replaces
+    the slot in one assignment.  The identity check means that an equal but
+    distinct object, or a new one that reuses the address of a freed one,
+    starts from an empty record.  There is one slot, not a record per
+    object, because a caller that keeps many objects alive would keep all
     their records alive too.  A build that raises stores nothing, and puts
     back the slot it replaced: a move whose result fails validation leaves
     the record of the diagram it was applied to.  The value is shared by
     every caller: do not change it.
     """
-    global _last
-    last = _last
-    ref, record = last
-    if ref() is not d:
-        record = {}
-        _last = (weakref.ref(d), record)
-    if key not in record:
-        try:
-            record[key] = build(d)
-        except BaseException:
-            if record is not last[1]:
-                _last = last
-            raise
-    return record[key]
+
+    __slots__ = ("last",)
+
+    def __init__(self):
+        self.last: Tuple[Callable[[], object], Dict[str, object]] = (lambda: None, {})
+
+    def get(self, obj: _O, key: str, build: Callable[[_O], _T]) -> _T:
+        last = self.last
+        ref, record = last
+        if ref() is not obj:
+            record = {}
+            self.last = (weakref.ref(obj), record)
+        if key not in record:
+            try:
+                record[key] = build(obj)
+            except BaseException:
+                if record is not last[1]:
+                    self.last = last
+                raise
+        return record[key]
+
+
+# The record of the diagram used last, and that of the complex used last:
+# data that depends on the complex alone outlives a change of diagram.
+derived = _Record().get
+complex_derived = _Record().get
 
 
 # -- slots and arcs ----------------------------------------------------
@@ -186,6 +196,26 @@ def arcs_of(d: Diagram) -> List[Arc]:
                            enter_slot(comp.events[(ai + 1) % k]),
                            comp.arc_faces[ai]))
     return out
+
+
+def port_ends(d: Diagram) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
+    """(crossing, port) -> (arc, end) of the arc end at that port.
+
+    ``end`` is 0 where the arc leaves the port and 1 where it arrives.  The
+    map is kept in the record of d.
+    """
+
+    def build(d: Diagram) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
+        out = {}
+        for arc in derived(d, "arcs", arcs_of):
+            if arc.src is None:
+                continue
+            for end, slot in ((0, arc.src), (1, arc.dst)):
+                if slot[0] == "x":
+                    out[(slot[1], slot[2])] = (arc, end)
+        return out
+
+    return derived(d, "port_ends", build)
 
 
 def slot_face(d: Diagram, slot: Slot) -> str:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .diagram import (Component, Crossing, CrossVisit, Diagram, PlanarCode,
-                      Transit, TransitVisit, _normalized_positions, arcs_of, derived,
+                      Transit, TransitVisit, _normalized_positions, port_ends,
                       validate_diagram)
 from .errors import FormatError
 from .groups import GroupSpec, text_to_word, word_to_text
@@ -116,30 +116,18 @@ def _parse_event(token: str, n: int):
     return TransitVisit(ident, int(num))
 
 
-def _port_ends(d: Diagram) -> Dict[Tuple[str, int], Tuple[int, int, int]]:
-    """(crossing, port) -> (component, arc, end) of the arc end at that port."""
-    out = {}
-    for arc in derived(d, "arcs", arcs_of):
-        if arc.src is None:
-            continue
-        for end, slot in ((0, arc.src), (1, arc.dst)):
-            if slot[0] == "x":
-                out[(slot[1], slot[2])] = (arc.comp, arc.index, end)
-    return out
-
-
 def serialize_diagram(d: Diagram) -> str:
     """Write a diagram; components are named k1, k2, ... in order."""
     out = [f"diagram on {d.complex.name}"]
     # ports are reported as arc-end references derived from the components
-    port_end = _port_ends(d)
+    port_end = port_ends(d)
     for c in sorted(d.crossings):
         cr = d.crossings[c]
         try:
             ends = [port_end[(c, p)] for p in range(4)]
         except KeyError:
             raise FormatError(f"crossing {c!r} has unused ports")
-        refs = " ".join(f"k{ci + 1}.{ai}.{end}" for ci, ai, end in ends)
+        refs = " ".join(f"k{arc.comp + 1}.{arc.index}.{end}" for arc, end in ends)
         out.append(f"crossing {c} in {cr.face} ports {refs} dots {cr.dot}")
     pos = _normalized_positions(d)
     for t in sorted(d.transits):
@@ -257,7 +245,8 @@ def _check_port_refs(d: Diagram, ports: Dict[str, Tuple[str, ...]],
                      comp_names: List[str]) -> None:
     """The serialized arc-end references must match the component data."""
     names = {f"k{i + 1}": i for i in range(len(d.components))}
-    actual = {port: "{}.{}.{}".format(*end) for port, end in _port_ends(d).items()}
+    actual = {port: f"{arc.comp}.{arc.index}.{end}"
+              for port, (arc, end) in port_ends(d).items()}
     for c, refs in ports.items():
         if c not in d.crossings:
             raise FormatError(f"port list for unknown crossing {c!r}")

@@ -68,15 +68,22 @@ def crossing_sign(d: Diagram, c: str) -> int:
 
 
 def _all_signs(d: Diagram, need_directed: bool) -> Dict[str, Tuple[int, int, int]]:
-    """crossing -> (sign, component of first visit, component of second)."""
-    out = {}
-    for c, (v1, v2) in _visit_pairs(d).items():
-        if need_directed:
-            for ci, _ei in (v1, v2):
-                if not d.components[ci].directed:
-                    raise DiagramError("diagram is not fully directed")
-        out[c] = (_sign_from_visits(d, c, v1, v2), v1[0], v2[0])
-    return out
+    """crossing -> (sign, component of first visit, component of second).
+
+    The table is kept in the record of d; the direction check runs on
+    every call.
+    """
+    signs = derived(d, "signs", _signs_of)
+    if need_directed:
+        for _sign, c1, c2 in signs.values():
+            if not (d.components[c1].directed and d.components[c2].directed):
+                raise DiagramError("diagram is not fully directed")
+    return signs
+
+
+def _signs_of(d: Diagram) -> Dict[str, Tuple[int, int, int]]:
+    return {c: (_sign_from_visits(d, c, v1, v2), v1[0], v2[0])
+            for c, (v1, v2) in _visit_pairs(d).items()}
 
 
 def lk(d: Diagram) -> int:

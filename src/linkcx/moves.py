@@ -39,8 +39,9 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
-                      Transit, TransitVisit, arcs_of, crossing_visits, derived,
-                      edge_transit_order, face_maps, valid_face_maps, validate_diagram)
+                      Transit, TransitVisit, arcs_of, complex_derived,
+                      crossing_visits, derived, edge_transit_order, face_maps,
+                      port_ends, valid_face_maps, validate_diagram)
 from .errors import DiagramError, MoveError
 from .invariants import _sign_from_visits, _visit_pairs
 from .twocomplex import (Incidence, PointClass, TwoComplex, corner_vertex, edge_class,
@@ -681,27 +682,11 @@ def _candidates_m5(d: Diagram, kind: MoveKind) -> _Rows:
                  + [(len(retracts), retracts.__getitem__)])
 
 
-def _port_arcs(d: Diagram) -> Dict[Tuple[str, int], Arc]:
-    """(crossing, port) -> the arc that ends there, kept in the record of d."""
-
-    def build(d: Diagram) -> Dict[Tuple[str, int], Arc]:
-        out = {}
-        for arc in derived(d, "arcs", arcs_of):
-            if arc.src is None:
-                continue
-            for slot in (arc.src, arc.dst):
-                if slot[0] == "x":
-                    out[(slot[1], slot[2])] = arc
-        return out
-
-    return derived(d, "port_arcs", build)
-
-
 @_listed
 def _candidates_m5_retract(d: Diagram, kind: MoveKind):
-    port_arc = _port_arcs(d)
+    port_end = port_ends(d)
     for c in sorted(d.crossings):
-        info = _retract_info(d, c, port_arc)
+        info = _retract_info(d, c, port_end)
         if info is None:
             continue
         fan_rot = info["fan_rot"]
@@ -709,15 +694,15 @@ def _candidates_m5_retract(d: Diagram, kind: MoveKind):
             yield MoveSite.make(kind, crossing=c, mode="retract")
 
 
-def _retract_info(d: Diagram, c: str, port_arc) -> Optional[dict]:
+def _retract_info(d: Diagram, c: str, port_end) -> Optional[dict]:
     """Check that all four strands of c immediately transit one edge."""
     cr = d.crossings[c]
     transit_of = {}
     for p in range(4):
-        arc = port_arc.get((c, p))
-        if arc is None:
+        if (c, p) not in port_end:
             return None
-        other = arc.dst if arc.src == ("x", c, p) else arc.src
+        arc, end = port_end[(c, p)]
+        other = arc.src if end else arc.dst
         if other is None or other[0] != "t":
             return None
         transit_of[p] = (other[1], other[2])
@@ -819,7 +804,7 @@ def _apply_m5_push(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     c = site.get("crossing")
-    info = _retract_info(d, c, _port_arcs(d))
+    info = _retract_info(d, c, port_ends(d))
     if info is None:
         raise MoveError("crossing is not retractable across an edge")
     if _m5_kind_of(d.crossings[c].dot, info["fan_rot"]) is not kind:
@@ -1012,8 +997,10 @@ def _candidates_m7(d: Diagram, kind: MoveKind) -> _Rows:
                                         entry=entries[j >> 1], length=0,
                                         forward=not j & 1))
 
+    cycles = complex_derived(cx, "link_cycles",
+                             lambda cx: {v: _link_cycles(cx, v) for v in cx.vertices})
     for v in cx.vertices:
-        for cycle in _link_cycles(cx, v):
+        for cycle in cycles[v]:
             entries: Dict[str, List[int]] = {}
             for entry, (_node, corner) in enumerate(cycle):
                 entries.setdefault(corner[0], []).append(entry)

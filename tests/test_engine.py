@@ -7,6 +7,7 @@ brackets are compared through their text, byte for byte.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,26 @@ def test_fuzzed_diagrams(base, seed):
     b = example(*base)
     d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
     assert_engine_matches_brute(d, b.connection)
+
+
+@pytest.mark.parametrize("base", FUZZ_BASES)
+def test_fuzzed_diagrams_on_fixed_seeds(base):
+    # open paths read backwards carry inverse words: these seeds always run
+    b = example(*base)
+    for seed in range(3):
+        d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
+        assert_engine_matches_brute(d, b.connection)
+
+
+def test_wide_frontiers():
+    # T(k, k) = (s1 ... s(k-1))^k keeps 2k ports open
+    disc = build_disc()
+    conn = Connection.trivial(disc, GroupSpec.free())
+    for k in (3, 4):
+        code = braid_code(list(range(1, k)) * k, k)
+        d = draw_local(disc, "F", code)
+        assert bracket(d) == classical_oracle(code)
+        assert_engine_matches_brute(d, conn)
 
 
 def test_crossing_free_diagrams():

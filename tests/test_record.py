@@ -2,23 +2,34 @@
 
 One module-level slot holds (weak reference to a diagram, its record).
 These tests check that a record serves only the object it was built for,
-that the three state sums share one contraction, that a rejected move
-leaves its input's record in the slot, and that the order of calls across
-diagrams never changes a result.
+that the three state sums share one contraction and one plan, that a
+diagram's bracket and sign table are computed once while the checks on
+each call still run, that a rejected move leaves its input's record in the
+slot, and that the order of calls across diagrams never changes a result.
+The link cycles of M7 live in a record of their own, kept per complex.
 """
 
 import gc
+import importlib
 from dataclasses import replace
 
 import pytest
 
 from linkcx import diagram as dg
-from linkcx.bracket import _Contraction, all_state_counts, bracket
+from linkcx import moves as mv
+from linkcx.bracket import (_Contraction, all_state_counts, bracket,
+                            check_span_theorem, normalized_bracket,
+                            normalized_bracket_oriented)
 from linkcx.diagram import derived, validate_diagram
-from linkcx.errors import MoveError
+from linkcx.errors import CrossingCapError, DiagramError, MoveError
 from linkcx.examples import example
 from linkcx.homotopy import LK, co, homotopy_bracket
+from linkcx.invariants import Wri, lk, pairwise_lk, parity_check, wri
 from linkcx.moves import MoveKind, apply, candidate_sites, fuzz
+
+# ``linkcx.bracket`` is also the name of a function in the package
+br = importlib.import_module("linkcx.bracket")
+inv = importlib.import_module("linkcx.invariants")
 
 
 def _count_contractions(monkeypatch):
@@ -41,6 +52,77 @@ def test_the_three_state_sums_share_one_contraction(monkeypatch):
     homotopy_bracket(d, bundle.connection)
     all_state_counts(d)
     assert builds == [d]
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_diagram_has_one_bracket_state_sum(monkeypatch):
+    d = replace(example("Ln", 2).diagram)
+    sums = _counting(monkeypatch, br, "_state_sum")
+    b = bracket(d)
+    normalized_bracket(d)
+    normalized_bracket_oriented(d)
+    assert check_span_theorem(d)
+    assert bracket(d) is b
+    assert len(sums) == 1
+
+
+def test_a_kept_bracket_still_checks_the_crossing_cap():
+    d = replace(example("Kn", 2).diagram)
+    n = len(d.crossings)
+    bracket(d, max_crossings=n)
+    with pytest.raises(CrossingCapError):
+        bracket(d, max_crossings=n - 1)
+    with pytest.raises(CrossingCapError):
+        normalized_bracket(d, max_crossings=n - 1)
+    with pytest.raises(CrossingCapError):
+        check_span_theorem(d, max_crossings=n - 1)
+
+
+def test_homotopy_bracket_reuses_the_plan_of_bracket(monkeypatch):
+    bundle = example("Ln", 3)
+    d = replace(bundle.diagram)
+    plans = _counting(monkeypatch, br, "_build_plan")
+    bracket(d)
+    homotopy_bracket(d, bundle.connection)
+    homotopy_bracket(d, bundle.connection)
+    assert len(plans) == 1
+
+
+def test_the_sign_table_is_kept_and_the_direction_is_checked_on_every_call(monkeypatch):
+    d = replace(example("Ln", 2).diagram)
+    signs = _counting(monkeypatch, inv, "_sign_from_visits")
+    for f in (wri, Wri, lk, parity_check, lambda d: pairwise_lk(d, 0, 1), wri):
+        f(d)
+    assert len(signs) == len(d.crossings)
+    undirected = replace(d, components=tuple(replace(c, directed=False)
+                                             for c in d.components))
+    assert wri(undirected) == wri(d)
+    wri(undirected)                      # the table of undirected is kept now
+    for f in (Wri, lk, parity_check, lambda d: pairwise_lk(d, 0, 1)):
+        with pytest.raises(DiagramError, match="not fully directed"):
+            f(undirected)
+
+
+def test_link_cycles_are_kept_per_complex(monkeypatch):
+    d = replace(example("torus_link").diagram)
+    cycles = _counting(monkeypatch, mv, "_link_cycles")
+    first = candidate_sites(d, MoveKind.M7)
+    # another diagram on the same complex takes the diagram slot, not the cycles
+    other = fuzz(d, 3, 0, max_crossings=4, max_transits=8)[0]
+    candidate_sites(other, MoveKind.M7)
+    assert candidate_sites(replace(d), MoveKind.M7) == first
+    assert len(cycles) == len(d.complex.vertices)
 
 
 def test_an_equal_but_distinct_diagram_gets_its_own_record(monkeypatch):
