@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -210,24 +211,29 @@ def _tally_polynomial(tally: Dict[Tuple[int, int], int], n: int) -> Laurent:
 
 
 def _frontier_order(con: _Contraction) -> List[int]:
-    """Crossing indices in smoothing order: each next one leaves fewest ports open."""
+    """Crossing indices in smoothing order: each next one leaves fewest ports open.
+
+    grow[i] counts i's paths to unsmoothed crossings less those to smoothed
+    ones.  It only falls, so a crossing's newest heap entry pops before its
+    older ones, and the least (grow, i) of an unsmoothed crossing goes next.
+    """
     n = len(con.order)
+    far = [[q >> 2 for q in con.match[4 * i:4 * i + 4] if q >> 2 != i]
+           for i in range(n)]
+    grow = [len(f) for f in far]
+    heap = sorted(zip(grow, range(n)))
     done = [False] * n
     order = []
-    for _ in range(n):
-        best, best_grow = -1, 5
-        for i in range(n):
-            if done[i]:
-                continue
-            grow = 0
-            for p in range(4 * i, 4 * i + 4):
-                j = con.match[p] >> 2
-                if j != i:
-                    grow += -1 if done[j] else 1
-            if grow < best_grow:
-                best, best_grow = i, grow
-        done[best] = True
-        order.append(best)
+    while heap:
+        _g, i = heappop(heap)
+        if done[i]:
+            continue
+        done[i] = True
+        order.append(i)
+        for j in far[i]:
+            if not done[j]:
+                grow[j] -= 2
+                heappush(heap, (grow[j], j))
     return order
 
 

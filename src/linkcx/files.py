@@ -310,7 +310,10 @@ def parse_connection(text: str, cx: TwoComplex) -> Connection:
                 names = parts[3:]
                 if len(names) != rank:
                     raise FormatError("generator names do not match the rank", n)
-                group = GroupSpec.free(*names)
+                try:
+                    group = GroupSpec.free(*names)
+                except ValueError as exc:
+                    raise FormatError(str(exc), n)
             elif len(parts) == 3 and parts[1] == "abelian":
                 try:
                     group = GroupSpec.abelian(int(parts[2]))

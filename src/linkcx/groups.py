@@ -29,6 +29,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in ("free", "abelian"):
             raise ValueError(f"unknown group kind {self.kind!r}")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("generator names repeat")
 
     @classmethod
     def free(cls, *names: str) -> "GroupSpec":
@@ -36,6 +38,8 @@ class GroupSpec:
 
     @classmethod
     def abelian(cls, rank: int) -> "GroupSpec":
+        if rank < 0:
+            raise ValueError(f"negative group rank {rank}")
         return cls("abelian", tuple(f"g{i + 1}" for i in range(rank)))
 
     @property
@@ -65,8 +69,14 @@ def reduce_word(letters) -> Word:
 
 
 def mul(spec: GroupSpec, a: Word, b: Word) -> Word:
+    """Product; free words must be reduced, so only where a meets b cancels."""
     if spec.kind == "free":
-        return reduce_word(a + b)
+        if not a or not b:
+            return a or b
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1] == -b[j]:
+            i, j = i - 1, j + 1
+        return a[:i] + b[j:]
     return tuple(x + y for x, y in zip(a, b))
 
 

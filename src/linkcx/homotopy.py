@@ -13,7 +13,10 @@ The homotopy bracket implemented here coarsens curve systems to finite
 multisets of nontrivial conjugacy classes: every curve whose class is
 trivial is deleted and replaced by the factor (-A^2 - A^-2).  Curves in a
 state carry no preferred direction, so their classes are additionally
-canonicalized up to inversion.
+canonicalized up to inversion.  A diagram whose path holonomies are all
+trivial (every braid closure in a disc, say) has only trivial curves, so
+its homotopy bracket is (-A^2 - A^-2) times its kept bracket, under the
+empty multiset, and no group state sum runs.
 
 The three value types, PiElement (LK), TensorElement (co) and
 SystemElement (the homotopy bracket), share one term algebra and one text
@@ -30,12 +33,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 # state_curves is re-exported: callers look it up here too
-from .bracket import (_contract, _state_sum, _tally_polynomial,  # noqa: F401
-                      state_curves)
-from .diagram import Diagram, transit_steps
+from .bracket import (_bracket_of, _contract, _state_sum,  # noqa: F401
+                      _tally_polynomial, state_curves)
+from .diagram import Diagram, derived, transit_steps
 from .errors import DiagramError
 from .groups import (ConjClass, GroupSpec, Word, conj_class, inv, mul,
-                     text_to_word, word_to_text)
+                     reduce_word, text_to_word, word_to_text)
 from .invariants import _sign_from_visits, _visit_pairs, wri
 from .laurent import Laurent
 from .twocomplex import Incidence, TwoComplex
@@ -60,6 +63,12 @@ LabelKey = Tuple[str, Incidence]
 class Connection:
     group: GroupSpec
     labels: Dict[LabelKey, Word]
+
+    def __post_init__(self):
+        # reduced labels make every holonomy product a junction-only one
+        if self.group.kind == "free":
+            object.__setattr__(self, "labels", {key: reduce_word(w) for key, w
+                                                in self.labels.items()})
 
     def h(self, edge: str, inc: Incidence) -> Word:
         try:
@@ -309,10 +318,15 @@ def homotopy_bracket(d: Diagram, conn: Connection,
 
     Each state contributes A^(2|C| - cro) times the coarsened class of its
     curve system: trivial curves each become a factor (-A^2 - A^-2) and
-    the remaining classes form the basis multiset.
+    the remaining classes form the basis multiset.  With every path word
+    trivial, it is the loop factor times the kept bracket.
     """
     con = _contract(d, max_crossings, "homotopy bracket")
     path_words = [holonomy(conn, steps) for steps in con.steps]
+    one = conn.group.identity()
+    if all(w == one for w in path_words):
+        kept = derived(d, "bracket", _bracket_of)
+        return SystemElement({(): Laurent.loop_factor() * kept})
     n = len(con.order)
     return SystemElement({key: _tally_polynomial(tally, n) for key, tally
                           in _state_sum(con, conn.group, path_words).items()})

@@ -250,3 +250,23 @@ def test_a_one_character_event_is_a_format_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad event ')'" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group, labels", [
+    ("group abelian -2", {"g1": "1", "g2": "1"}),
+    ("group free 2 a a", {"g1": "a", "g2": "a"})], ids=["negative rank", "repeated name"])
+@pytest.mark.parametrize("command", ["inv", "bracket --homotopy"])
+def test_a_bad_group_line_is_a_format_error(tmp_path, capsys, command, group, labels):
+    # both were read as groups: rank 0, and a name that meant generator 2
+    cx, d, conn = _emit(tmp_path, "torus_link")
+    text = conn.read_text().replace("group abelian 2", group)
+    for old, new in labels.items():
+        text = text.replace(f"= {old}\n", f"= {new}\n")
+    conn.write_text(text)
+    argv = {"inv": ["inv", cx, d],
+            "bracket --homotopy": ["bracket", cx, d, "--homotopy"]}[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv + ["--conn", conn]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 2: ") and captured.out == ""
+    assert captured.err.count("\n") == 1

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkcx import moves as mv
-from linkcx.bracket import _Contraction, bracket, classical_oracle
+from linkcx.bracket import (_Contraction, _frontier_order, _state_sum,
+                            _tally_polynomial, bracket, classical_oracle)
 from linkcx.diagram import PlanarCode, braid_code, draw_local, mirror
+from linkcx.errors import MoveError
 from linkcx.examples import EXAMPLE_IDS, example
 from linkcx.groups import GroupSpec, mul, unoriented_class
 from linkcx.homotopy import (Connection, SystemElement, holonomy,
@@ -162,3 +164,69 @@ def test_sixty_crossing_closure_specializes():
     conn = Connection.trivial(build_disc(), GroupSpec.free())
     h = homotopy_bracket(d, conn, max_crossings=60)
     assert h.specialize(LOOP) == LOOP * bracket(d, max_crossings=60)
+
+
+# -- the group kernel where the trivial-holonomy shortcut answers -------------
+
+def test_group_kernel_matches_the_shortcut_on_trivial_holonomy():
+    # homotopy_bracket no longer runs the group kernel on these inputs
+    disc = build_disc()
+    conn = Connection.trivial(disc, GroupSpec.free())
+    cases = [(_closure(list(range(1, k)) * k, k), conn) for k in (3, 4, 5)]
+    cases += [(example(name).diagram, example(name).connection)
+              for name in ("trefoil_left", "hopf_local", "unknot_local")]
+    rng = random.Random(11)
+    for _ in range(20):
+        strands = rng.randint(2, 5)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 10))]
+        cases.append((_closure(word, strands), conn))
+    for d, c in cases:
+        con = _Contraction(d)
+        words = [holonomy(c, steps) for steps in con.steps]
+        assert all(w == c.group.identity() for w in words)
+        n = len(con.order)
+        kernel = SystemElement({key: _tally_polynomial(tally, n) for key, tally
+                                in _state_sum(con, c.group, words).items()})
+        assert kernel.to_text(c.group) == homotopy_bracket(d, c).to_text(c.group)
+
+
+# -- the smoothing order ----------------------------------------------------
+
+def scanned_frontier_order(con):
+    """The order by a full rescan per pick: the lowest index of least grow."""
+    n = len(con.order)
+    done = [False] * n
+    order = []
+    for _ in range(n):
+        best, best_grow = -1, 5
+        for i in range(n):
+            if done[i]:
+                continue
+            grow = 0
+            for p in range(4 * i, 4 * i + 4):
+                j = con.match[p] >> 2
+                if j != i:
+                    grow += -1 if done[j] else 1
+            if grow < best_grow:
+                best, best_grow = i, grow
+        done[best] = True
+        order.append(best)
+    return order
+
+
+def test_frontier_order_matches_the_scan():
+    diagrams = [_closure(list(range(1, k)) * k, k) for k in range(3, 11)]
+    for b in _bundles():
+        for d in (b.diagram, mirror(b.diagram)):
+            diagrams.append(d)
+            for seed in range(3):
+                try:
+                    diagrams.append(mv.fuzz(d, 20, seed, max_crossings=8,
+                                            max_transits=12)[0])
+                except MoveError:
+                    pass
+    assert len(diagrams) > 100
+    for d in diagrams:
+        con = _Contraction(d)
+        assert _frontier_order(con) == scanned_frontier_order(con)
