@@ -17,11 +17,12 @@ dots: 0 puts them in sectors (p0,p1) and (p2,p3), 1 in (p1,p2) and
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
-                    TypeVar, Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple, TypeVar, Union)
 
 from .errors import DiagramError
 from .twocomplex import Incidence, PointClass, TwoComplex, edge_class
@@ -162,20 +163,7 @@ complex_derived = _Record().get
 Slot = Tuple[str, str, int]      # ("x", crossing, port) or ("t", transit, side)
 
 
-def enter_slot(ev: Event) -> Slot:
-    if isinstance(ev, CrossVisit):
-        return ("x", ev.crossing, ev.enter)
-    return ("t", ev.transit, ev.enter)
-
-
-def exit_slot(ev: Event) -> Slot:
-    if isinstance(ev, CrossVisit):
-        return ("x", ev.crossing, (ev.enter + 2) % 4)
-    return ("t", ev.transit, 1 - ev.enter)
-
-
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     comp: int
     index: int
     src: Optional[Slot]          # None for a closed circle
@@ -190,11 +178,13 @@ def arcs_of(d: Diagram) -> List[Arc]:
         if k == 0:
             out.append(Arc(ci, 0, None, None, comp.arc_faces[0]))
             continue
-        for ai in range(k):
-            out.append(Arc(ci, ai,
-                           exit_slot(comp.events[ai]),
-                           enter_slot(comp.events[(ai + 1) % k]),
-                           comp.arc_faces[ai]))
+        # (enter slot, exit slot) of each event
+        ends = [(("x", ev.crossing, ev.enter), ("x", ev.crossing, (ev.enter + 2) % 4))
+                if isinstance(ev, CrossVisit) else
+                (("t", ev.transit, ev.enter), ("t", ev.transit, 1 - ev.enter))
+                for ev in comp.events]
+        out += [Arc(ci, ai, ends[ai][1], ends[ai + 1 - k][0], comp.arc_faces[ai])
+                for ai in range(k)]
     return out
 
 
@@ -218,13 +208,6 @@ def port_ends(d: Diagram) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
     return derived(d, "port_ends", build)
 
 
-def slot_face(d: Diagram, slot: Slot) -> str:
-    kind, ident, k = slot
-    if kind == "x":
-        return d.crossings[ident].face
-    return d.transits[ident].sides[k][0]
-
-
 def crossing_visits(d: Diagram) -> Dict[str, List[Tuple[int, int]]]:
     """crossing id -> [(component index, event index)] in listing order."""
     out: Dict[str, List[Tuple[int, int]]] = {c: [] for c in d.crossings}
@@ -245,17 +228,33 @@ def transit_visits(d: Diagram) -> Dict[str, List[Tuple[int, int]]]:
 
 
 def _transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:
-    """edge -> its transits by increasing position, for every edge with one."""
-    on_edge: Dict[str, List[str]] = {}
+    """edge -> its transits by increasing position, for every edge with one.
+
+    Edges, and transits at equal positions, keep their ``d.transits`` order.
+    Fraction positions sort as integers over their common denominator.
+    """
+    on_edge: Dict[str, List[Tuple[object, str]]] = {}
     for t, tr in d.transits.items():
-        on_edge.setdefault(tr.edge, []).append(t)
-    return {e: tuple(sorted(ts, key=lambda t: d.transits[t].pos))
-            for e, ts in on_edge.items()}
+        on_edge.setdefault(tr.edge, []).append((tr.pos, t))
+    out = {}
+    for e, items in on_edge.items():
+        keys = [p for p, _t in items]
+        if len(keys) > 1 and all(type(p) is Fraction for p in keys):
+            lcd = math.lcm(*[p.denominator for p in keys])
+            keys = [p.numerator * (lcd // p.denominator) for p in keys]
+        out[e] = tuple(items[i][1] for i in sorted(range(len(keys)), key=keys.__getitem__))
+    return out
 
 
 def edge_transit_order(d: Diagram, edge: str) -> List[str]:
     """Transits on an edge, by increasing position."""
     return list(derived(d, "transit_orders", _transit_orders).get(edge, ()))
+
+
+def boundary_edges(cx: TwoComplex) -> FrozenSet[str]:
+    """The edges of cx that bound a single face, kept in the record of cx."""
+    return complex_derived(cx, "boundary_edges", lambda cx: frozenset(
+        e for e in cx.edges if edge_class(cx, e).kind is PointClass.BOUNDARY))
 
 
 # -- face boundary and the planarity certificate ------------------------
@@ -264,21 +263,24 @@ def boundary_marks(d: Diagram) -> Dict[str, List[Tuple[str, int]]]:
     """Face -> transit ends on its boundary, in boundary-word cyclic order.
 
     Each mark is (transit id, side index of the end lying on the face).
-    One scan of the transits serves every face.
+    A side lists its edge's transits in the order kept in the record of d,
+    reversed where the side runs against the edge.
     """
-    on_side: Dict[Tuple[str, int, str], List[Tuple[Fraction, str, int]]] = {}
-    for t, tr in d.transits.items():
-        for k in (0, 1):
-            f, j = tr.sides[k]
-            on_side.setdefault((f, j, tr.edge), []).append((tr.pos, t, k))
+    transits = d.transits
+    on_side: Dict[Tuple[str, int, str], List[Tuple[str, int]]] = {}
+    for e, order in derived(d, "transit_orders", _transit_orders).items():
+        for t in order:
+            sides = transits[t].sides
+            for k in (0, 1):
+                f, j = sides[k]
+                on_side.setdefault((f, j, e), []).append((t, k))
     out = {}
     for f, word in d.complex.faces.items():
         marks: List[Tuple[str, int]] = []
         for j, (e, direction) in enumerate(word):
             side = on_side.get((f, j, e))
             if side:
-                side.sort(reverse=(direction < 0))
-                marks.extend((t, k) for _pos, t, k in side)
+                marks.extend(side if direction > 0 else reversed(side))
         out[f] = marks
     return out
 
@@ -286,18 +288,22 @@ def boundary_marks(d: Diagram) -> Dict[str, List[Tuple[str, int]]]:
 class FaceMap:
     """The face tangle closed with its boundary circle, as a rotation map.
 
-    Rotations: crossings carry their four ports counterclockwise; each
-    boundary mark carries (segment to next mark, arc end, segment from
-    previous mark) counterclockwise, which matches a boundary walked in
-    word order with the face interior on its left.
+    Crossings carry their four ports counterclockwise.  The boundary
+    circle is contracted to one node that carries the marks' arc ends in
+    reverse order: walked in word order, interior on the left, the circle
+    turns from the arc at a mark into the arc of the mark before.  This
+    keeps V - E + F and the components, and drops only the walk outside
+    the circle, which holds no arc (Mohar & Thomassen, 2001, ch. 3-4).
 
-    Darts are numbered node by node: crossing ``nodes[i]`` owns darts
-    ``4i .. 4i+3`` (its ports), and boundary mark ``m`` owns the three
-    darts from ``mark_dart(m, 0)``.  ``alpha`` pairs the two ends of an
-    arc or a boundary segment, ``succ`` is the counterclockwise successor
-    at a node, ``orbits`` are the face walks (dart -> ``succ[alpha[dart]]``,
-    region on the right of each traversed edge) and ``orbit_of`` names the
-    walk through each dart.
+    Darts: crossing ``x_index[c]`` = i owns ``4i .. 4i+3`` (its ports), and
+    mark m owns ``mark_dart(m)``.  ``alpha`` pairs the ends of an arc,
+    ``arc_of`` names its (component, index), ``orbits`` are the face walks
+    (dart -> successor of ``alpha[dart]`` at its node, region on the right)
+    and ``orbit_of`` names the walk through each dart; the walk through
+    ``mark_dart(m)`` is the region between marks m and m + 1.
+    ``component`` holds equal labels for connected nodes: entry i
+    for crossing i and, if there are marks, a last one for the boundary
+    node, which ``node_of`` gives for a mark's dart.
     """
 
     def __init__(self, crossings: List[str], arcs: List[Arc],
@@ -308,29 +314,26 @@ class FaceMap:
         ``ok`` is False when an arc end has no dart in this face (its
         crossing lies elsewhere, or its transit end is not one of the
         face's marks), when two arcs share a dart, or when a dart is left
-        unmatched.
+        unmatched; such a map has no walks.
         """
         self.ok = True
         self.marks = marks
         n_x, n_marks = len(crossings), len(marks)
-        self.nodes = [("x", c) for c in crossings] + [("b", i) for i in range(n_marks)]
         self.mark_base = base = 4 * n_x
-        n_darts = base + 3 * n_marks
-        self.x_index = {c: i for i, c in enumerate(crossings)}
-        self.mark_index = {m: i for i, m in enumerate(marks)}
+        n_darts = base + n_marks
+        self.x_index = x_index = {c: i for i, c in enumerate(crossings)}
+        # the dart of each mark, keyed by the slot of the arc end on it
+        self.mark_end = mark_end = {("t",) + m: base + i for i, m in enumerate(marks)}
         alpha = [-1] * n_darts
         arc_of: List[Optional[Tuple[int, int]]] = [None] * n_darts
-
-        # boundary mark slots: 0 = to next mark, 1 = arc end, 2 = to previous
-        for i in range(n_marks):
-            a, b = base + 3 * i, base + 3 * ((i + 1) % n_marks) + 2
-            alpha[a], alpha[b] = b, a
-
-        slot_dart = self.slot_dart
+        # a label per crossing and for the boundary node (entry n_x)
+        component = list(range(n_x + bool(n_marks)))
         for arc in arcs:
+            src, dst = arc.src, arc.dst
             try:
                 # an end off this face has no dart here
-                a, b = slot_dart(arc.src), slot_dart(arc.dst)
+                a = 4 * x_index[src[1]] + src[2] if src[0] == "x" else mark_end[src]
+                b = 4 * x_index[dst[1]] + dst[2] if dst[0] == "x" else mark_end[dst]
             except KeyError:
                 self.ok = False
                 return
@@ -338,61 +341,48 @@ class FaceMap:
                 self.ok = False
                 return
             alpha[a], alpha[b] = b, a
-            arc_of[a] = arc_of[b] = (arc.comp, arc.index)
-
+            arc_of[a] = arc_of[b] = arc[:2]
+            ca, cb = component[a >> 2 if a < base else n_x], component[b >> 2 if b < base else n_x]
+            if ca != cb:
+                component = [ca if c == cb else c for c in component]
         if -1 in alpha:
             self.ok = False      # an unmatched port or transit end
             return
         self.alpha = alpha
         self.arc_of = arc_of
-        self.succ = succ = ([i + 1 if i % 4 < 3 else i - 3 for i in range(base)]
-                            + [i + 1 if (i - base) % 3 < 2 else i - 2
-                               for i in range(base, n_darts)])
+        self.component = component
         self.orbit_of = orbit_of = [-1] * n_darts
-        self.orbits: List[List[int]] = []
+        self.orbits = orbits = []
+        last_mark = n_darts - 1
         for start in range(n_darts):
             if orbit_of[start] >= 0:
                 continue
+            o = len(orbits)
             orbit = []
             i = start
             while orbit_of[i] < 0:
-                orbit_of[i] = len(self.orbits)
+                orbit_of[i] = o
                 orbit.append(i)
-                i = succ[alpha[i]]
-            self.orbits.append(orbit)
+                i = alpha[i]
+                if i < base:
+                    i = i - 3 if i & 3 == 3 else i + 1
+                else:
+                    i = last_mark if i == base else i - 1
+            orbits.append(orbit)
 
     def slot_dart(self, slot: Slot) -> int:
-        """The dart of an arc end: a crossing port or a mark's arc slot."""
-        kind, ident, k = slot
-        if kind == "x":
-            return 4 * self.x_index[ident] + k
-        return self.mark_dart(self.mark_index[(ident, k)], 1)
+        """The dart of an arc end: a crossing port or a boundary mark."""
+        if slot[0] == "x":
+            return 4 * self.x_index[slot[1]] + slot[2]
+        return self.mark_end[slot]
 
     def node_of(self, dart: int) -> int:
-        """Index into ``nodes`` of the node that owns the dart."""
+        """Index into ``component`` of the crossing or boundary node of a dart."""
         base = self.mark_base
-        return dart >> 2 if dart < base else (base >> 2) + (dart - base) // 3
+        return dart >> 2 if dart < base else base >> 2
 
-    def mark_dart(self, mark: int, slot: int) -> int:
-        return self.mark_base + 3 * mark + slot
-
-    def components(self) -> List[int]:
-        """A representative node index per node; equal for connected nodes."""
-        parent = list(range(len(self.nodes)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        node_of = self.node_of
-        for i, j in enumerate(self.alpha):
-            if i < j:
-                ra, rb = find(node_of(i)), find(node_of(j))
-                if ra != rb:
-                    parent[ra] = rb
-        return [find(n) for n in range(len(parent))]
+    def mark_dart(self, mark: int) -> int:
+        return self.mark_base + mark
 
     def genus_zero(self) -> bool:
         """Every connected component is a sphere: V - E + F = 2 per component.
@@ -402,9 +392,8 @@ class FaceMap:
         """
         if not self.ok:
             return False
-        n_comp = len(set(self.components()))
-        return (len(self.nodes) - len(self.alpha) // 2 + len(self.orbits)
-                == 2 * n_comp)
+        return (len(self.component) - len(self.alpha) // 2 + len(self.orbits)
+                == 2 * len(set(self.component)))
 
 
 def face_maps(d: Diagram) -> Iterator[Tuple[str, FaceMap]]:
@@ -449,29 +438,30 @@ def valid_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
 def _checked_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
     """The checks of ``validate_diagram``, in order; the face maps if all pass."""
     cx = d.complex
-    for c, cr in d.crossings.items():
+    crossings, transits = d.crossings, d.transits
+    for c, cr in crossings.items():
         if cr.face not in cx.faces:
             raise DiagramError(f"crossing {c!r} sits in unknown face {cr.face!r}")
         if cr.dot not in (0, 1):
             raise DiagramError(f"crossing {c!r}: dots must mark one opposite sector pair")
-    per_edge: Dict[str, List[Fraction]] = {}
-    for t, tr in d.transits.items():
+    boundary = boundary_edges(cx)
+    for t, tr in transits.items():
         if tr.edge not in cx.edges:
             raise DiagramError(f"transit {t!r} crosses unknown edge {tr.edge!r}")
-        cls = edge_class(cx, tr.edge)
-        if cls.kind == PointClass.BOUNDARY:
+        if tr.edge in boundary:
             raise DiagramError(f"transit {t!r} crosses boundary edge {tr.edge!r}")
         if tr.sides[0] == tr.sides[1]:
             raise DiagramError(f"transit {t!r} joins an incidence to itself")
         for inc in tr.sides:
             if inc not in cx.incidences[tr.edge]:
                 raise DiagramError(f"transit {t!r} references a bad incidence {inc!r}")
-        if not (0 < tr.pos < 1):
+        p = tr.pos      # a Fraction's denominator is positive
+        if not (0 < p.numerator < p.denominator if type(p) is Fraction else 0 < p < 1):
             raise DiagramError(f"transit {t!r} position out of range")
-        per_edge.setdefault(tr.edge, []).append(tr.pos)
-    for e, ps in per_edge.items():
-        if len(set(ps)) != len(ps):
-            raise DiagramError(f"edge {e!r} carries transits at equal positions")
+    for e, order in derived(d, "transit_orders", _transit_orders).items():
+        for t1, t2 in zip(order, order[1:]):    # equal positions are neighbours
+            if transits[t1].pos == transits[t2].pos:
+                raise DiagramError(f"edge {e!r} carries transits at equal positions")
 
     for ci, comp in enumerate(d.components):
         k = len(comp.events)
@@ -485,12 +475,12 @@ def _checked_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
             raise DiagramError(f"component {ci}: arc face list does not match events")
         for ev in comp.events:
             if isinstance(ev, CrossVisit):
-                if ev.crossing not in d.crossings:
+                if ev.crossing not in crossings:
                     raise DiagramError(f"component {ci}: unknown crossing {ev.crossing!r}")
-                if ev.enter not in range(4):
+                if ev.enter not in (0, 1, 2, 3):
                     raise DiagramError(f"component {ci}: bad port {ev.enter}")
             else:
-                if ev.transit not in d.transits:
+                if ev.transit not in transits:
                     raise DiagramError(f"component {ci}: unknown transit {ev.transit!r}")
                 if ev.enter not in (0, 1):
                     raise DiagramError(f"component {ci}: bad transit side {ev.enter}")
@@ -498,17 +488,19 @@ def _checked_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
     for c, vs in derived(d, "crossing_visits", crossing_visits).items():
         if len(vs) != 2:
             raise DiagramError(f"crossing {c!r} visited {len(vs)} times, expected 2")
-        enters = sorted(d.components[ci].events[ei].enter % 2 for ci, ei in vs)
-        if enters != [0, 1]:
+        (c1, e1), (c2, e2) = vs     # one entering port of each parity:
+        if (d.components[c1].events[e1].enter + d.components[c2].events[e2].enter) % 2 != 1:
             raise DiagramError(f"crossing {c!r}: visits do not cover both diameters")
     for t, vs in derived(d, "transit_visits", transit_visits).items():
         if len(vs) != 1:
             raise DiagramError(f"transit {t!r} visited {len(vs)} times, expected 1")
 
     for arc in derived(d, "arcs", arcs_of):
-        if arc.src is None:
+        src, dst = arc.src, arc.dst
+        if src is None:
             continue
-        fa, fb = slot_face(d, arc.src), slot_face(d, arc.dst)
+        fa = crossings[src[1]].face if src[0] == "x" else transits[src[1]].sides[src[2]][0]
+        fb = crossings[dst[1]].face if dst[0] == "x" else transits[dst[1]].sides[dst[2]][0]
         if arc.face != fa or arc.face != fb:
             raise DiagramError(
                 f"arc {arc.comp}.{arc.index} labeled {arc.face!r} joins faces {fa!r}, {fb!r}")

@@ -217,6 +217,8 @@ def parse_diagram(text: str, cx: TwoComplex) -> Diagram:
             elif sep != 2:
                 raise FormatError("bad component line", n)
             tail = parts[sep + 1:]
+            if not tail:
+                raise FormatError("bad component line", n)
             if len(tail) == 1:
                 components.append(Component((), (tail[0],), directed))
                 continue

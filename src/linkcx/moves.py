@@ -39,13 +39,12 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
-                      Transit, TransitVisit, arcs_of, complex_derived,
-                      crossing_visits, derived, edge_transit_order, face_maps,
-                      port_ends, valid_face_maps, validate_diagram)
+                      Transit, TransitVisit, _transit_orders, arcs_of, boundary_edges,
+                      complex_derived, crossing_visits, derived, edge_transit_order,
+                      face_maps, port_ends, valid_face_maps, validate_diagram)
 from .errors import DiagramError, MoveError
 from .invariants import _sign_from_visits, _visit_pairs
-from .twocomplex import (Incidence, PointClass, TwoComplex, corner_vertex, edge_class,
-                         vertex_link)
+from .twocomplex import Incidence, TwoComplex, corner_vertex, vertex_link
 
 __all__ = ["MoveKind", "MoveSite", "find_sites", "apply", "fuzz",
            "serialize_trace", "parse_trace"]
@@ -458,13 +457,10 @@ def _triangles(d: Diagram):
         for orbit in fm.orbits:
             if len(orbit) != 3:
                 continue
+            if any(i >= fm.mark_base for i in orbit):
+                continue         # a boundary mark's dart
             arcs = [fm.arc_of[i] for i in orbit]
-            if any(a is None for a in arcs):
-                continue
-            nodes = [fm.nodes[fm.node_of(i)] for i in orbit]
-            if any(n[0] != "x" for n in nodes):
-                continue
-            if len(set(arcs)) != 3 or len({n[1] for n in nodes}) != 3:
+            if len(set(arcs)) != 3 or len({i >> 2 for i in orbit}) != 3:
                 continue
             key = frozenset(arcs)
             if key in seen:
@@ -528,9 +524,10 @@ def _apply_m3(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 def _edge_sides(cx: TwoComplex, face: str) -> List[Tuple[str, Incidence]]:
     """(edge, incidence) for each non-boundary side of the face."""
+    boundary = boundary_edges(cx)
     out = []
     for j, (e, _dir) in enumerate(cx.faces[face]):
-        if edge_class(cx, e).kind is not PointClass.BOUNDARY:
+        if e not in boundary:
             out.append((e, (face, j)))
     return out
 
@@ -1137,18 +1134,18 @@ class _Regions:
     Thomassen, *Graphs on Surfaces*, 2001, ch. 3-4): a connected map of
     genus zero has one drawing on the sphere up to homeomorphism, and the
     regions of that drawing are exactly its face walks.  A face map is the
-    face's tangle with the boundary circle, whose outer walk holds no arc,
-    so a drawing of the map is a drawing of the tangle in the disc.  The
-    genus check is made per component, so a component that does not hold
-    the boundary may be drawn in any region of the others, with any of its
-    own regions outermost.  Each decided move works at a few places of one
-    face map (an arc's side, a crossing's corner, a gap in a boundary
-    segment) joined by a short path.  If the places share a region, draw
-    the old map, run the path inside that region and make the move along
-    it: the result is drawn, so it passes the genus check.  If the result
-    passes, draw it and undo the move along the path it leaves: that draws
-    the old map with the places in one region, which is one face walk when
-    they lie in one component.
+    face's tangle with its boundary circle contracted to one node, so a
+    drawing of the map, cut open at that node, is a drawing of the tangle
+    in the disc.  The genus check is made per component, so a component
+    that does not hold the boundary may be drawn in any region of the
+    others, with any of its own regions outermost.  Each decided move
+    works at a few places of one face map (an arc's side, a crossing's
+    corner, a gap between two boundary marks) joined by a short path.  If
+    the places share a region, draw the old map, run the path inside that
+    region and make the move along it: the result is drawn, so it passes
+    the genus check.  If the result passes, draw it and undo the move along
+    the path it leaves: that draws the old map with the places in one
+    region, which is one face walk when they lie in one component.
     """
 
     def __init__(self, d: Diagram):
@@ -1157,10 +1154,10 @@ class _Regions:
         self.arcs: Dict[Tuple[int, int], Tuple[tuple, int, int]] = {}
         self.crossings: Dict[str, Tuple[tuple, List[int]]] = {}
         self.maps: Dict[str, Tuple[FaceMap, List[int], List[Tuple[int, int]]]] = {}
-        rank = {t: r for e in {tr.edge for tr in d.transits.values()}
-                for r, t in enumerate(edge_transit_order(d, e))}
+        rank = {t: r for order in derived(d, "transit_orders", _transit_orders).values()
+                for r, t in enumerate(order)}
         for f, fm in valid_face_maps(d):
-            comp = fm.components()
+            comp = fm.component
             for c, i in fm.x_index.items():
                 self.crossings[c] = ((f, comp[i]), fm.orbit_of[4 * i:4 * i + 4])
             # marks sort by (side, rank along the side's walk); a gap between
@@ -1184,9 +1181,9 @@ class _Regions:
 
         The gap is ``slot`` on the edge of side ``s1``; the boundary segment
         that holds it joins the two marks of the side's face that flank it.
-        Its inner region is the walk from the later mark back along the
-        segment, which turns into the earlier mark's arc; the walk on its
-        other side is the outer one.  A place in another component of the
+        Its region is the walk that reaches the later mark and turns along
+        the segment into the earlier mark's arc, that is the walk through
+        the earlier mark's dart.  A place in another component of the
         face map, or in a face without marks (whose boundary is not part
         of the map), shares no face walk with the gap and always meets it.
         """
@@ -1197,8 +1194,8 @@ class _Regions:
         slot = site.get("slot")
         gap = 2 * slot - 1 if self.faces[f][j][1] > 0 else 1 - 2 * slot
         i = bisect.bisect(keys, (j, gap)) - 1
-        last = fm.mark_dart((i + 1) % len(keys), 2)
-        return (f, comp[fm.node_of(last)]) != component or fm.orbit_of[last] == region
+        dart = fm.mark_dart(i % len(keys))
+        return (f, comp[fm.node_of(dart)]) != component or fm.orbit_of[dart] == region
 
     def admits(self, site: MoveSite) -> bool:
         """Whether ``apply`` accepts a candidate site of a decided kind.

@@ -252,6 +252,18 @@ def test_a_one_character_event_is_a_format_error(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("listing", [":", "oriented + :"])
+def test_a_component_without_events_or_face_is_a_format_error(tmp_path, capsys, listing):
+    cx, d, _ = _emit(tmp_path, "Ln", 1)
+    lines = d.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("component k2"))
+    lines[n] = f"component k2 {listing}"
+    d.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(cx), str(d)]) == 1
+    assert capsys.readouterr().err == f"error: line {n + 1}: bad component line\n"
+
+
 @pytest.mark.parametrize("group, labels", [
     ("group abelian -2", {"g1": "1", "g2": "1"}),
     ("group free 2 a a", {"g1": "a", "g2": "a"})], ids=["negative rank", "repeated name"])

@@ -135,6 +135,27 @@ def test_kinks():
             assert_engine_matches_brute(d, b.connection)
 
 
+def test_kinks_beside_a_fixed_path():
+    # both kinks on component 0 of L(0): component 1 stays a crossing-free
+    # closed path, one fixed path of the contraction.  Relabelled so that
+    # component 0 has trivial holonomy, the fixed path alone carries a class.
+    b = example("Ln", 0)
+    conn = b.connection.with_labels({("v.b", ("F.e1", 1)): "u"})
+    g = conn.group
+    for kinds in ((mv.MoveKind.M1P,) * 2, (mv.MoveKind.M1M,) * 2,
+                  (mv.MoveKind.M1P, mv.MoveKind.M1M)):
+        d = b.diagram
+        for kind in kinds:
+            d = mv.apply(d, kind, next(s for s in mv.find_sites(d, kind)
+                                       if s.get("comp") == 0))
+        con = _Contraction(d)
+        assert len(con.order) == 2 and len(con.fixed) == 1
+        (p,), = con.fixed
+        assert all(holonomy(conn, steps) == g.identity() for steps in con.steps[:p])
+        assert not unoriented_class(g, holonomy(conn, con.steps[p])).is_identity()
+        assert_engine_matches_brute(d, conn)
+
+
 def test_engine_matches_oracle_on_braid_closures():
     disc = build_disc()
     rng = random.Random(2024)
