@@ -495,21 +495,23 @@ def _checked_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
         if len(vs) != 1:
             raise DiagramError(f"transit {t!r} visited {len(vs)} times, expected 1")
 
-    for arc in derived(d, "arcs", arcs_of):
-        src, dst = arc.src, arc.dst
-        if src is None:
-            continue
-        fa = crossings[src[1]].face if src[0] == "x" else transits[src[1]].sides[src[2]][0]
-        fb = crossings[dst[1]].face if dst[0] == "x" else transits[dst[1]].sides[dst[2]][0]
-        if arc.face != fa or arc.face != fb:
-            raise DiagramError(
-                f"arc {arc.comp}.{arc.index} labeled {arc.face!r} joins faces {fa!r}, {fb!r}")
-
-    maps = []
-    for f, fm in face_maps(d):
+    # Each port and transit end is now the end of exactly one arc, so every
+    # face map is ok exactly when every arc lies in the face of both its
+    # ends: the arcs are read one by one only to name the first that does not.
+    maps = list(face_maps(d))
+    if not all(fm.ok for _f, fm in maps):
+        for arc in derived(d, "arcs", arcs_of):
+            src, dst = arc.src, arc.dst
+            if src is None:
+                continue
+            fa = crossings[src[1]].face if src[0] == "x" else transits[src[1]].sides[src[2]][0]
+            fb = crossings[dst[1]].face if dst[0] == "x" else transits[dst[1]].sides[dst[2]][0]
+            if arc.face != fa or arc.face != fb:
+                raise DiagramError(f"arc {arc.comp}.{arc.index} labeled {arc.face!r} "
+                                   f"joins faces {fa!r}, {fb!r}")
+    for f, fm in maps:
         if not fm.genus_zero():
             raise DiagramError(f"tangle of face {f!r} is not drawable in a disc")
-        maps.append((f, fm))
     return maps
 
 

@@ -342,6 +342,8 @@ FAULTS = [
      "arc 0.0 labeled 'F.e1' joins faces 'F.e0', 'F.e0'"),
     ("arc leaves its face", component(BASE, 0, arc_faces=("F.e0", "F.e0", "F.e0", "F.e0")),
      "arc 0.2 labeled 'F.e0' joins faces 'F.e1', 'F.e1'"),
+    ("arc in unknown face", component(BASE, 1, arc_faces=("F.e0", "G", "F.e2", "F.e0")),
+     "arc 1.1 labeled 'G' joins faces 'F.e0', 'F.e0'"),
     ("not drawable", interleaved_chords(),
      "tangle of face 'F' is not drawable in a disc"),
     ("not drawable beside transits", event(BASE, 0, 1, CrossVisit("c2", 3)),
