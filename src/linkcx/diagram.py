@@ -17,7 +17,6 @@ dots: 0 puts them in sectors (p0,p1) and (p2,p3), 1 in (p1,p2) and
 from __future__ import annotations
 
 import itertools
-import math
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -228,27 +227,26 @@ def transit_visits(d: Diagram) -> Dict[str, List[Tuple[int, int]]]:
 
 
 def _transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:
+    transits = d.transits
+    on_edge: Dict[str, List[str]] = {}
+    for t, tr in transits.items():
+        on_edge.setdefault(tr.edge, []).append(t)
+    return {e: tuple(sorted(ts, key=lambda t: transits[t].pos))
+            for e, ts in on_edge.items()}
+
+
+def transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:
     """edge -> its transits by increasing position, for every edge with one.
 
     Edges, and transits at equal positions, keep their ``d.transits`` order.
-    Fraction positions sort as integers over their common denominator.
+    Kept in the record of d.
     """
-    on_edge: Dict[str, List[Tuple[object, str]]] = {}
-    for t, tr in d.transits.items():
-        on_edge.setdefault(tr.edge, []).append((tr.pos, t))
-    out = {}
-    for e, items in on_edge.items():
-        keys = [p for p, _t in items]
-        if len(keys) > 1 and all(type(p) is Fraction for p in keys):
-            lcd = math.lcm(*[p.denominator for p in keys])
-            keys = [p.numerator * (lcd // p.denominator) for p in keys]
-        out[e] = tuple(items[i][1] for i in sorted(range(len(keys)), key=keys.__getitem__))
-    return out
+    return derived(d, "transit_orders", _transit_orders)
 
 
 def edge_transit_order(d: Diagram, edge: str) -> List[str]:
     """Transits on an edge, by increasing position."""
-    return list(derived(d, "transit_orders", _transit_orders).get(edge, ()))
+    return list(transit_orders(d).get(edge, ()))
 
 
 def boundary_edges(cx: TwoComplex) -> FrozenSet[str]:
@@ -268,7 +266,7 @@ def boundary_marks(d: Diagram) -> Dict[str, List[Tuple[str, int]]]:
     """
     transits = d.transits
     on_side: Dict[Tuple[str, int, str], List[Tuple[str, int]]] = {}
-    for e, order in derived(d, "transit_orders", _transit_orders).items():
+    for e, order in transit_orders(d).items():
         for t in order:
             sides = transits[t].sides
             for k in (0, 1):
@@ -321,20 +319,24 @@ class FaceMap:
         n_x, n_marks = len(crossings), len(marks)
         self.mark_base = base = 4 * n_x
         n_darts = base + n_marks
-        self.x_index = x_index = {c: i for i, c in enumerate(crossings)}
+        self.x_index = {c: i for i, c in enumerate(crossings)}
         # the dart of each mark, keyed by the slot of the arc end on it
-        self.mark_end = mark_end = {("t",) + m: base + i for i, m in enumerate(marks)}
+        self.mark_end = {("t",) + m: base + i for i, m in enumerate(marks)}
         alpha = [-1] * n_darts
         arc_of: List[Optional[Tuple[int, int]]] = [None] * n_darts
-        # a label per crossing and for the boundary node (entry n_x)
-        component = list(range(n_x + bool(n_marks)))
+        # a union-find over the crossings and the boundary node (entry n_x)
+        parent = list(range(n_x + bool(n_marks)))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]     # path halving
+            return i
+
+        slot_dart = self.slot_dart
         for arc in arcs:
-            src, dst = arc.src, arc.dst
             try:
-                # an end off this face has no dart here
-                a = 4 * x_index[src[1]] + src[2] if src[0] == "x" else mark_end[src]
-                b = 4 * x_index[dst[1]] + dst[2] if dst[0] == "x" else mark_end[dst]
-            except KeyError:
+                a, b = slot_dart(arc.src), slot_dart(arc.dst)
+            except KeyError:     # an end off this face has no dart here
                 self.ok = False
                 return
             if alpha[a] >= 0 or alpha[b] >= 0:
@@ -342,15 +344,13 @@ class FaceMap:
                 return
             alpha[a], alpha[b] = b, a
             arc_of[a] = arc_of[b] = arc[:2]
-            ca, cb = component[a >> 2 if a < base else n_x], component[b >> 2 if b < base else n_x]
-            if ca != cb:
-                component = [ca if c == cb else c for c in component]
+            parent[root(a >> 2 if a < base else n_x)] = root(b >> 2 if b < base else n_x)
         if -1 in alpha:
             self.ok = False      # an unmatched port or transit end
             return
         self.alpha = alpha
         self.arc_of = arc_of
-        self.component = component
+        self.component = [root(i) for i in range(len(parent))]
         self.orbit_of = orbit_of = [-1] * n_darts
         self.orbits = orbits = []
         last_mark = n_darts - 1
@@ -458,7 +458,7 @@ def _checked_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
         p = tr.pos      # a Fraction's denominator is positive
         if not (0 < p.numerator < p.denominator if type(p) is Fraction else 0 < p < 1):
             raise DiagramError(f"transit {t!r} position out of range")
-    for e, order in derived(d, "transit_orders", _transit_orders).items():
+    for e, order in transit_orders(d).items():
         for t1, t2 in zip(order, order[1:]):    # equal positions are neighbours
             if transits[t1].pos == transits[t2].pos:
                 raise DiagramError(f"edge {e!r} carries transits at equal positions")
@@ -648,7 +648,7 @@ def orient_all(d: Diagram) -> Diagram:
 def _normalized_positions(d: Diagram) -> Dict[str, Fraction]:
     """transit -> its position re-spaced to i/(n+1) along its edge."""
     pos = {}
-    for order in derived(d, "transit_orders", _transit_orders).values():
+    for order in transit_orders(d).values():
         for i, t in enumerate(order):
             pos[t] = Fraction(i + 1, len(order) + 1)
     return pos

@@ -39,9 +39,9 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
-                      Transit, TransitVisit, _transit_orders, arcs_of, boundary_edges,
+                      Transit, TransitVisit, arcs_of, boundary_edges,
                       complex_derived, crossing_visits, derived, edge_transit_order,
-                      face_maps, port_ends, valid_face_maps, validate_diagram)
+                      face_maps, port_ends, transit_orders, valid_face_maps, validate_diagram)
 from .errors import DiagramError, MoveError
 from .invariants import _sign_from_visits, _visit_pairs
 from .twocomplex import Incidence, TwoComplex, corner_vertex, vertex_link
@@ -1154,7 +1154,7 @@ class _Regions:
         self.arcs: Dict[Tuple[int, int], Tuple[tuple, int, int]] = {}
         self.crossings: Dict[str, Tuple[tuple, List[int]]] = {}
         self.maps: Dict[str, Tuple[FaceMap, List[int], List[Tuple[int, int]]]] = {}
-        rank = {t: r for order in derived(d, "transit_orders", _transit_orders).values()
+        rank = {t: r for order in transit_orders(d).values()
                 for r, t in enumerate(order)}
         for f, fm in valid_face_maps(d):
             comp = fm.component
