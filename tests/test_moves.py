@@ -592,3 +592,67 @@ def test_rejection_texts_are_pinned():
     }
     assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
             == "62ea2397a2f7bc82626fd3e3f5d76d1bbace80838713af853bad35991d1a2440")
+
+
+def stale_site_lines():
+    """apply's MoveError for each listed site carried to another diagram.
+
+    Along a seeded fuzz walk of each example, every site that a listed kind
+    lists at one step (for M5 the retracts, for M7 the transit runs) is
+    applied to the next step and to the mirror of its own step.
+    """
+    listed = (K.M1P_INV, K.M1M_INV, K.M2_INV, K.M3, K.M4_INV, K.M5P, K.M5M, K.M6, K.M7)
+    lines = []
+    for name in EXAMPLE_IDS:
+        for n in ((None,) if name not in ("Ln", "Kn") else (1, 2)):
+            states = []
+            mv.fuzz(example(name, n).diagram, 20, 0, max_crossings=6, max_transits=12,
+                    on_step=lambda _i, _kind, before, _after: states.append(before))
+            for before, after in zip(states, states[1:]):
+                for kind in listed:
+                    for site in mv.candidate_sites(before, kind):
+                        data = dict(site.data)
+                        if data.get("mode") == "push" or data.get("length") == 0:
+                            continue
+                        for target in (after, mirror(before)):
+                            try:
+                                mv.apply(target, kind, site)
+                            except MoveError as exc:
+                                lines.append(f"{kind.value} {site.fingerprint()} {exc}")
+    return lines
+
+
+def test_stale_site_texts_are_pinned():
+    lines = stale_site_lines()
+    undrawable = "M6 at this site does not yield a valid diagram: " \
+                 "tangle of face {!r} is not drawable in a disc"
+    # each line is "kind fingerprint text", and a fingerprint ends in "}"
+    assert Counter((line.split(" ", 1)[0], line.split("} ", 1)[1])
+                   for line in lines) == {
+        ("M1pi", "kink sign does not match the move kind"): 133,
+        ("M1pi", "stale kink site"): 48,
+        ("M1pi", "stale site for M1pi: tuple index out of range"): 17,
+        ("M1mi", "kink sign does not match the move kind"): 123,
+        ("M1mi", "stale kink site"): 38,
+        ("M1mi", "stale site for M1mi: tuple index out of range"): 11,
+        ("M2i", "arcs do not join the same crossing pair"): 28,
+        ("M2i", "stale bigon site"): 31,
+        ("M3", "arcs do not form a triangle"): 62,
+        ("M3", "stale triangle site"): 18,
+        ("M4i", "cannot merge arcs lying in different faces"): 138,
+        ("M4i", "events do not form a tongue"): 1,
+        ("M4i", "stale site for M4i: tuple index out of range"): 7,
+        ("M4i", "stale tongue site"): 59,
+        ("M4i", "tongue transits are not adjacent on the edge"): 8,
+        ("M5p", "crossing is not retractable across an edge"): 13,
+        ("M5p", "dot variant does not match the move kind"): 78,
+        ("M5m", "crossing is not retractable across an edge"): 9,
+        ("M5m", "dot variant does not match the move kind"): 33,
+        ("M6", undrawable.format("F.e0")): 316,
+        ("M6", undrawable.format("F.e1")): 3,
+        ("M6", undrawable.format("F.e2")): 58,
+        ("M6", "transits are not adjacent on the edge"): 21,
+        ("M7", "arc does not follow the cycle near the vertex"): 90,
+    }
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == "913f134b5ae8c8e1cd61283a3c8093f3cf319e6214f27250425414ea5e87a933")
