@@ -106,9 +106,6 @@ class Diagram:
     def oriented(self) -> bool:
         return all(c.directed for c in self.components)
 
-    def crossing_count(self) -> int:
-        return len(self.crossings)
-
 
 # -- derived data ------------------------------------------------------
 
@@ -242,11 +239,6 @@ def transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:
     Kept in the record of d.
     """
     return derived(d, "transit_orders", _transit_orders)
-
-
-def edge_transit_order(d: Diagram, edge: str) -> List[str]:
-    """Transits on an edge, by increasing position."""
-    return list(transit_orders(d).get(edge, ()))
 
 
 def boundary_edges(cx: TwoComplex) -> FrozenSet[str]:
@@ -717,9 +709,8 @@ def _code_arc_ends(code: PlanarCode) -> Dict[str, List[Tuple[str, int]]]:
     return ends
 
 
-def draw_local(cx: TwoComplex, face: str, code: PlanarCode,
-               prefix: str = "c") -> Diagram:
-    """Realize a planar dotted code inside one face of the complex."""
+def draw_local(cx: TwoComplex, face: str, code: PlanarCode) -> Diagram:
+    """Realize a planar dotted code inside one face; crossing id k is named ck."""
     if face not in cx.faces:
         raise DiagramError(f"unknown face {face!r}")
     ends = _code_arc_ends(code)
@@ -729,7 +720,7 @@ def draw_local(cx: TwoComplex, face: str, code: PlanarCode,
     crossings = {}
     port_arc: Dict[Tuple[str, int], str] = {}
     for cid, ports, dot in code.crossings:
-        name = f"{prefix}{cid}"
+        name = f"c{cid}"
         if name in crossings:
             raise DiagramError(f"duplicate crossing id {cid!r}")
         if dot not in (0, 1):
@@ -742,8 +733,8 @@ def draw_local(cx: TwoComplex, face: str, code: PlanarCode,
     other_end: Dict[Tuple[str, int], Tuple[str, int]] = {}
     for label, ((c1, p1), (c2, p2)) in \
             {k: (v[0], v[1]) for k, v in ends.items()}.items():
-        a = (f"{prefix}{c1}", p1)
-        b = (f"{prefix}{c2}", p2)
+        a = (f"c{c1}", p1)
+        b = (f"c{c2}", p2)
         other_end[a] = b
         other_end[b] = a
 
@@ -751,7 +742,7 @@ def draw_local(cx: TwoComplex, face: str, code: PlanarCode,
     components = []
     for cid, ports, _dot in code.crossings:
         for start_port in range(4):
-            start = (f"{prefix}{cid}", start_port)
+            start = (f"c{cid}", start_port)
             if start in visited:
                 continue
             events = []
@@ -771,7 +762,7 @@ def draw_local(cx: TwoComplex, face: str, code: PlanarCode,
     return validate_diagram(d)
 
 
-def braid_code(word: Iterable[int], strands: int, prefix: str = "b") -> PlanarCode:
+def braid_code(word: Iterable[int], strands: int) -> PlanarCode:
     """Dotted code of a braid closure.
 
     ``word`` lists generators: letter ``+i`` crosses strands i, i+1 with
@@ -783,14 +774,14 @@ def braid_code(word: Iterable[int], strands: int, prefix: str = "b") -> PlanarCo
         raise DiagramError("need at least one strand")
     if any(abs(x) < 1 or abs(x) >= strands for x in word):
         raise DiagramError("braid letter out of range")
-    arc_at = [f"{prefix}s{i}" for i in range(strands)]  # current arc per position
+    arc_at = [f"bs{i}" for i in range(strands)]  # current arc per position
     counter = itertools.count(0)
     crossings = []
     for n, letter in enumerate(word):
         i = abs(letter) - 1
         a_in, b_in = arc_at[i], arc_at[i + 1]
-        a_out = f"{prefix}a{next(counter)}"
-        b_out = f"{prefix}a{next(counter)}"
+        a_out = f"ba{next(counter)}"
+        b_out = f"ba{next(counter)}"
         # braid flows downward: ports ccw = (NE in_right, NW in_left, SW out_left, SE out_right)
         ports = (b_in, a_in, a_out, b_out)
         dot = 1 if letter > 0 else 0
@@ -798,13 +789,13 @@ def braid_code(word: Iterable[int], strands: int, prefix: str = "b") -> PlanarCo
         arc_at[i], arc_at[i + 1] = a_out, b_out
     circles = 0
     for i in range(strands):
-        if arc_at[i] == f"{prefix}s{i}":
+        if arc_at[i] == f"bs{i}":
             circles += 1
     # merge the closure: the final arc at position i is the same arc as the initial one
     rename = {}
     for i in range(strands):
-        if arc_at[i] != f"{prefix}s{i}":
-            rename[arc_at[i]] = f"{prefix}s{i}"
+        if arc_at[i] != f"bs{i}":
+            rename[arc_at[i]] = f"bs{i}"
     merged = []
     for cid, ports, dot in crossings:
         ports = tuple(_resolve(rename, p) for p in ports)

@@ -12,13 +12,17 @@ Nine basic moves and their inverses, as local rewrites:
   M6 / M6i     exchange two adjacent transits meeting three branches
   M7           reroute an arc around a vertex along its link (self-inverse)
 
-Sites are plain data and serialize as JSON fingerprints, one move per
-trace line.  Each kind has one row in the registry ``_MOVES``: its indexed
-candidate sequence, which ``candidate_sites`` lists in full, its rewrite,
-which ``apply`` performs and validates, and, for M1p, M1m, M2, M4, M5p and
-M5m, the predicate that decides its candidates exactly from the face walks
-of a valid diagram's face maps.  The face walks (``_Regions``) are kept in
-the diagram's record.  ``find_sites`` returns every candidate whose
+A site is a dict of JSON values.  Its fingerprint, the JSON with sorted
+keys, is its one canonical form and its text on a trace line, one move per
+line; a parsed site is normalized once, on entry.  The kinds that match a
+pattern (M1pi, M1mi, M4i, the M5 retracts, the M7 transit runs) test it in
+one function that both their candidate list and ``apply`` call.  Each kind
+has one row in the registry ``_MOVES``: its indexed candidate sequence,
+which ``candidate_sites`` lists in full, its rewrite, which ``apply``
+performs and validates, and, for M1p, M1m, M2, M4, M5p and M5m, the
+predicate that decides its candidates exactly from the face walks of a
+valid diagram's face maps.  The face walks (``_Regions``) are kept in the
+diagram's record.  ``find_sites`` returns every candidate whose
 application yields a valid diagram: it asks the predicate where there is
 one and applies every other candidate.  The fuzzer draws kinds and
 candidate indices from a seeded generator, so identical (diagram, steps,
@@ -34,14 +38,13 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import wraps
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
-                      Transit, TransitVisit, arcs_of, boundary_edges,
-                      complex_derived, crossing_visits, derived, edge_transit_order,
-                      face_maps, port_ends, transit_orders, valid_face_maps, validate_diagram)
+                      Transit, TransitVisit, arcs_of, boundary_edges, complex_derived,
+                      crossing_visits, derived, face_maps, port_ends, transit_orders,
+                      valid_face_maps, validate_diagram)
 from .errors import DiagramError, MoveError
 from .invariants import _sign_from_visits, _visit_pairs
 from .twocomplex import Incidence, TwoComplex, corner_vertex, vertex_link
@@ -68,30 +71,46 @@ class MoveKind(str, Enum):
     M7 = "M7"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoveSite:
+    """A move kind and its site, a dict of JSON values (tuples for arrays).
+
+    The fingerprint, the site's JSON with sorted keys, is its one canonical
+    form: a trace line carries it, and two sites are equal when their kinds
+    and fingerprints are.  JSON from outside is normalized once, on entry
+    in ``from_fingerprint``, so a parsed site reads as ``make`` built it.
+    """
+
     kind: MoveKind
-    data: tuple                     # sorted (key, value) pairs, JSON-compatible
+    data: dict
 
     @classmethod
     def make(cls, kind: MoveKind, **data) -> "MoveSite":
-        return cls(kind, tuple(sorted(data.items())))
+        return cls(kind, data)
 
     def get(self, key):
-        for k, v in self.data:
-            if k == key:
-                return v
-        raise MoveError(f"site for {self.kind.value} is missing {key!r}")
+        try:
+            return self.data[key]
+        except KeyError:
+            raise MoveError(f"site for {self.kind.value} is missing {key!r}") from None
 
     def fingerprint(self) -> str:
-        return json.dumps(dict(self.data), sort_keys=True)
+        return json.dumps(self.data, sort_keys=True)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MoveSite):
+            return NotImplemented
+        return self.kind == other.kind and self.fingerprint() == other.fingerprint()
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.fingerprint()))
 
     @classmethod
     def from_fingerprint(cls, kind: MoveKind, text: str) -> "MoveSite":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("a site is a JSON object")
-        return cls(kind, tuple(sorted((k, _dejson(v)) for k, v in data.items())))
+        return cls(kind, {k: _dejson(v) for k, v in data.items()})
 
 
 def _dejson(v):
@@ -120,7 +139,7 @@ def _fresh(existing, prefix: str, count: int = 1) -> List[str]:
 
 
 def _positions_in_gap(d: Diagram, edge: str, slot: int, count: int) -> List[Fraction]:
-    order = edge_transit_order(d, edge)
+    order = transit_orders(d).get(edge, ())
     if not 0 <= slot <= len(order):
         raise MoveError(f"slot {slot} out of range for edge {edge!r}")
     lo = d.transits[order[slot - 1]].pos if slot > 0 else Fraction(0)
@@ -237,16 +256,6 @@ class _Rows:
                 yield site(j)
 
 
-def _listed(candidates):
-    """A generator of pattern-matched sites, as the list of its sites."""
-
-    @wraps(candidates)
-    def listed(d: Diagram, kind: MoveKind) -> List[MoveSite]:
-        return list(candidates(d, kind))
-
-    return listed
-
-
 # -- kink moves (M1) --------------------------------------------------------
 
 def _m1_dot(kind: MoveKind, bend: int) -> int:
@@ -278,31 +287,33 @@ def _apply_m1_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     return replace(_with_component(d, ci, comp2), crossings=crossings)
 
 
-@_listed
-def _candidates_m1_inv(d: Diagram, kind: MoveKind):
-    want = 1 if kind is MoveKind.M1P_INV else -1
-    pairs = _visit_pairs(d)
-    for ci, comp in enumerate(d.components):
-        k = len(comp.events)
-        for i in range(k):
-            a, b = comp.events[i], comp.events[(i + 1) % k]
-            if (isinstance(a, CrossVisit) and isinstance(b, CrossVisit)
-                    and a.crossing == b.crossing):
-                if _sign_from_visits(d, a.crossing, *pairs[a.crossing]) == want:
-                    yield MoveSite.make(kind, comp=ci, event=i)
+def _kink_fault(d: Diagram, kind: MoveKind, ci: int, i: int) -> Optional[str]:
+    """Why events i and i + 1 of component ci are no kink of the kind, or None."""
+    comp = d.components[ci]
+    a, b = comp.events[i], comp.events[(i + 1) % len(comp.events)]
+    if not (isinstance(a, CrossVisit) and isinstance(b, CrossVisit)
+            and a.crossing == b.crossing):
+        return "stale kink site"
+    sign = _sign_from_visits(d, a.crossing, *_visit_pairs(d)[a.crossing])
+    if sign != (1 if kind is MoveKind.M1P_INV else -1):
+        return "kink sign does not match the move kind"
+    return None
+
+
+def _candidates_m1_inv(d: Diagram, kind: MoveKind) -> List[MoveSite]:
+    return [MoveSite.make(kind, comp=ci, event=i)
+            for ci, comp in enumerate(d.components) for i in range(len(comp.events))
+            if _kink_fault(d, kind, ci, i) is None]
 
 
 def _apply_m1_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     ci, i = site.get("comp"), site.get("event")
+    fault = _kink_fault(d, kind, ci, i)
+    if fault:
+        raise MoveError(fault)
     comp = d.components[ci]
     k = len(comp.events)
-    a, b = comp.events[i], comp.events[(i + 1) % k]
-    if not (isinstance(a, CrossVisit) and isinstance(b, CrossVisit)
-            and a.crossing == b.crossing):
-        raise MoveError("stale kink site")
-    sign = _sign_from_visits(d, a.crossing, *_visit_pairs(d)[a.crossing])
-    if sign != (1 if kind is MoveKind.M1P_INV else -1):
-        raise MoveError("kink sign does not match the move kind")
+    a = comp.events[i]
     crossings = dict(d.crossings)
     del crossings[a.crossing]
     comp2 = _remove_events(comp, [i, (i + 1) % k])
@@ -371,20 +382,15 @@ def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     return replace(d2, crossings=crossings)
 
 
-@_listed
-def _candidates_m2_inv(d: Diagram, kind: MoveKind):
+def _candidates_m2_inv(d: Diagram, kind: MoveKind) -> List[MoveSite]:
     between: Dict[frozenset, List[Arc]] = {}
     for arc in derived(d, "arcs", arcs_of):
         if (arc.src is not None and arc.src[0] == arc.dst[0] == "x"
                 and arc.src[1] != arc.dst[1]):
             between.setdefault(frozenset((arc.src[1], arc.dst[1])), []).append(arc)
-    for _pair, group in sorted(between.items(), key=lambda kv: sorted(kv[0])):
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                if _bigon_ok(d, a, b):
-                    yield MoveSite.make(kind,
-                                        arc_a=(a.comp, a.index),
-                                        arc_b=(b.comp, b.index))
+    return [MoveSite.make(kind, arc_a=(a.comp, a.index), arc_b=(b.comp, b.index))
+            for _pair, group in sorted(between.items(), key=lambda kv: sorted(kv[0]))
+            for i, a in enumerate(group) for b in group[i + 1:] if _bigon_ok(d, a, b)]
 
 
 def _arc_port_at(arc: Arc, crossing: str) -> int:
@@ -416,10 +422,10 @@ def _bigon_ok(d: Diagram, a: Arc, b: Arc) -> bool:
 
 
 def _apply_m2_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
-    key_a, key_b = _dejson(site.get("arc_a")), _dejson(site.get("arc_b"))
+    key_a, key_b = site.get("arc_a"), site.get("arc_b")
     arcs = _arc_index(d)
     try:
-        a, b = arcs[tuple(key_a)], arcs[tuple(key_b)]
+        a, b = arcs[key_a], arcs[key_b]
     except KeyError:
         raise MoveError("stale bigon site")
     if a.src is None or b.src is None or a.src[0] != "x" or b.src[0] != "x":
@@ -480,17 +486,14 @@ def _strand_extremal(d: Diagram, arc_key) -> Optional[bool]:
     return over1 if over1 == over2 else None
 
 
-@_listed
-def _candidates_m3(d: Diagram, kind: MoveKind):
-    for arcs in _triangles(d):
-        for slide in range(3):
-            if _strand_extremal(d, arcs[slide]) is not None:
-                yield MoveSite.make(kind, arcs=arcs, slide=slide)
+def _candidates_m3(d: Diagram, kind: MoveKind) -> List[MoveSite]:
+    return [MoveSite.make(kind, arcs=arcs, slide=slide)
+            for arcs in _triangles(d) for slide in range(3)
+            if _strand_extremal(d, arcs[slide]) is not None]
 
 
 def _apply_m3(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
-    arc_keys = [tuple(a) for a in _dejson(site.get("arcs"))]
-    slide = site.get("slide")
+    arc_keys, slide = site.get("arcs"), site.get("slide")
     arcs = _arc_index(d)
     try:
         tri = [arcs[k] for k in arc_keys]
@@ -542,7 +545,7 @@ def _ways_out(d: Diagram, face: str) -> List[Tuple[str, Incidence, Incidence, in
     cx = d.complex
     out = []
     for e, s1 in _edge_sides(cx, face):
-        slots = len(edge_transit_order(d, e)) + 1
+        slots = len(transit_orders(d).get(e, ())) + 1
         out.extend((e, s1, s2, slots) for s2 in cx.incidences[e] if s2 != s1)
     return out
 
@@ -591,41 +594,40 @@ def _apply_m4_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     return replace(_with_component(d, ci, comp2), transits=transits)
 
 
-@_listed
-def _candidates_m4_inv(d: Diagram, kind: MoveKind):
-    for ci, comp in enumerate(d.components):
-        k = len(comp.events)
-        for i in range(k):
-            a, b = comp.events[i], comp.events[(i + 1) % k]
-            if not (isinstance(a, TransitVisit) and isinstance(b, TransitVisit)):
-                continue
-            t1, t2 = d.transits[a.transit], d.transits[b.transit]
-            if t1.edge != t2.edge or a.transit == b.transit:
-                continue
-            if set(t1.sides) != set(t2.sides):
-                continue
-            if t1.sides[1 - a.enter] != t2.sides[b.enter]:
-                continue
-            order = edge_transit_order(d, t1.edge)
-            if abs(order.index(a.transit) - order.index(b.transit)) != 1:
-                continue
-            yield MoveSite.make(kind, comp=ci, event=i)
+def _tongue_fault(d: Diagram, ci: int, i: int) -> Optional[str]:
+    """Why events i and i + 1 of component ci are no tongue, or None.
+
+    A tongue is two transits of one edge, next along it, that the strand
+    crosses out and straight back.
+    """
+    comp = d.components[ci]
+    a, b = comp.events[i], comp.events[(i + 1) % len(comp.events)]
+    if not (isinstance(a, TransitVisit) and isinstance(b, TransitVisit)):
+        return "stale tongue site"
+    t1, t2 = d.transits[a.transit], d.transits[b.transit]
+    if (t1.edge != t2.edge or set(t1.sides) != set(t2.sides)
+            or t1.sides[1 - a.enter] != t2.sides[b.enter]):
+        return "events do not form a tongue"
+    order = transit_orders(d)[t1.edge]
+    if abs(order.index(a.transit) - order.index(b.transit)) != 1:
+        return "tongue transits are not adjacent on the edge"
+    return None
+
+
+def _candidates_m4_inv(d: Diagram, kind: MoveKind) -> List[MoveSite]:
+    return [MoveSite.make(kind, comp=ci, event=i)
+            for ci, comp in enumerate(d.components) for i in range(len(comp.events))
+            if _tongue_fault(d, ci, i) is None]
 
 
 def _apply_m4_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     ci, i = site.get("comp"), site.get("event")
+    fault = _tongue_fault(d, ci, i)
+    if fault:
+        raise MoveError(fault)
     comp = d.components[ci]
     k = len(comp.events)
     a, b = comp.events[i], comp.events[(i + 1) % k]
-    if not (isinstance(a, TransitVisit) and isinstance(b, TransitVisit)):
-        raise MoveError("stale tongue site")
-    t1, t2 = d.transits[a.transit], d.transits[b.transit]
-    if (t1.edge != t2.edge or set(t1.sides) != set(t2.sides)
-            or t1.sides[1 - a.enter] != t2.sides[b.enter]):
-        raise MoveError("events do not form a tongue")
-    order = edge_transit_order(d, t1.edge)
-    if abs(order.index(a.transit) - order.index(b.transit)) != 1:
-        raise MoveError("tongue transits are not adjacent on the edge")
     transits = dict(d.transits)
     del transits[a.transit], transits[b.transit]
     comp2 = _remove_events(comp, [i, (i + 1) % k])
@@ -679,16 +681,11 @@ def _candidates_m5(d: Diagram, kind: MoveKind) -> _Rows:
                  + [(len(retracts), retracts.__getitem__)])
 
 
-@_listed
-def _candidates_m5_retract(d: Diagram, kind: MoveKind):
+def _candidates_m5_retract(d: Diagram, kind: MoveKind) -> List[MoveSite]:
     port_end = port_ends(d)
-    for c in sorted(d.crossings):
-        info = _retract_info(d, c, port_end)
-        if info is None:
-            continue
-        fan_rot = info["fan_rot"]
-        if _m5_kind_of(d.crossings[c].dot, fan_rot) is kind:
-            yield MoveSite.make(kind, crossing=c, mode="retract")
+    return [MoveSite.make(kind, crossing=c, mode="retract") for c in sorted(d.crossings)
+            if (info := _retract_info(d, c, port_end)) is not None
+            and _m5_kind_of(d.crossings[c].dot, info["fan_rot"]) is kind]
 
 
 def _retract_info(d: Diagram, c: str, port_end) -> Optional[dict]:
@@ -709,7 +706,6 @@ def _retract_info(d: Diagram, c: str, port_end) -> Optional[dict]:
     trs = [d.transits[t] for t in tids]
     if len({tr.edge for tr in trs}) != 1:
         return None
-    edge = trs[0].edge
     near = {transit_of[p][0]: d.transits[transit_of[p][0]].sides[transit_of[p][1]]
             for p in range(4)}
     far = {t: d.transits[t].sides[1 - k] for t, k in
@@ -720,7 +716,7 @@ def _retract_info(d: Diagram, c: str, port_end) -> Optional[dict]:
     s1 = next(iter(far.values()))
     if s2[0] != cr.face:
         return None
-    order = edge_transit_order(d, edge)
+    order = transit_orders(d)[trs[0].edge]
     ranks = sorted(order.index(t) for t in tids)
     if ranks != list(range(ranks[0], ranks[0] + 4)):
         return None
@@ -731,8 +727,7 @@ def _retract_info(d: Diagram, c: str, port_end) -> Optional[dict]:
     fan = by_rank if dir2 > 0 else by_rank[::-1]
     if (fan[1] - fan[0]) % 4 != 1 or (fan[2] - fan[1]) % 4 != 1:
         return None
-    return {"edge": edge, "s1": s1, "s2": s2, "transit_of": transit_of,
-            "fan_rot": fan[0], "fan": fan}
+    return {"s1": s1, "s2": s2, "transit_of": transit_of, "fan_rot": fan[0]}
 
 
 def _relocated_crossing(d: Diagram, c: str, port_positions: Dict[int, Fraction],
@@ -848,15 +843,11 @@ def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 # -- transit exchange (M6) -----------------------------------------------------
 
-@_listed
-def _candidates_m6(d: Diagram, kind: MoveKind):
-    for e in sorted({tr.edge for tr in d.transits.values()}):
-        order = edge_transit_order(d, e)
-        for i in range(len(order) - 1):
-            t1, t2 = order[i], order[i + 1]
-            branches = set(d.transits[t1].sides) | set(d.transits[t2].sides)
-            if len(branches) >= 3:
-                yield MoveSite.make(kind, edge=e, t1=t1, t2=t2)
+def _candidates_m6(d: Diagram, kind: MoveKind) -> List[MoveSite]:
+    orders = transit_orders(d)
+    return [MoveSite.make(kind, edge=e, t1=t1, t2=t2)
+            for e in sorted(orders) for t1, t2 in zip(orders[e], orders[e][1:])
+            if len(set(d.transits[t1].sides) | set(d.transits[t2].sides)) >= 3]
 
 
 def _apply_m6(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
@@ -867,7 +858,7 @@ def _apply_m6(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     if tr1.edge != e:
         raise MoveError(f"stale site for {kind.value}: the transits lie on edge "
                         f"{tr1.edge!r}, not {e!r}")
-    order = edge_transit_order(d, tr1.edge)
+    order = transit_orders(d)[tr1.edge]
     if abs(order.index(t1) - order.index(t2)) != 1:
         raise MoveError("transits are not adjacent on the edge")
     if len(set(tr1.sides) | set(tr2.sides)) < 3:
@@ -882,8 +873,10 @@ def _apply_m6(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 CycleStep = Tuple[Tuple[str, int], Tuple[str, int]]   # (edge-end node, corner)
 
+_MAX_CYCLE = 8          # the longest link cycle searched, in nodes
 
-def _link_cycles(cx: TwoComplex, v: str, max_len: int = 8) -> List[Tuple[CycleStep, ...]]:
+
+def _link_cycles(cx: TwoComplex, v: str) -> List[Tuple[CycleStep, ...]]:
     """Embedded cycles of the vertex link, canonical up to rotation/reflection."""
     graph = vertex_link(cx, v)
     links = [((a, b), (f, i)) for a, b, f, i in graph.links]
@@ -915,7 +908,7 @@ def _link_cycles(cx: TwoComplex, v: str, max_len: int = 8) -> List[Tuple[CycleSt
 
     def dfs(path_nodes: List[Tuple[str, int]], path_corners: List[Tuple[str, int]],
             used_corners: set):
-        if len(path_nodes) > max_len:
+        if len(path_nodes) > _MAX_CYCLE:
             return
         cur = path_nodes[-1]
         for (a, b), corner in links:
@@ -953,7 +946,7 @@ def _corner_flank(cx: TwoComplex, corner: Tuple[str, int],
 
 def _near_vertex_position(d: Diagram, edge: str, end: int, removed: set,
                           taken: Dict[str, List[Fraction]]) -> Fraction:
-    existing = [d.transits[t].pos for t in edge_transit_order(d, edge)
+    existing = [d.transits[t].pos for t in transit_orders(d).get(edge, ())
                 if t not in removed]
     existing += taken.get(edge, [])
     if end == 0:
@@ -1033,7 +1026,7 @@ def _match_m7_run(d: Diagram, cycle, ci: int, start: int, r: int):
         if not isinstance(ev, TransitVisit):
             return None
         tr = d.transits[ev.transit]
-        order = edge_transit_order(d, tr.edge)
+        order = transit_orders(d)[tr.edge]
         walk.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter],
                      (order[0] == ev.transit, order[-1] == ev.transit)))
     cx = d.complex
@@ -1051,9 +1044,7 @@ def _match_m7_run(d: Diagram, cycle, ci: int, start: int, r: int):
 
 
 def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
-    v = site.get("vertex")
-    cycle = tuple((tuple(n), tuple(c)) for n, c in _dejson(site.get("cycle")))
-    cycle = tuple(((n[0], int(n[1])), (c[0], int(c[1]))) for n, c in cycle)
+    v, cycle = site.get("vertex"), site.get("cycle")
     ci, start = site.get("comp"), site.get("arc")
     entry, r = site.get("entry"), site.get("length")
     forward = site.get("forward") if r == 0 else None
