@@ -83,16 +83,6 @@ class TwoComplex:
         v1, v2 = self.edges[e]
         return v2 if d > 0 else v1
 
-    def face_of(self, inc: Incidence) -> str:
-        return inc[0]
-
-    def side_of(self, inc: Incidence) -> Side:
-        face, i = inc
-        return self.faces[face][i]
-
-    def incidence_index(self, edge: str, inc: Incidence) -> int:
-        return self.incidences[edge].index(inc)
-
 
 def _build_incidences(edges, faces) -> Dict[str, Tuple[Incidence, ...]]:
     out: Dict[str, List[Incidence]] = {e: [] for e in edges}
@@ -151,31 +141,28 @@ def validate_complex(name: str, vertices, edges, faces) -> TwoComplex:
 def _check_connected(cx: TwoComplex) -> None:
     if not cx.faces:
         raise ComplexError("complex has no faces")
-    nodes = [("f", f) for f in cx.faces] + [("e", e) for e in cx.edges]
-    adj: Dict[tuple, set] = {n: set() for n in nodes}
-    for e, incs in cx.incidences.items():
-        for f, _i in incs:
-            adj[("e", e)].add(("f", f))
-            adj[("f", f)].add(("e", e))
-    # edges sharing a vertex are also connected through that vertex
-    at_vertex: Dict[str, List[str]] = {}
-    for e, (v1, v2) in cx.edges.items():
-        at_vertex.setdefault(v1, []).append(e)
-        at_vertex.setdefault(v2, []).append(e)
-    for group in at_vertex.values():
-        for other in group[1:]:
-            adj[("e", group[0])].add(("e", other))
-            adj[("e", other)].add(("e", group[0]))
-    seen = set()
-    stack = [nodes[0]]
+    # faces, edges and vertices, each edge joined to its faces and its ends
+    nodes = ([("f", f) for f in cx.faces] + [("e", e) for e in cx.edges]
+             + [("v", v) for v in cx.vertices])
+    links = [(("e", e), ("f", f)) for e, incs in cx.incidences.items() for f, _i in incs]
+    links += [(("e", e), ("v", v)) for e, ends in cx.edges.items() for v in ends]
+    if not _connected(nodes, links):
+        raise ComplexError("complex is not connected")
+
+
+def _connected(nodes: list, links: list) -> bool:
+    """Whether the graph on ``nodes`` (at least one) with edges ``links`` is connected."""
+    adj: Dict[object, set] = {n: set() for n in nodes}
+    for a, b in links:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = set(), [nodes[0]]
     while stack:
         n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(adj[n] - seen)
-    if len(seen) != len(nodes):
-        raise ComplexError("complex is not connected")
+        if n not in seen:
+            seen.add(n)
+            stack.extend(adj[n] - seen)
+    return len(seen) == len(nodes)
 
 
 def edge_class(cx: TwoComplex, e: str) -> EdgeClass:
@@ -266,21 +253,7 @@ def classify_vertex(cx: TwoComplex, v: str) -> PointClass:
     graph = vertex_link(cx, v)
     nodes = list(graph.nodes)
     edges = [(a, b) for a, b, _f, _i in graph.links]
-    if not nodes:
-        return PointClass.SINGULAR
-    # connectivity of the link graph
-    adj = {n: set() for n in nodes}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen, stack = set(), [nodes[0]]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(adj[n] - seen)
-    if len(seen) != len(nodes):
+    if not nodes or not _connected(nodes, edges):
         return PointClass.SINGULAR
 
     nodes, edges = _suppress_degree_two(nodes, edges)
