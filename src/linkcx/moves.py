@@ -73,12 +73,11 @@ class MoveKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class MoveSite:
-    """A move kind and its site, a dict of JSON values (tuples for arrays).
+    """A move kind and its site, a dict of JSON values with arrays as tuples.
 
-    The fingerprint, the site's JSON with sorted keys, is its one canonical
-    form: a trace line carries it, and two sites are equal when their kinds
-    and fingerprints are.  JSON from outside is normalized once, on entry
-    in ``from_fingerprint``, so a parsed site reads as ``make`` built it.
+    The fingerprint, the JSON with sorted keys, is the one canonical form,
+    which equality and hashing compare; ``from_fingerprint`` normalizes
+    trace JSON once, on entry, so a parsed site reads as ``make`` built it.
     """
 
     kind: MoveKind
