@@ -141,7 +141,8 @@ def validate_complex(name: str, vertices, edges, faces) -> TwoComplex:
 def _check_connected(cx: TwoComplex) -> None:
     if not cx.faces:
         raise ComplexError("complex has no faces")
-    # faces, edges and vertices, each edge joined to its faces and its ends
+    # faces, edges and vertices, each edge joined to its faces and its ends;
+    # isolated vertices were refused above, so vertices add no component
     nodes = ([("f", f) for f in cx.faces] + [("e", e) for e in cx.edges]
              + [("v", v) for v in cx.vertices])
     links = [(("e", e), ("f", f)) for e, incs in cx.incidences.items() for f, _i in incs]
