@@ -12,30 +12,33 @@ positive kink multiplies the bracket by -A^3, so this normalization is
 invariant under every move.
 
 One engine serves both brackets.  ``_Contraction``, built once per
-diagram and kept in its record (``diagram.derived``), matches every
-crossing port to the port at the far end of its arc, through the
-transits between them, which form the path leaving the port.  The loop
-count of a state is then a question of connectivity in a perfect
-matching, so the complex need not be planar.  ``_state_sum`` smooths the
-crossings one at a time, in a greedy order that keeps few ports open,
-and keeps one table entry per pairing of the open ports (for
-the homotopy bracket also per holonomy word of each open path and per
-multiset of nontrivial classes closed so far).  Each entry carries an
-integer tally over (|C|, trivial loops), and ``_tally_polynomial`` turns
-each tally into a Laurent polynomial once, at the end.  The work grows
-with the number of entries, not with the 2^cro states; the cap on
-crossings (``LINKCX_MAX_CROSSINGS``, 22 when unset) still applies.
+diagram from its components' event lists and kept in its record
+(``diagram.derived``), matches every crossing port to the port that the
+curve reaches next, through the transits between them, which form the
+path leaving the port.  The loop count of a state is then a question of
+connectivity in a perfect matching, so the complex need not be planar.
+``_state_sum`` smooths the crossings one at a time, in a greedy order
+that keeps few ports open, and keeps one table entry per pairing of the
+open ports (for the homotopy bracket also per holonomy word of each open
+path and per multiset of nontrivial classes closed so far).  Each entry
+carries an integer tally over (|C|, trivial loops), and
+``_tally_polynomial`` turns each tally into a Laurent polynomial once, at
+the end.  The work grows with the number of entries, not with the 2^cro
+states; the cap on crossings (``LINKCX_MAX_CROSSINGS``, 22 when unset)
+still applies.
 
 What does not depend on the group is planned once per contraction
 (``_Contraction.plan``): the smoothing order, and for each crossing a
 ``_Step`` that numbers the open ports before and after it by position
 and says, for each smoothing, where every walk through the crossing
-comes out and which paths it crosses.  A table entry then stores its
-pairing as positions and is extended by walking lists; with a group, the
-word of each walk is multiplied out once per call and step.  The
-bracket of a diagram is kept in its record, so the normalized brackets
-and the span check reuse it; the emptiness and cap checks run on every
-call.  ``loops(mask)`` traces the curves of one state; ``state_curves``,
+comes out and which paths it crosses.  A step depends only on the local
+pattern of its crossing, so steps on at most ``_TABLED_WIDTH`` open
+ports come from one table for the process, each keeping the transition
+of every pairing it has met: a pairing is walked once per pattern, and
+with a group the words are multiplied along the kept hops.  The bracket
+of a diagram is kept in its record, so the normalized brackets and the
+span check reuse it; the emptiness and cap checks run on every call.
+``loops(mask)`` traces the curves of one state; ``state_curves``,
 ``smooth``, ``state_term`` and ``all_state_counts`` are per-state views.
 """
 
@@ -47,8 +50,9 @@ from heapq import heappop, heappush
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .diagram import (CrossVisit, Diagram, PlanarCode, Slot, arcs_of, derived,
-                      sc, transit_steps)
+# arcs_of is re-exported: callers look it up here too
+from .diagram import (CrossVisit, Diagram, PlanarCode, arcs_of,  # noqa: F401
+                      derived, sc, transit_steps)
 from .errors import CrossingCapError, DiagramError
 from .groups import ConjClass, GroupSpec, Word, inv, mul, unoriented_class
 from .invariants import Wri, wri
@@ -94,16 +98,12 @@ class SimpleSystem:
         return len(self.curves)
 
 
-def _smoothing_pairs(dot: int, in_state: bool) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """Port pairs joined by the smoothing.
-
-    The state smoothing merges the dotted sectors, so it joins the two
-    port pairs that cut those sectors off from the other two.
-    """
-    d = dot
-    if in_state:
-        return ((d + 1) % 4, (d + 2) % 4), ((d + 3) % 4, d % 4)
-    return (d % 4, (d + 1) % 4), ((d + 2) % 4, (d + 3) % 4)
+# Port x of a crossing is joined to port _JOINS[dot][s][x] by smoothing s.
+# The state smoothing (s = 1) merges the two dotted sectors, so it joins the
+# port pairs that cut them off from the other two: (p1, p2) and (p3, p0)
+# for dot 0, whose dots sit in (p0, p1) and (p2, p3).
+_JOIN_01_23, _JOIN_12_30 = (1, 0, 3, 2), (3, 2, 1, 0)
+_JOINS = ((_JOIN_01_23, _JOIN_12_30), (_JOIN_12_30, _JOIN_01_23))
 
 
 # -- the state-sum engine -------------------------------------------------
@@ -112,49 +112,51 @@ class _Contraction:
     """Arcs and transits contracted away: ports matched pairwise.
 
     Port 4*i + p is port p of crossing ``order[i]``.  Path a leads from
-    port a to ``match[a]`` through the transit steps ``steps[a]``, and
-    ``join[s][a]`` is the port that smoothing s (1 in the state) joins to
-    a.  Crossing-free components are the fixed closed paths from 4 * cro.
-    ``plan()`` is the group-free part of the state sum, built on first use.
+    port a to ``match[a]`` through the transit steps ``steps[a]``.  The
+    paths are read off each component's event list, from one crossing
+    visit to the next; the path back runs through the same transits in
+    reverse, each entered by the side it was left by.  ``joins[i]`` holds
+    the join patterns of crossing i for smoothings 0 and 1 (``_JOINS``),
+    and ``join[s][a]`` is the port that smoothing s (1 in the state) joins
+    to a.  Crossing-free components are the fixed closed paths from
+    4 * cro.  ``plan()`` is the group-free part of the state sum, built on
+    first use.
     """
 
-    __slots__ = ("order", "index", "match", "join", "steps", "fixed", "_plan")
+    __slots__ = ("order", "index", "match", "joins", "join", "steps", "fixed", "_plan")
 
     def __init__(self, d: Diagram):
         self.order = sorted(d.crossings)
-        self.index = {c: i for i, c in enumerate(self.order)}
-        arc_at: Dict[Slot, Slot] = {}
-        for arc in derived(d, "arcs", arcs_of):
-            if arc.src is not None:
-                arc_at[arc.src] = arc.dst
-                arc_at[arc.dst] = arc.src
-        self.match: List[int] = []
-        self.steps: List[Tuple[TransitStep, ...]] = []
-        self.join: Tuple[List[int], List[int]] = ([], [])
-        for i, c in enumerate(self.order):
-            for p in range(4):
-                steps = []
-                slot = arc_at[("x", c, p)]
-                while slot[0] == "t":            # hop through the edge
-                    tr = d.transits[slot[1]]
-                    steps.append((tr.edge, tr.sides[slot[2]], tr.sides[1 - slot[2]]))
-                    slot = arc_at[("t", slot[1], 1 - slot[2])]
-                self.match.append(4 * self.index[slot[1]] + slot[2])
-                self.steps.append(tuple(steps))
-            for s, join in enumerate(self.join):
-                ports = [0] * 4
-                for a, b in _smoothing_pairs(d.crossings[c].dot, bool(s)):
-                    ports[a], ports[b] = 4 * i + b, 4 * i + a
-                join.extend(ports)
+        self.index = index = {c: i for i, c in enumerate(self.order)}
+        self.joins = [_JOINS[d.crossings[c].dot] for c in self.order]
+        self.join = tuple([4 * i + x for i, pair in enumerate(self.joins) for x in pair[s]]
+                          for s in (0, 1))
+        self.match = match = [0] * (4 * len(self.order))
+        self.steps: List[Tuple[TransitStep, ...]] = [()] * len(match)
         self.fixed: List[List[int]] = []
+        transits = d.transits
         for ci, comp in enumerate(d.components):
-            if not any(isinstance(ev, CrossVisit) for ev in comp.events):
+            events = comp.events
+            visits = [k for k, ev in enumerate(events) if isinstance(ev, CrossVisit)]
+            if not visits:
                 self.fixed.append([len(self.steps)])
                 self.steps.append(tuple(transit_steps(d, ci)))
-        self._plan: Optional[List[_Step]] = None
+                continue
+            for v, w in zip(visits, visits[1:] + visits[:1]):
+                steps = []
+                for ev in events[v + 1:w] if v < w else events[v + 1:] + events[:w]:
+                    tr = transits[ev.transit]
+                    steps.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter]))
+                here, there = events[v], events[w]
+                a = 4 * index[here.crossing] + (here.enter + 2) % 4
+                b = 4 * index[there.crossing] + there.enter
+                match[a], match[b] = b, a
+                self.steps[a] = tuple(steps)
+                self.steps[b] = tuple([(e, out, into) for e, into, out in reversed(steps)])
+        self._plan: Optional[List[Tuple[_Step, List[int]]]] = None
 
-    def plan(self) -> List[_Step]:
-        """One ``_Step`` per crossing in smoothing order, built once and kept."""
+    def plan(self) -> List[Tuple[_Step, List[int]]]:
+        """(step, ports of its entries) per crossing in smoothing order; kept."""
         if self._plan is None:
             self._plan = _build_plan(self)
         return self._plan
@@ -237,94 +239,188 @@ def _frontier_order(con: _Contraction) -> List[int]:
     return order
 
 
+# Steps whose old and new frontiers both have at most this many ports are
+# tabled: kept in _STEPS with the transitions they meet, for the process.
+_TABLED_WIDTH = 8
+
+# The tabled steps by signature.  A step and its kept transitions depend on
+# the signature alone, so any plan may share them; a race builds one twice.
+_STEPS: Dict[tuple, "_Step"] = {}
+
+# Every tuple that a tabled step keeps, by value, as they repeat a lot.
+_SHARED: Dict[tuple, tuple] = {}
+
+
+def _shared(t: tuple) -> tuple:
+    """The copy of t in _SHARED, itself made of copies in _SHARED."""
+    found = _SHARED.get(t)
+    if found is None:
+        found = tuple([_shared(x) if type(x) is tuple else x for x in t])
+        _SHARED[found] = found
+    return found
+
+
 class _Step:
-    """One crossing of the plan: how the open ports before it reach those after.
+    """One crossing of the plan, in positions relative to its frontiers.
 
     The old and new frontiers are the open ports before and after the
-    crossing is smoothed, numbered by position: the ports that survive come
-    first in the new frontier, in their old order, then the open ports of
-    the crossing.  ``closing`` lists the old positions whose ports close
-    here.  A walk through the smoothing ends either at an old position,
-    where the smoothed part before the crossing takes over, or at new
-    position q, coded ~q.  For smoothing s, ``exits[s][k]`` is where the
-    walk that leaves old position k into the crossing ends (~q at once for
-    a port that survives at q), and ``starts[s][q]`` is where the walk that
-    leaves new position q first arrives (its own old position for a port
-    that survives).  ``exit_paths`` and ``start_paths`` hold the path
-    indices each walk crosses, and ``inner[s]`` those of each loop that
-    closes inside the crossing.
+    crossing is smoothed.  A step depends only on its signature, its
+    arguments: the crossing's two join patterns; per old position, the
+    port of the crossing it closes at, or -1; and per port of the
+    crossing, the port of the crossing that its path leads back to (a
+    kink), or -1.  Entry e of the step is old position e when e < len(old),
+    else port e - len(old) of the crossing; the plan keeps beside the step
+    the ports ``at`` that the entries stand for.  ``frontier`` lists the
+    entries of the new frontier: the old positions that stay open, in
+    order, then the open ports of the crossing.  ``closing`` lists the old
+    positions that close here.
+
+    A walk through the smoothing ends either at an old position, where
+    the smoothed part before the crossing takes over, or at new position
+    q, coded ~q.  For smoothing s, ``exits[s][k]`` is where the walk that
+    leaves old position k into the crossing ends (~q at once for a
+    position that stays open at q), and ``starts[s][q]`` is where the walk
+    that leaves new position q first arrives (its own old position for
+    one that stays open).  ``exit_paths`` and ``start_paths`` hold the
+    entries of the paths each walk crosses, and ``inner[s]`` those of each
+    loop that closes inside the crossing.
+
+    ``tabled`` says that both frontiers have at most ``_TABLED_WIDTH``
+    ports.  A tabled step is kept in ``_STEPS``, and ``kept`` maps each
+    pairing of the old positions that it has met to its transitions under
+    smoothings 0 and 1 (see ``meet``); a wider step keeps none.
     """
 
-    __slots__ = ("width", "closing", "exits", "starts", "exit_paths",
-                 "start_paths", "inner")
+    __slots__ = ("width", "tabled", "frontier", "closing", "exits", "starts",
+                 "exit_paths", "start_paths", "inner", "kept")
 
-    def __init__(self, con: _Contraction, i: int, closed: List[bool],
-                 old: List[int], new: List[int]):
-        match = con.match
-        ports = range(4 * i, 4 * i + 4)
-        at_old = {a: k for k, a in enumerate(old) if closed[a]}
-        at_new = {a: q for q, a in enumerate(new)}
-        self.width = len(new)
-        self.closing = list(at_old.values())
-        self.exits, self.starts = [], []
-        self.exit_paths, self.start_paths, self.inner = [], [], []
-        for join in con.join:
+    def __init__(self, joins: Tuple[Tuple[int, ...], Tuple[int, ...]],
+                 closes: Tuple[int, ...], kinks: Tuple[int, ...]):
+        n = len(closes)
+        back = {x: k for k, x in enumerate(closes) if x >= 0}   # port -> old position
+        stay = [k for k, x in enumerate(closes) if x < 0]
+        opened = [x for x in range(4) if x not in back and kinks[x] < 0]
+        frontier = tuple(stay + [n + x for x in opened])
+        self.width = len(frontier)
+        self.tabled = max(n, self.width) <= _TABLED_WIDTH
+        at_new = {e: q for q, e in enumerate(frontier)}
+        fields = []
+        for join in joins:
             met = set()
 
             def walk(c: int, path: List[int]) -> int:
                 """From port c of the crossing, reached through the smoothing."""
-                while closed[c]:
-                    path.append(c)
-                    far = match[c]
-                    if far in at_old:
-                        return at_old[far]
-                    met.update((c, far))         # a path back into the crossing
-                    c = join[far]
-                return ~at_new[c]
+                while c in back or kinks[c] >= 0:
+                    path.append(n + c)
+                    if c in back:
+                        return back[c]
+                    met.update((c, kinks[c]))    # a kink back into the crossing
+                    c = join[kinks[c]]
+                return ~at_new[n + c]
 
             exits, exit_paths = [], []
-            for a in old:
-                path = [a] if closed[a] else []
-                exits.append(walk(join[match[a]], path) if path else ~at_new[a])
+            for k, x in enumerate(closes):
+                path = [k] if x >= 0 else []
+                exits.append(walk(join[x], path) if path else ~at_new[k])
                 exit_paths.append(tuple(path))
-            starts = [k for k, a in enumerate(old) if not closed[a]]
-            start_paths = [()] * len(starts)
-            for p in ports:
-                if not closed[p]:
-                    path = []
-                    starts.append(walk(join[p], path))
-                    start_paths.append(tuple(path))
+            starts, start_paths = stay[:], [()] * len(stay)
+            for x in opened:
+                path = []
+                starts.append(walk(join[x], path))
+                start_paths.append(tuple(path))
             inner = []
-            for c in ports:
-                if closed[c] and match[c] in ports and c not in met:
-                    path = [c]
-                    met.update((c, match[c]))
-                    x = join[match[c]]
+            for c in range(4):
+                if kinks[c] >= 0 and c not in met:
+                    path = [n + c]
+                    met.update((c, kinks[c]))
+                    x = join[kinks[c]]
                     while x != c:
-                        path.append(x)
-                        met.update((x, match[x]))
-                        x = join[match[x]]
+                        path.append(n + x)
+                        met.update((x, kinks[x]))
+                        x = join[kinks[x]]
                     inner.append(tuple(path))
-            self.exits.append(exits)
-            self.exit_paths.append(exit_paths)
-            self.starts.append(starts)
-            self.start_paths.append(start_paths)
-            self.inner.append(inner)
+            fields.append([tuple(f)
+                           for f in (exits, starts, exit_paths, start_paths, inner)])
+        data = (frontier, tuple(back.values()), *zip(*fields))
+        if self.tabled:
+            data = [_shared(x) for x in data]
+        (self.frontier, self.closing, self.exits, self.starts, self.exit_paths,
+         self.start_paths, self.inner) = data
+        self.kept: Dict[Tuple[int, ...], tuple] = {}
+
+    def meet(self, mates: Tuple[int, ...], hops: bool) -> tuple:
+        """The transitions of the old pairing ``mates`` under smoothings 0 and 1.
+
+        ``mates[k]`` is the old position that the path from old position k
+        ends at.  A transition is the new pairing, the number of loops
+        that close (inside the crossing too), the walks and the loops.  A
+        walk is (its new position, the one it ends at, its hops) and a loop
+        its hops; hop y crosses the path from old position y to its mate
+        mates[y], then the exit path of that mate.  A tabled step keeps
+        the pair, made of tuples from ``_SHARED``; a step that is not
+        tabled leaves the walks and loops empty unless ``hops`` asks for
+        them, as only the group kernel reads them.
+        """
+        hops = hops or self.tabled
+        both = []
+        for s in (0, 1):
+            exits = self.exits[s]
+            new = [-1] * self.width
+            seen = [False] * len(mates)
+            walks, loops, closed = [], [], len(self.inner[s])
+            for q, y in enumerate(self.starts[s]):
+                if new[q] >= 0:
+                    continue
+                path = []
+                # seen[y] holds only on an inconsistent plan: it keeps walks finite
+                while y >= 0 and not seen[y]:
+                    z = mates[y]
+                    seen[y] = seen[z] = True
+                    path.append(y)
+                    y = exits[z]
+                new[q], new[~y] = ~y, q
+                if hops:
+                    walks.append((q, ~y, tuple(path)))
+            for y in self.closing:
+                path = []
+                while not seen[y]:
+                    z = mates[y]
+                    seen[y] = seen[z] = True
+                    path.append(y)
+                    y = exits[z]
+                if path:
+                    closed += 1
+                    if hops:
+                        loops.append(tuple(path))
+            both.append((tuple(new), closed, tuple(walks), tuple(loops)))
+        if not self.tabled:
+            return tuple(both)
+        pair = self.kept[mates] = _shared(tuple(both))
+        return pair
 
 
-def _build_plan(con: _Contraction) -> List[_Step]:
-    """One ``_Step`` per crossing, in ``_frontier_order``."""
-    closed = [False] * len(con.match)
+def _build_plan(con: _Contraction) -> List[Tuple[_Step, List[int]]]:
+    """One step per crossing in ``_frontier_order``, with the ports of its entries.
+
+    A step is taken from ``_STEPS`` by its signature, or built and tabled
+    there; a step wider than ``_TABLED_WIDTH`` is built for this plan alone.
+    """
+    match = con.match
     frontier: List[int] = []
     plan = []
     for i in _frontier_order(con):
         ports = range(4 * i, 4 * i + 4)
-        for p in ports:
-            closed[con.match[p]] = True
-        old = frontier
-        frontier = ([a for a in old if not closed[a]]
-                    + [p for p in ports if not closed[p]])
-        plan.append(_Step(con, i, closed, old, frontier))
+        signature = (con.joins[i],
+                     tuple([match[a] & 3 if match[a] >> 2 == i else -1 for a in frontier]),
+                     tuple([match[p] & 3 if match[p] >> 2 == i else -1 for p in ports]))
+        step = _STEPS.get(signature)
+        if step is None:
+            step = _Step(*signature)
+            if step.tabled:
+                _STEPS[tuple([_shared(x) for x in signature])] = step
+        at = frontier + list(ports)
+        plan.append((step, at))
+        frontier = [at[e] for e in step.frontier]
     return plan
 
 
@@ -340,21 +436,28 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
     (and, with a group, carry the same words along those paths and the same
     closed classes) continue alike, so the table keeps one integer tally per
     such key.  Without a group every loop is trivial and there are no words.
+    An entry moves by the step's kept transitions of its pairing; with a
+    group, its words are multiplied along their hops.
     """
     stride = len(con.match) + len(con.fixed) + 1     # (k, e) is kept as k * stride + e
     one = group.identity() if group else None
     classes_of: Dict[Word, ConjClass] = {}
 
-    def word(path: Sequence[int]) -> Word:
+    def word(path: Sequence[int], words: Sequence[Word]) -> Word:
         w = one
         for p in path:
-            w = mul(group, w, path_words[p])
+            w = mul(group, w, words[p])
+        return w
+
+    def along(w: Word, hops: Sequence[int], words: Sequence[Word],
+              mates: Sequence[int], exits: Sequence[Word]) -> Word:
+        """w times the words of the hops: each path to a mate, then its exit."""
+        for y in hops:
+            w = mul(group, mul(group, w, words[y]), exits[mates[y]])
         return w
 
     def classify(loops: List[Word]) -> Tuple[int, List[ConjClass]]:
         """The number of trivial loops, and the classes of the others."""
-        if not group:
-            return len(loops), []
         found = []
         for w in loops:
             cls = classes_of.get(w)
@@ -367,54 +470,34 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
     # (mates, words, classes): mates[j] is the frontier position that the
     # path from position j ends at, words[j] the word read along that path
     table = {((), (), ()): {0: 1}}
-    for step in con.plan():
-        width, closing = step.width, step.closing
+    for step, at in con.plan():
+        width, kept, meet = step.width, step.kept, step.meet
         out: Dict[tuple, Dict[int, int]] = {}
-        for s in (0, 1):
-            exits, starts = step.exits[s], step.starts[s]
-            if group:
-                exit_words = [word(path) for path in step.exit_paths[s]]
-                start_words = [word(path) for path in step.start_paths[s]]
-                inner = classify([word(path) for path in step.inner[s]])
-            else:
-                inner = len(step.inner[s]), []
-            for (mates, words, classes), weights in table.items():
-                new = [-1] * width
-                new_words = [one] * width if group else None
-                seen = [False] * len(mates)
-                for q, y in enumerate(starts):
-                    if new[q] >= 0:
-                        continue
-                    w = start_words[q] if group else None
-                    # seen[y] holds only on an inconsistent plan: it keeps walks finite
-                    while y >= 0 and not seen[y]:
-                        z = mates[y]
-                        seen[y] = seen[z] = True
-                        if group:
-                            w = mul(group, mul(group, w, words[y]), exit_words[z])
-                        y = exits[z]
-                    new[q], new[~y] = ~y, q
-                    if group:
-                        new_words[q], new_words[~y] = w, inv(group, w)
-                loops = []
-                for k in closing:
-                    if seen[k]:
-                        continue
-                    y, w = k, one
-                    while not seen[y]:
-                        z = mates[y]
-                        seen[y] = seen[z] = True
-                        if group:
-                            w = mul(group, mul(group, w, words[y]), exit_words[z])
-                        y = exits[z]
-                    loops.append(w)
-                trivial, found = inner
-                if loops:
-                    more_trivial, more_found = classify(loops)
-                    trivial, found = trivial + more_trivial, found + more_found
-                key = (tuple(new), tuple(new_words) if group else (),
-                       tuple(sorted(classes + tuple(found), key=ConjClass.sort_key))
-                       if found else classes)
+        if group:
+            entry_words = [path_words[a] for a in at]
+            exit_words, start_words, inner = [
+                [[word(path, entry_words) for path in paths[s]] for s in (0, 1)]
+                for paths in (step.exit_paths, step.start_paths, step.inner)]
+            inner = [classify(loops) for loops in inner]
+        for (mates, words, classes), weights in table.items():
+            pair = kept.get(mates) or meet(mates, group is not None)
+            for s, (new, trivial, walks, loops) in enumerate(pair):
+                if group:
+                    exits = exit_words[s]
+                    new_words = [one] * width
+                    for q, r, hops in walks:
+                        w = along(start_words[s][q], hops, words, mates, exits)
+                        new_words[q], new_words[r] = w, inv(group, w)
+                    trivial, found = inner[s]
+                    if loops:
+                        more_trivial, more_found = classify(
+                            [along(one, hops, words, mates, exits) for hops in loops])
+                        trivial, found = trivial + more_trivial, found + more_found
+                    key = (new, tuple(new_words),
+                           tuple(sorted(classes + tuple(found), key=ConjClass.sort_key))
+                           if found else classes)
+                else:
+                    key = (new, (), ())
                 shift = s * stride + trivial
                 acc = out.get(key)
                 if acc is None:
@@ -423,7 +506,10 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
                     for x, c in weights.items():
                         acc[x + shift] = acc.get(x + shift, 0) + c
         table = out
-    trivial, found = classify([path_words[p] if group else None for (p,) in con.fixed])
+    if group:
+        trivial, found = classify([path_words[p] for (p,) in con.fixed])
+    else:
+        trivial, found = len(con.fixed), []
     tallies: Dict[Tuple[ConjClass, ...], Dict[Tuple[int, int], int]] = {}
     for (_mates, _words, classes), weights in table.items():
         key = tuple(sorted(classes + tuple(found), key=ConjClass.sort_key))

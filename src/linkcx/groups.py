@@ -81,9 +81,10 @@ def mul(spec: GroupSpec, a: Word, b: Word) -> Word:
 
 
 def inv(spec: GroupSpec, a: Word) -> Word:
+    """Inverse; the identity comes back as it is."""
     if spec.kind == "free":
-        return tuple(-x for x in reversed(a))
-    return tuple(-x for x in a)
+        return tuple([-x for x in reversed(a)]) if a else a
+    return tuple([-x for x in a]) if any(a) else a
 
 
 def _letter_key(x: int) -> Tuple[int, int]:

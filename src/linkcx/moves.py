@@ -1562,13 +1562,14 @@ def replay(d: Diagram, trace) -> Diagram:
 
     A site of the wrong shape is a MoveError, and so is a site that
     ``apply`` accepts but ``candidate_sites`` does not list (compared by
-    fingerprint, since ``True == 1`` in a tuple).
+    fingerprint, since ``True == 1`` in a tuple).  A MoveError from
+    ``apply`` keeps its text and ends with the step, `` (trace step N)``.
     """
     for step, (kind, site) in enumerate(trace, 1):
         try:
             nxt = apply(d, kind, site)
-        except MoveError:
-            raise
+        except MoveError as exc:
+            raise MoveError(f"{exc} (trace step {step})") from None
         except (TypeError, ValueError) as exc:
             raise MoveError(f"trace step {step}: bad site for {MoveKind(kind).value}: "
                             f"{exc}") from None

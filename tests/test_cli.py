@@ -180,6 +180,21 @@ def test_stale_m6_site_in_a_trace_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: stale site for M6:")
 
 
+def test_a_stale_site_names_its_trace_step(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "Ln", 1)
+    trace = tmp_path / "trace.txt"
+    assert main(["move", "fuzz", str(cx), str(d), "--steps", "10", "--seed", "4",
+                 "--trace", str(trace)]) == 0
+    assert len(trace.read_text().splitlines()) == 10
+    with trace.open("a") as out:
+        out.write('M6 {"edge": "no-such-edge", "t1": "t8", "t2": "t4"}\n')
+    capsys.readouterr()
+    assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stale site for M6:")
+    assert err.rstrip().endswith("(trace step 11)")
+
+
 def test_stale_m7_site_in_a_trace_is_an_error(tmp_path, capsys):
     cx, d, _ = _emit(tmp_path, "torus_link")
     cycle = [[["h", 0], ["F", 2]], [["v", 1], ["F", 1]], [["h", 1], ["F", 0]],

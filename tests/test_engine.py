@@ -2,10 +2,14 @@
 
 The reference enumerates every mask and traces its curves with
 ``_Contraction.loops``; the engine never looks at a single state.  Both
-brackets are compared through their text, byte for byte.
+brackets are compared through their text, byte for byte.  The contraction
+is also checked against one built from the arcs of the diagram, and the
+results against the state of the process-wide table of steps.
 """
 
+import importlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +18,17 @@ from hypothesis import strategies as st
 from linkcx import moves as mv
 from linkcx.bracket import (_Contraction, _frontier_order, _state_sum,
                             _tally_polynomial, bracket, classical_oracle)
-from linkcx.diagram import PlanarCode, braid_code, draw_local, mirror
+from linkcx.diagram import (CrossVisit, PlanarCode, arcs_of, braid_code,
+                            draw_local, mirror, transit_steps)
 from linkcx.errors import MoveError
 from linkcx.examples import EXAMPLE_IDS, example
-from linkcx.groups import GroupSpec, mul, unoriented_class
+from linkcx.groups import GroupSpec, inv, mul, unoriented_class
 from linkcx.homotopy import (Connection, SystemElement, holonomy,
                              homotopy_bracket)
 from linkcx.laurent import Laurent
 from linkcx.twocomplex import build_disc
 
+br = importlib.import_module("linkcx.bracket")
 LOOP = Laurent.loop_factor()
 
 
@@ -57,6 +63,13 @@ def brute_homotopy_bracket(d, conn) -> SystemElement:
         term = LOOP ** trivial * Laurent.A(2 * mask.bit_count() - n)
         acc[key] = acc[key] + term if key in acc else term
     return SystemElement(acc)
+
+
+def kernel_bracket(con, group, words) -> SystemElement:
+    """The homotopy bracket that the group kernel gives for these path words."""
+    n = len(con.order)
+    return SystemElement({key: _tally_polynomial(tally, n) for key, tally
+                          in _state_sum(con, group, words).items()})
 
 
 def assert_engine_matches_brute(d, conn):
@@ -206,10 +219,8 @@ def test_group_kernel_matches_the_shortcut_on_trivial_holonomy():
         con = _Contraction(d)
         words = [holonomy(c, steps) for steps in con.steps]
         assert all(w == c.group.identity() for w in words)
-        n = len(con.order)
-        kernel = SystemElement({key: _tally_polynomial(tally, n) for key, tally
-                                in _state_sum(con, c.group, words).items()})
-        assert kernel.to_text(c.group) == homotopy_bracket(d, c).to_text(c.group)
+        assert (kernel_bracket(con, c.group, words).to_text(c.group)
+                == homotopy_bracket(d, c).to_text(c.group))
 
 
 # -- the smoothing order ----------------------------------------------------
@@ -251,3 +262,125 @@ def test_frontier_order_matches_the_scan():
     for d in diagrams:
         con = _Contraction(d)
         assert _frontier_order(con) == scanned_frontier_order(con)
+
+
+# -- the contraction against the arcs of the diagram ---------------------------
+
+def arcs_contraction(d):
+    """(match, join, steps, fixed) read slot by slot off the arcs of d."""
+    order = sorted(d.crossings)
+    index = {c: i for i, c in enumerate(order)}
+    arc_at = {}
+    for arc in arcs_of(d):
+        if arc.src is not None:
+            arc_at[arc.src] = arc.dst
+            arc_at[arc.dst] = arc.src
+    match, join, steps = [], ([], []), []
+    for i, c in enumerate(order):
+        for p in range(4):
+            path = []
+            slot = arc_at[("x", c, p)]
+            while slot[0] == "t":                # hop through the edge
+                tr = d.transits[slot[1]]
+                path.append((tr.edge, tr.sides[slot[2]], tr.sides[1 - slot[2]]))
+                slot = arc_at[("t", slot[1], 1 - slot[2])]
+            match.append(4 * index[slot[1]] + slot[2])
+            steps.append(tuple(path))
+        dot = d.crossings[c].dot
+        # smoothing 1 merges the dotted sectors (dot, dot+1) and (dot+2, dot+3)
+        for s, pairs in enumerate((((dot, dot + 1), (dot + 2, dot + 3)),
+                                   ((dot + 1, dot + 2), (dot + 3, dot)))):
+            ports = [0] * 4
+            for a, b in pairs:
+                ports[a % 4], ports[b % 4] = 4 * i + b % 4, 4 * i + a % 4
+            join[s].extend(ports)
+    fixed = []
+    for ci, comp in enumerate(d.components):
+        if not any(isinstance(ev, CrossVisit) for ev in comp.events):
+            fixed.append([len(steps)])
+            steps.append(tuple(transit_steps(d, ci)))
+    return match, join, steps, fixed
+
+
+@pytest.fixture(scope="module")
+def engine_diagrams():
+    """(diagram, connection): every example, its mirror and fuzzed variants."""
+    out = []
+    for b in _bundles():
+        for d in (b.diagram, mirror(b.diagram)):
+            out.append((d, b.connection))
+            for seed in range(3):
+                try:
+                    out.append((mv.fuzz(d, 20, seed, max_crossings=8,
+                                        max_transits=12)[0], b.connection))
+                except MoveError:
+                    pass
+    assert len(out) > 100
+    return out
+
+
+def test_contraction_matches_the_arcs(engine_diagrams):
+    for d, _conn in engine_diagrams:
+        con = _Contraction(d)
+        assert (con.match, con.join, con.steps, con.fixed) == arcs_contraction(d)
+
+
+# -- the table of steps --------------------------------------------------------
+
+def both_brackets(diagrams):
+    # a copy of each diagram has an empty record, so its plan is built again
+    out = []
+    for d, conn in diagrams:
+        d = replace(d)
+        out.append((str(bracket(d)), homotopy_bracket(d, conn).to_text(conn.group)))
+    return out
+
+
+def test_results_do_not_depend_on_the_table(engine_diagrams):
+    # mirrors differ from their diagrams in the join patterns alone
+    br._STEPS.clear()
+    cold = both_brackets(engine_diagrams)
+    br._STEPS.clear()
+    backwards = both_brackets(engine_diagrams[::-1])[::-1]
+    warm = both_brackets(engine_diagrams)
+    assert cold == backwards
+    assert cold == warm
+
+
+# T(k, k) = (s1 ... s(k-1))^k: its bracket, and the homotopy bracket with
+# path 0 labelled u and path 4k + 1 labelled v (their reverses inverted)
+TORUS_PINS = {
+    5: ("5*A^12 + 4*A^4 + 4*A^-4 + 1*A^-12 + 1*A^-20 + 1*A^-28",
+        "(-7*A^0 + 10*A^-4 + -2*A^-8 + -5*A^-12 + 3*A^-16 + 2*A^-20 + -2*A^-24 "
+        "+ 1*A^-28)*{u v} + (-5*A^10 + 5*A^6 + -9*A^2 + 2*A^-2 + 4*A^-6 + -6*A^-10 "
+        "+ 3*A^-18 + -2*A^-22)*{u, v}"),
+    6: ("-5*A^16 + -4*A^12 + -5*A^8 + -4*A^4 + -1*A^0 + -4*A^-4 + -1*A^-8 + -4*A^-12 "
+        "+ -1*A^-16 + -1*A^-24 + -1*A^-32 + -1*A^-40",
+        "(-4*A^8 + 6*A^4 + -2*A^0 + -10*A^-4 + 10*A^-8 + 2*A^-12 + -2*A^-16 + -2*A^-20 "
+        "+ -2*A^-24 + 4*A^-28)*{u v^-1} + (5*A^14 + -1*A^10 + 2*A^6 + 8*A^2 + -9*A^-2 "
+        "+ 3*A^-6 + 8*A^-10 + -2*A^-14 + 1*A^-18 + -3*A^-22 + 2*A^-26 + 2*A^-30 "
+        "+ -1*A^-34 + 1*A^-38)*{u, v}"),
+    7: ("14*A^18 + 14*A^10 + 14*A^2 + 6*A^-6 + 6*A^-14 + 6*A^-22 + 1*A^-30 + 1*A^-38 "
+        "+ 1*A^-46 + 1*A^-54",
+        "(-14*A^6 + 27*A^2 + -19*A^-2 + -13*A^-6 + 15*A^-10 + 20*A^-14 + -19*A^-18 "
+        "+ -9*A^-22 + 9*A^-26 + 6*A^-30 + -2*A^-34 + -2*A^-38 + -2*A^-42 "
+        "+ 3*A^-46)*{u v} + (-14*A^16 + 14*A^12 + -28*A^8 + 14*A^4 + -1*A^0 "
+        "+ -18*A^-4 + -1*A^-8 + 16*A^-12 + -2*A^-16 + -17*A^-20 + 2*A^-24 + 7*A^-28 "
+        "+ -2*A^-32 + -3*A^-40 + 1*A^-44 + 1*A^-48 + -1*A^-52)*{u, v}"),
+}
+
+
+def test_wide_closures_keep_their_values_out_of_the_table():
+    f2 = GroupSpec.free("u", "v")
+    for k, (want, want_homotopy) in TORUS_PINS.items():
+        d = _closure(list(range(1, k)) * k, k)
+        assert str(bracket(d, max_crossings=60)) == want
+        con = _Contraction(d)
+        assert not all(step.tabled for step, _at in con.plan())
+        words = [f2.identity()] * len(con.steps)
+        for a, w in ((0, (1,)), (4 * k + 1, (2,))):
+            words[a], words[con.match[a]] = w, inv(f2, w)
+        assert kernel_bracket(con, f2, words).to_text(f2) == want_homotopy
+    assert br._STEPS
+    for (_joins, closes, _kinks), step in br._STEPS.items():
+        assert max(len(closes), step.width) <= br._TABLED_WIDTH == 8

@@ -22,6 +22,7 @@ def test_free_reduction():
     assert reduce_word([1, 2, -2, 1]) == (1, 1)
     assert mul(F2, (1,), (-1,)) == ()
     assert inv(F2, (1, 2)) == (-2, -1)
+    assert inv(F2, F2.identity()) == ()
 
 
 def test_conjugacy_canonical_form():
@@ -47,6 +48,8 @@ def test_class_inverse_and_unoriented():
 def test_abelian():
     assert mul(Z2, (1, 0), (0, 1)) == (1, 1)
     assert inv(Z2, (3, -2)) == (-3, 2)
+    one = Z2.identity()
+    assert inv(Z2, one) is one
     assert conj_class(Z2, (2, -1)).data == (2, -1)
     assert conj_class(Z2, (0, 0)).is_identity()
 
