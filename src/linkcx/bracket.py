@@ -18,14 +18,15 @@ curve reaches next, through the transits between them, which form the
 path leaving the port.  The loop count of a state is then a question of
 connectivity in a perfect matching, so the complex need not be planar.
 ``_state_sum`` smooths the crossings one at a time, in a greedy order
-that keeps few ports open, and keeps one table entry per pairing of the
+that keeps few ports open and, among equals, smooths the crossings whose
+paths cross edges last.  It keeps one table entry per pairing of the
 open ports (for the homotopy bracket also per holonomy word of each open
-path and per multiset of nontrivial classes closed so far).  Each entry
-carries an integer tally over (|C|, trivial loops), and
-``_tally_polynomial`` turns each tally into a Laurent polynomial once, at
-the end.  The work grows with the number of entries, not with the 2^cro
-states; the cap on crossings (``LINKCX_MAX_CROSSINGS``, 22 when unset)
-still applies.
+path and per multiset of nontrivial classes closed so far, where an
+entry with identity words moves as in the bracket).  Each entry carries
+an integer tally over (|C|, trivial loops), and ``_tally_polynomial``
+turns each tally into a Laurent polynomial once, at the end.  The work
+grows with the number of entries, not with the 2^cro states; the cap on
+crossings (``LINKCX_MAX_CROSSINGS``, 22 when unset) still applies.
 
 What does not depend on the group is planned once per contraction
 (``_Contraction.plan``): the smoothing order, and for each crossing a
@@ -47,7 +48,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # arcs_of is re-exported: callers look it up here too
@@ -119,11 +119,12 @@ class _Contraction:
     the join patterns of crossing i for smoothings 0 and 1 (``_JOINS``),
     and ``join[s][a]`` is the port that smoothing s (1 in the state) joins
     to a.  Crossing-free components are the fixed closed paths from
-    4 * cro.  ``plan()`` is the group-free part of the state sum, built on
-    first use.
+    4 * cro; ``transit_ports[i]`` counts crossing i's ports with transit steps.
+    ``plan()`` is the group-free part of the state sum, built on first use.
     """
 
-    __slots__ = ("order", "index", "match", "joins", "join", "steps", "fixed", "_plan")
+    __slots__ = ("order", "index", "match", "joins", "join", "steps", "fixed",
+                 "transit_ports", "_plan")
 
     def __init__(self, d: Diagram):
         self.order = sorted(d.crossings)
@@ -134,6 +135,7 @@ class _Contraction:
         self.match = match = [0] * (4 * len(self.order))
         self.steps: List[Tuple[TransitStep, ...]] = [()] * len(match)
         self.fixed: List[List[int]] = []
+        self.transit_ports = [0] * len(self.order)
         transits = d.transits
         for ci, comp in enumerate(d.components):
             events = comp.events
@@ -151,6 +153,9 @@ class _Contraction:
                 a = 4 * index[here.crossing] + (here.enter + 2) % 4
                 b = 4 * index[there.crossing] + there.enter
                 match[a], match[b] = b, a
+                if steps:
+                    self.transit_ports[a >> 2] += 1
+                    self.transit_ports[b >> 2] += 1
                 self.steps[a] = tuple(steps)
                 self.steps[b] = tuple([(e, out, into) for e, into, out in reversed(steps)])
         self._plan: Optional[List[Tuple[_Step, List[int]]]] = None
@@ -198,17 +203,21 @@ def _contract(d: Diagram, max_crossings: Optional[int], what: str) -> _Contracti
     return _contraction(d)
 
 
-def _tally_polynomial(tally: Dict[Tuple[int, int], int], n: int) -> Laurent:
-    """Sum of count * (-A^2 - A^-2)^e * A^(2k - n) over a {(k, e): count} tally.
+# _SIGNED_ROWS[e][j] = (-1)^e C(e, j), the coefficient of A^(2e - 4j) in (-A^2 - A^-2)^e
+_SIGNED_ROWS: List[List[int]] = [[1]]
 
-    (-A^2 - A^-2)^e is (-1)^e times the sum of C(e, j) * A^(2e - 4j).
-    """
+
+def _tally_polynomial(tally: Dict[Tuple[int, int], int], n: int) -> Laurent:
+    """Sum of count * (-A^2 - A^-2)^e * A^(2k - n) over a {(k, e): count} tally."""
     acc: Dict[int, int] = {}
     for (k, e), count in tally.items():
-        c = -count if e % 2 else count
-        top = 2 * k - n + 2 * e
-        for j in range(e + 1):
-            acc[top - 4 * j] = acc.get(top - 4 * j, 0) + c * comb(e, j)
+        while len(_SIGNED_ROWS) <= e:
+            row = _SIGNED_ROWS[-1]
+            _SIGNED_ROWS.append([-(p + q) for p, q in zip(row + [0], [0] + row)])
+        x = 2 * k - n + 2 * e
+        for b in _SIGNED_ROWS[e]:
+            acc[x] = acc.get(x, 0) + count * b
+            x -= 4
     return Laurent(acc)
 
 
@@ -217,17 +226,19 @@ def _frontier_order(con: _Contraction) -> List[int]:
 
     grow[i] counts i's paths to unsmoothed crossings less those to smoothed
     ones.  It only falls, so a crossing's newest heap entry pops before its
-    older ones, and the least (grow, i) of an unsmoothed crossing goes next.
+    older ones, and the least (grow, transit_ports[i], i) of an unsmoothed
+    crossing goes next, so that path words enter the table late.
     """
     n = len(con.order)
     far = [[q >> 2 for q in con.match[4 * i:4 * i + 4] if q >> 2 != i]
            for i in range(n)]
     grow = [len(f) for f in far]
-    heap = sorted(zip(grow, range(n)))
+    transits = con.transit_ports
+    heap = sorted(zip(grow, transits, range(n)))
     done = [False] * n
     order = []
     while heap:
-        _g, i = heappop(heap)
+        _g, _t, i = heappop(heap)
         if done[i]:
             continue
         done[i] = True
@@ -235,7 +246,7 @@ def _frontier_order(con: _Contraction) -> List[int]:
         for j in far[i]:
             if not done[j]:
                 grow[j] -= 2
-                heappush(heap, (grow[j], j))
+                heappush(heap, (grow[j], transits[j], j))
     return order
 
 
@@ -424,6 +435,36 @@ def _build_plan(con: _Contraction) -> List[Tuple[_Step, List[int]]]:
     return plan
 
 
+# (sort key, unoriented class) of nontrivial loop words by (group, word), for the
+# process; a group parsed again is equal.  Emptied when it holds _CLASS_CACHE_SIZE.
+_CLASS_CACHE_SIZE = 1024
+_CLASSES: Dict[Tuple[GroupSpec, Word], Tuple[tuple, ConjClass]] = {}
+
+
+def _classes(group: GroupSpec, one: Word, loops: Sequence[Word]) -> list:
+    """(sort key, unoriented class) of each loop word but the identity."""
+    return [_CLASSES.get((group, w)) or _new_class(group, w) for w in loops if w != one]
+
+
+def _new_class(group: GroupSpec, w: Word) -> Tuple[tuple, ConjClass]:
+    if len(_CLASSES) >= _CLASS_CACHE_SIZE:
+        _CLASSES.clear()
+    c = unoriented_class(group, w)
+    _CLASSES[group, w] = found = (c.sort_key(), c)
+    return found
+
+
+def _along(group: GroupSpec, one: Word, w: Word, hops: Sequence[int],
+           words: Sequence[Word], mates: Sequence[int], exits: Sequence[Word]) -> Word:
+    """w times each hop's path word, then its mate's exit word; empty lists are all 1."""
+    for y in hops:
+        if words and words[y] != one:
+            w = mul(group, w, words[y])
+        if exits and exits[mates[y]] != one:
+            w = mul(group, w, exits[mates[y]])
+    return w
+
+
 def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
                path_words: Sequence[Word] = ()) -> Dict[Tuple[ConjClass, ...],
                                                         Dict[Tuple[int, int], int]]:
@@ -435,69 +476,52 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
     joining the open ports in pairs.  States that pair the open ports alike
     (and, with a group, carry the same words along those paths and the same
     closed classes) continue alike, so the table keeps one integer tally per
-    such key.  Without a group every loop is trivial and there are no words.
-    An entry moves by the step's kept transitions of its pairing; with a
-    group, its words are multiplied along their hops.
+    such key.  An entry moves by the step's kept transitions of its pairing.
+    An entry whose words are all the identity keeps the words ().  A step
+    is calm when the paths from its crossing's ports read the identity, as
+    then do all its exit, start and inner words; an entry with () words
+    crosses it as without a group.  Other entries multiply only the
+    non-identity words along their hops.
     """
     stride = len(con.match) + len(con.fixed) + 1     # (k, e) is kept as k * stride + e
     one = group.identity() if group else None
-    classes_of: Dict[Word, ConjClass] = {}
-
-    def word(path: Sequence[int], words: Sequence[Word]) -> Word:
-        w = one
-        for p in path:
-            w = mul(group, w, words[p])
-        return w
-
-    def along(w: Word, hops: Sequence[int], words: Sequence[Word],
-              mates: Sequence[int], exits: Sequence[Word]) -> Word:
-        """w times the words of the hops: each path to a mate, then its exit."""
-        for y in hops:
-            w = mul(group, mul(group, w, words[y]), exits[mates[y]])
-        return w
-
-    def classify(loops: List[Word]) -> Tuple[int, List[ConjClass]]:
-        """The number of trivial loops, and the classes of the others."""
-        found = []
-        for w in loops:
-            cls = classes_of.get(w)
-            if cls is None:
-                cls = classes_of[w] = unoriented_class(group, w)
-            if not cls.is_identity():
-                found.append(cls)
-        return len(loops) - len(found), found
 
     # (mates, words, classes): mates[j] is the frontier position that the
-    # path from position j ends at, words[j] the word read along that path
+    # path from position j ends at, words[j] the word read along that path,
+    # and classes the sorted (sort key, class) of the closed nontrivial loops
     table = {((), (), ()): {0: 1}}
     for step, at in con.plan():
         width, kept, meet = step.width, step.kept, step.meet
         out: Dict[tuple, Dict[int, int]] = {}
-        if group:
+        calm = not group or all(path_words[a] == one for a in at[-4:])
+        if calm:
+            exit_words = start_words = inner = ([], [])
+        else:
             entry_words = [path_words[a] for a in at]
             exit_words, start_words, inner = [
-                [[word(path, entry_words) for path in paths[s]] for s in (0, 1)]
+                [[_along(group, one, one, path, entry_words, (), ()) for path in paths[s]]
+                 for s in (0, 1)]
                 for paths in (step.exit_paths, step.start_paths, step.inner)]
-            inner = [classify(loops) for loops in inner]
+            inner = [_classes(group, one, loops) for loops in inner]
         for (mates, words, classes), weights in table.items():
-            pair = kept.get(mates) or meet(mates, group is not None)
+            plain = calm and not words
+            pair = kept.get(mates) or meet(mates, not plain)
             for s, (new, trivial, walks, loops) in enumerate(pair):
-                if group:
-                    exits = exit_words[s]
+                if plain:
+                    key = (new, (), classes)
+                else:
+                    exits, starts = exit_words[s], start_words[s]
                     new_words = [one] * width
                     for q, r, hops in walks:
-                        w = along(start_words[s][q], hops, words, mates, exits)
-                        new_words[q], new_words[r] = w, inv(group, w)
-                    trivial, found = inner[s]
-                    if loops:
-                        more_trivial, more_found = classify(
-                            [along(one, hops, words, mates, exits) for hops in loops])
-                        trivial, found = trivial + more_trivial, found + more_found
-                    key = (new, tuple(new_words),
-                           tuple(sorted(classes + tuple(found), key=ConjClass.sort_key))
-                           if found else classes)
-                else:
-                    key = (new, (), ())
+                        w = _along(group, one, starts[q] if starts else one,
+                                   hops, words, mates, exits)
+                        if w != one:
+                            new_words[q], new_words[r] = w, inv(group, w)
+                    found = inner[s] + _classes(group, one, [
+                        _along(group, one, one, hops, words, mates, exits) for hops in loops])
+                    trivial -= len(found)
+                    key = (new, () if new_words.count(one) == width else tuple(new_words),
+                           tuple(sorted(classes + tuple(found))) if found else classes)
                 shift = s * stride + trivial
                 acc = out.get(key)
                 if acc is None:
@@ -506,13 +530,11 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
                     for x, c in weights.items():
                         acc[x + shift] = acc.get(x + shift, 0) + c
         table = out
-    if group:
-        trivial, found = classify([path_words[p] for (p,) in con.fixed])
-    else:
-        trivial, found = len(con.fixed), []
+    found = _classes(group, one, [path_words[p] for (p,) in con.fixed]) if group else []
+    trivial = len(con.fixed) - len(found)
     tallies: Dict[Tuple[ConjClass, ...], Dict[Tuple[int, int], int]] = {}
     for (_mates, _words, classes), weights in table.items():
-        key = tuple(sorted(classes + tuple(found), key=ConjClass.sort_key))
+        key = tuple([c for _key, c in sorted(classes + tuple(found))])
         tally = tallies.setdefault(key, {})
         for x, c in weights.items():
             k, e = divmod(x, stride)

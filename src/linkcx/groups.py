@@ -205,7 +205,10 @@ def text_to_word(spec: GroupSpec, text: str) -> Word:
     for token in text.split():
         if "^" in token:
             name, _, p = token.partition("^")
-            power = int(p)
+            try:
+                power = int(p)
+            except ValueError:
+                raise ValueError(f"bad exponent in {token!r}") from None
         else:
             name, power = token, 1
         if name not in index:

@@ -318,12 +318,17 @@ def homotopy_bracket(d: Diagram, conn: Connection,
 
     Each state contributes A^(2|C| - cro) times the coarsened class of its
     curve system: trivial curves each become a factor (-A^2 - A^-2) and
-    the remaining classes form the basis multiset.  With every path word
-    trivial, it is the loop factor times the kept bracket.
+    the remaining classes form the basis multiset.  Each path's holonomy is
+    read once, and the path back, through the same transits, gets its
+    inverse.  With every path word trivial, it is the loop factor times the
+    kept bracket; otherwise the group state sum multiplies the others.
     """
     con = _contract(d, max_crossings, "homotopy bracket")
-    path_words = [holonomy(conn, steps) for steps in con.steps]
-    one = conn.group.identity()
+    g, match, path_words = conn.group, con.match, []
+    for a, steps in enumerate(con.steps):
+        b = match[a] if a < len(match) else a
+        path_words.append(inv(g, path_words[b]) if b < a else holonomy(conn, steps))
+    one = g.identity()
     if all(w == one for w in path_words):
         kept = derived(d, "bracket", _bracket_of)
         return SystemElement({(): Laurent.loop_factor() * kept})

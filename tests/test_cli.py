@@ -297,3 +297,19 @@ def test_a_bad_group_line_is_a_format_error(tmp_path, capsys, command, group, la
     captured = capsys.readouterr()
     assert captured.err.startswith("error: line 2: ") and captured.out == ""
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, n, label, line", [
+    ("torus_link", None, "g2", 4), ("Ln", 1, "u", 6)], ids=["empty", "not an integer"])
+def test_a_bad_exponent_is_a_format_error(tmp_path, capsys, name, n, label, line):
+    # int()'s own message used to pass through: "invalid literal for int() ..."
+    bad = {"g2": "g2^", "u": "u^1.5"}[label]
+    cx, d, conn = _emit(tmp_path, name, n)
+    text = conn.read_text()
+    assert text.splitlines()[line - 1].endswith(f"= {label}")
+    conn.write_text(text.replace(f"= {label}\n", f"= {bad}\n", 1))
+    capsys.readouterr()
+    assert main(["inv", str(cx), str(d), "--conn", str(conn)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line {line}: bad exponent in {bad!r}\n"
+    assert captured.out == ""

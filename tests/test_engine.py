@@ -22,7 +22,7 @@ from linkcx.diagram import (CrossVisit, PlanarCode, arcs_of, braid_code,
                             draw_local, mirror, transit_steps)
 from linkcx.errors import MoveError
 from linkcx.examples import EXAMPLE_IDS, example
-from linkcx.groups import GroupSpec, inv, mul, unoriented_class
+from linkcx.groups import GroupSpec, inv, mul, reduce_word, unoriented_class
 from linkcx.homotopy import (Connection, SystemElement, holonomy,
                              homotopy_bracket)
 from linkcx.laurent import Laurent
@@ -44,8 +44,12 @@ def brute_bracket(d) -> Laurent:
 
 def brute_homotopy_bracket(d, conn) -> SystemElement:
     con = _Contraction(d)
-    g = conn.group
     words = [holonomy(conn, steps) for steps in con.steps]
+    return brute_from_words(con, conn.group, words)
+
+
+def brute_from_words(con, g, words) -> SystemElement:
+    """The homotopy bracket over all states, for these path words."""
     n = len(con.order)
     acc = {}
     for mask in range(1 << n):
@@ -223,27 +227,83 @@ def test_group_kernel_matches_the_shortcut_on_trivial_holonomy():
                 == homotopy_bracket(d, c).to_text(c.group))
 
 
+# -- sparse words: many nontrivial words, and many transits --------------------
+
+def random_words(con, g, rng, paths):
+    """Path words, random on at most ``paths`` paths, their reverses inverted."""
+    words = [g.identity()] * len(con.steps)
+    for a in rng.sample(range(len(con.match)), paths):
+        if g.kind == "free":
+            w = reduce_word([rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 4))])
+        else:
+            w = (rng.randint(-2, 2), rng.randint(1, 2))
+        if w != g.identity():
+            words[a], words[con.match[a]] = w, inv(g, w)
+    return words
+
+
+@pytest.mark.parametrize("group", [GroupSpec.free("u", "v"), GroupSpec.abelian(2)],
+                         ids=["free", "abelian"])
+def test_group_kernel_on_many_words(group):
+    rng = random.Random(16)
+    for k in (3, 4):
+        con = _Contraction(_closure(list(range(1, k)) * k, k))
+        for _ in range(4):
+            words = random_words(con, group, rng, rng.randint(2, 8))
+            assert (kernel_bracket(con, group, words).to_text(group)
+                    == brute_from_words(con, group, words).to_text(group))
+
+
+@pytest.mark.parametrize("base", [("torus_link", None), ("Kn", 0), ("annulus_link", None)])
+def test_fuzzed_diagrams_with_many_transits(base):
+    b = example(*base)
+    most = 0
+    for seed in range(4):
+        d, _trace = mv.fuzz(b.diagram, 60, seed=seed, max_crossings=8, max_transits=40)
+        most = max(most, len(d.transits))
+        assert_engine_matches_brute(d, b.connection)
+    assert most >= 30
+
+
+def test_the_class_cache_keeps_its_bound():
+    g = GroupSpec.abelian(2)
+    size = br._CLASS_CACHE_SIZE
+    for i in range(2 * size + 1):
+        found = br._classes(g, g.identity(), [(i, 1), g.identity()])
+        assert [c for _key, c in found] == [unoriented_class(g, (i, 1))]
+        assert 0 < len(br._CLASSES) <= size
+    assert (g, (2 * size, 1)) in br._CLASSES
+    # a group parsed again is the same key
+    assert (GroupSpec.abelian(2), (2 * size, 1)) in br._CLASSES
+
+
 # -- the smoothing order ----------------------------------------------------
 
-def scanned_frontier_order(con):
-    """The order by a full rescan per pick: the lowest index of least grow."""
+def scanned_frontier_order(con, by_transits=True):
+    """The order by a full rescan per pick: the least (grow, transit ports, index).
+
+    Transit ports are the ports whose path has transit steps; without
+    ``by_transits`` they are not counted, which was the order before them.
+    """
     n = len(con.order)
     done = [False] * n
     order = []
     for _ in range(n):
-        best, best_grow = -1, 5
+        best = None
         for i in range(n):
             if done[i]:
                 continue
-            grow = 0
+            grow = transits = 0
             for p in range(4 * i, 4 * i + 4):
                 j = con.match[p] >> 2
                 if j != i:
                     grow += -1 if done[j] else 1
-            if grow < best_grow:
-                best, best_grow = i, grow
-        done[best] = True
-        order.append(best)
+                if by_transits and con.steps[p]:
+                    transits += 1
+            if best is None or (grow, transits, i) < best:
+                best = (grow, transits, i)
+        done[best[2]] = True
+        order.append(best[2])
     return order
 
 
@@ -259,9 +319,16 @@ def test_frontier_order_matches_the_scan():
                 except MoveError:
                     pass
     assert len(diagrams) > 100
+    without_transits = 0
     for d in diagrams:
         con = _Contraction(d)
-        assert _frontier_order(con) == scanned_frontier_order(con)
+        order = _frontier_order(con)
+        assert order == scanned_frontier_order(con)
+        if not any(con.steps[:len(con.match)]):
+            # without transits the order is the one by (grow, index)
+            without_transits += 1
+            assert order == scanned_frontier_order(con, by_transits=False)
+    assert without_transits >= 8
 
 
 # -- the contraction against the arcs of the diagram ---------------------------

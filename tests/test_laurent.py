@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkcx.laurent import Laurent
+
+laurents = st.dictionaries(st.integers(-12, 12), st.integers(-5, 5), max_size=6).map(Laurent)
 
 
 def test_basic_arithmetic():
@@ -60,3 +64,36 @@ def test_string_round_trip():
         assert Laurent.parse(str(f)) == f
     with pytest.raises(ValueError):
         Laurent.parse("A^2")
+
+
+# -- the ring laws ----------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(laurents, laurents, laurents)
+def test_ring_laws(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f + g == g + f
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert f + Laurent.zero() == f and f * Laurent.one() == f
+    assert f - f == Laurent.zero() and f * Laurent.zero() == Laurent.zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents, laurents, st.integers(-3, 3))
+def test_subs_A_inverse_is_a_ring_map(f, g, k):
+    bar = Laurent.subs_A_inverse
+    assert bar(f + g) == bar(f) + bar(g)
+    assert bar(f * g) == bar(f) * bar(g)
+    assert bar(k * f) == k * bar(f)
+    assert bar(Laurent.one()) == Laurent.one()
+    assert bar(bar(f)) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents)
+def test_text_round_trip(f):
+    text = str(f)
+    assert Laurent.parse(text) == f
+    assert str(Laurent.parse(text)) == text
