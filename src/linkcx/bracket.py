@@ -23,9 +23,9 @@ paths cross edges last.  It keeps one table entry per pairing of the
 open ports (for the homotopy bracket also per holonomy word of each open
 path and per multiset of nontrivial classes closed so far, where an
 entry with identity words moves as in the bracket).  Each entry carries
-an integer tally over (|C|, trivial loops), and ``_tally_polynomial``
-turns each tally into a Laurent polynomial once, at the end.  The work
-grows with the number of entries, not with the 2^cro states; the cap on
+the Laurent polynomial of its states, trivial loops included, and the
+bracket divides the final one by the loop factor once.  The work grows
+with the number of entries, not with the 2^cro states; the cap on
 crossings (``LINKCX_MAX_CROSSINGS``, 22 when unset) still applies.
 
 What does not depend on the group is planned once per contraction
@@ -203,22 +203,22 @@ def _contract(d: Diagram, max_crossings: Optional[int], what: str) -> _Contracti
     return _contraction(d)
 
 
-# _SIGNED_ROWS[e][j] = (-1)^e C(e, j), the coefficient of A^(2e - 4j) in (-A^2 - A^-2)^e
-_SIGNED_ROWS: List[List[int]] = [[1]]
+def _times_loop(p: Dict[int, int]) -> Dict[int, int]:
+    """The {exponent: coefficient} polynomial p times (-A^2 - A^-2)."""
+    q = {x + 2: -c for x, c in p.items()}
+    for x, c in p.items():
+        q[x - 2] = q.get(x - 2, 0) - c
+    return q
 
 
-def _tally_polynomial(tally: Dict[Tuple[int, int], int], n: int) -> Laurent:
-    """Sum of count * (-A^2 - A^-2)^e * A^(2k - n) over a {(k, e): count} tally."""
-    acc: Dict[int, int] = {}
-    for (k, e), count in tally.items():
-        while len(_SIGNED_ROWS) <= e:
-            row = _SIGNED_ROWS[-1]
-            _SIGNED_ROWS.append([-(p + q) for p, q in zip(row + [0], [0] + row)])
-        x = 2 * k - n + 2 * e
-        for b in _SIGNED_ROWS[e]:
-            acc[x] = acc.get(x, 0) + count * b
-            x -= 4
-    return Laurent(acc)
+def _over_loop(p: Laurent) -> Laurent:
+    """p divided by (-A^2 - A^-2), exactly; p must be a multiple of it."""
+    terms = p.terms()
+    given, q = dict(terms), {}
+    # from the top down: p[y + 2] = -q[y] - q[y + 4]
+    for y in range(terms[0][0] - 2, terms[-1][0] + 1, -1) if terms else ():
+        q[y] = -given.get(y + 2, 0) - q.get(y + 4, 0)
+    return Laurent(q)
 
 
 def _frontier_order(con: _Contraction) -> List[int]:
@@ -359,7 +359,7 @@ class _Step:
          self.start_paths, self.inner) = data
         self.kept: Dict[Tuple[int, ...], tuple] = {}
 
-    def meet(self, mates: Tuple[int, ...], hops: bool) -> tuple:
+    def meet(self, mates: Tuple[int, ...]) -> tuple:
         """The transitions of the old pairing ``mates`` under smoothings 0 and 1.
 
         ``mates[k]`` is the old position that the path from old position k
@@ -368,11 +368,8 @@ class _Step:
         walk is (its new position, the one it ends at, its hops) and a loop
         its hops; hop y crosses the path from old position y to its mate
         mates[y], then the exit path of that mate.  A tabled step keeps
-        the pair, made of tuples from ``_SHARED``; a step that is not
-        tabled leaves the walks and loops empty unless ``hops`` asks for
-        them, as only the group kernel reads them.
+        the pair, made of tuples from ``_SHARED``.
         """
-        hops = hops or self.tabled
         both = []
         for s in (0, 1):
             exits = self.exits[s]
@@ -390,8 +387,7 @@ class _Step:
                     path.append(y)
                     y = exits[z]
                 new[q], new[~y] = ~y, q
-                if hops:
-                    walks.append((q, ~y, tuple(path)))
+                walks.append((q, ~y, tuple(path)))
             for y in self.closing:
                 path = []
                 while not seen[y]:
@@ -401,8 +397,7 @@ class _Step:
                     y = exits[z]
                 if path:
                     closed += 1
-                    if hops:
-                        loops.append(tuple(path))
+                    loops.append(tuple(path))
             both.append((tuple(new), closed, tuple(walks), tuple(loops)))
         if not self.tabled:
             return tuple(both)
@@ -466,30 +461,36 @@ def _along(group: GroupSpec, one: Word, w: Word, hops: Sequence[int],
 
 
 def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
-               path_words: Sequence[Word] = ()) -> Dict[Tuple[ConjClass, ...],
-                                                        Dict[Tuple[int, int], int]]:
-    """{nontrivial classes: {(|C|, trivial loops): states}} over all states.
+               path_words: Sequence[Word] = ()) -> Dict[Tuple[ConjClass, ...], Laurent]:
+    """{nontrivial classes: sum of A^(2|C| - cro) (-A^2 - A^-2)^(trivial loops)}.
 
     The crossings are smoothed one at a time, as the plan of ``con`` says.
     A port is open while the far end of its path is unsmoothed, and the
     smoothed part of every state is a set of closed loops plus open paths
     joining the open ports in pairs.  States that pair the open ports alike
     (and, with a group, carry the same words along those paths and the same
-    closed classes) continue alike, so the table keeps one integer tally per
-    such key.  An entry moves by the step's kept transitions of its pairing.
-    An entry whose words are all the identity keeps the words ().  A step
-    is calm when the paths from its crossing's ports read the identity, as
-    then do all its exit, start and inner words; an entry with () words
-    crosses it as without a group.  Other entries multiply only the
-    non-identity words along their hops.
+    closed classes) continue alike, so the table keeps one {exponent of A:
+    coefficient} polynomial per such key, from A^-cro times the loop factor
+    of each trivial crossing-free component.  An entry moves by the step's
+    kept transitions of its pairing: smoothing s shifts it by 2s and each
+    trivial loop that closes multiplies it by the loop factor.  An entry
+    whose words are all the identity keeps the words ().  A step is calm
+    when the paths from its crossing's ports read the identity, as then do
+    all its exit, start and inner words; an entry with () words crosses it
+    as without a group.  Other entries multiply only the non-identity words
+    along their hops.
     """
-    stride = len(con.match) + len(con.fixed) + 1     # (k, e) is kept as k * stride + e
     one = group.identity() if group else None
+    fixed = sorted(_classes(group, one, [path_words[p] for (p,) in con.fixed])
+                   if group else [])
+    start = {-len(con.order): 1}
+    for _ in range(len(con.fixed) - len(fixed)):
+        start = _times_loop(start)
 
     # (mates, words, classes): mates[j] is the frontier position that the
     # path from position j ends at, words[j] the word read along that path,
     # and classes the sorted (sort key, class) of the closed nontrivial loops
-    table = {((), (), ()): {0: 1}}
+    table = {((), (), tuple(fixed)): start}
     for step, at in con.plan():
         width, kept, meet = step.width, step.kept, step.meet
         out: Dict[tuple, Dict[int, int]] = {}
@@ -505,7 +506,7 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
             inner = [_classes(group, one, loops) for loops in inner]
         for (mates, words, classes), weights in table.items():
             plain = calm and not words
-            pair = kept.get(mates) or meet(mates, not plain)
+            pair = kept.get(mates) or meet(mates)
             for s, (new, trivial, walks, loops) in enumerate(pair):
                 if plain:
                     key = (new, (), classes)
@@ -522,24 +523,23 @@ def _state_sum(con: _Contraction, group: Optional[GroupSpec] = None,
                     trivial -= len(found)
                     key = (new, () if new_words.count(one) == width else tuple(new_words),
                            tuple(sorted(classes + tuple(found))) if found else classes)
-                shift = s * stride + trivial
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = {x + shift: c for x, c in weights.items()}
+                acc = out.setdefault(key, {})
+                if trivial:
+                    # the last loop factor is multiplied in as the entry is added
+                    moved = weights
+                    for _ in range(trivial - 1):
+                        moved = _times_loop(moved)
+                    up, down = 2 * s + 2, 2 * s - 2
+                    for x, c in moved.items():
+                        acc[x + up] = acc.get(x + up, 0) - c
+                        acc[x + down] = acc.get(x + down, 0) - c
                 else:
                     for x, c in weights.items():
-                        acc[x + shift] = acc.get(x + shift, 0) + c
+                        acc[x + 2 * s] = acc.get(x + 2 * s, 0) + c
         table = out
-    found = _classes(group, one, [path_words[p] for (p,) in con.fixed]) if group else []
-    trivial = len(con.fixed) - len(found)
-    tallies: Dict[Tuple[ConjClass, ...], Dict[Tuple[int, int], int]] = {}
-    for (_mates, _words, classes), weights in table.items():
-        key = tuple([c for _key, c in sorted(classes + tuple(found))])
-        tally = tallies.setdefault(key, {})
-        for x, c in weights.items():
-            k, e = divmod(x, stride)
-            tally[k, e + trivial] = tally.get((k, e + trivial), 0) + c
-    return tallies
+    # all ports are closed now, so the classes alone tell the entries apart
+    return {tuple([c for _key, c in classes]): Laurent(weights)
+            for (_mates, _words, classes), weights in table.items()}
 
 
 def state_curves(d: Diagram, state: Iterable[str]) -> SimpleSystem:
@@ -576,10 +576,8 @@ def bracket(d: Diagram, max_crossings: Optional[int] = None) -> Laurent:
 
 
 def _bracket_of(d: Diagram) -> Laurent:
-    con = _contraction(d)
-    (tally,) = _state_sum(con).values()
-    return _tally_polynomial({(k, e - 1): c for (k, e), c in tally.items()},
-                             len(con.order))
+    (total,) = _state_sum(_contraction(d)).values()
+    return _over_loop(total)
 
 
 def normalized_bracket(d: Diagram, max_crossings: Optional[int] = None) -> Laurent:

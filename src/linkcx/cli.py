@@ -153,6 +153,8 @@ def _move_checker(d0, conn):
 
     def snapshot(d):
         snap = {"nb": normalized_bracket(d)}
+        if conn is not None:
+            snap["hb"] = homotopy.normalized_homotopy_bracket(d, conn)
         if all(c.directed for c in d.components):
             if len(d.components) == 2:
                 snap["lk"] = invariants.lk(d)

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 # state_curves is re-exported: callers look it up here too
-from .bracket import (_bracket_of, _contract, _state_sum,  # noqa: F401
-                      _tally_polynomial, state_curves)
+from .bracket import _bracket_of, _contract, _state_sum, state_curves  # noqa: F401
 from .diagram import Diagram, derived, transit_steps
 from .errors import DiagramError
 from .groups import (ConjClass, GroupSpec, Word, conj_class, inv, mul,
@@ -332,9 +331,7 @@ def homotopy_bracket(d: Diagram, conn: Connection,
     if all(w == one for w in path_words):
         kept = derived(d, "bracket", _bracket_of)
         return SystemElement({(): Laurent.loop_factor() * kept})
-    n = len(con.order)
-    return SystemElement({key: _tally_polynomial(tally, n) for key, tally
-                          in _state_sum(con, conn.group, path_words).items()})
+    return SystemElement(_state_sum(con, g, path_words))
 
 
 def normalized_homotopy_bracket(d: Diagram, conn: Connection,

@@ -83,6 +83,26 @@ def test_fuzz_check_all(tmp_path, capsys):
                  "--check", "all", "--conn", str(conn)]) == 0
 
 
+def test_fuzz_check_all_catches_homotopy_bracket_drift(tmp_path, capsys, monkeypatch):
+    # the homotopy bracket reads twice its value after the start: a planted drift
+    cx, d, conn = _emit(tmp_path, "moebius_link")
+    real = cli.homotopy.normalized_homotopy_bracket
+    calls = []
+
+    def drifting(d, conn):
+        calls.append(d)
+        h = real(d, conn)
+        return h if len(calls) == 1 else h.scale(2)
+
+    monkeypatch.setattr(cli.homotopy, "normalized_homotopy_bracket", drifting)
+    capsys.readouterr()
+    assert main(["move", "fuzz", str(cx), str(d), "--steps", "25", "--seed", "7",
+                 "--check", "all", "--conn", str(conn)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: hb changed under M5p\n"
+    assert captured.out == "" and len(calls) == 2
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from linkcx import moves as mv
 from linkcx.bracket import (_Contraction, _frontier_order, _state_sum,
-                            _tally_polynomial, bracket, classical_oracle)
+                            bracket, classical_oracle)
 from linkcx.diagram import (CrossVisit, PlanarCode, arcs_of, braid_code,
                             draw_local, mirror, transit_steps)
 from linkcx.errors import MoveError
@@ -71,9 +71,7 @@ def brute_from_words(con, g, words) -> SystemElement:
 
 def kernel_bracket(con, group, words) -> SystemElement:
     """The homotopy bracket that the group kernel gives for these path words."""
-    n = len(con.order)
-    return SystemElement({key: _tally_polynomial(tally, n) for key, tally
-                          in _state_sum(con, group, words).items()})
+    return SystemElement(_state_sum(con, group, words))
 
 
 def assert_engine_matches_brute(d, conn):
@@ -105,6 +103,18 @@ def test_fuzzed_diagrams(base, seed):
     b = example(*base)
     d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
     assert_engine_matches_brute(d, b.connection)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FUZZ_BASES), st.integers(0, 2 ** 32 - 1))
+def test_mirror_inverts_A_in_both_brackets(base, seed):
+    # the homotopy bracket keeps its class keys, each coefficient under A -> A^-1
+    b = example(*base)
+    d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
+    assert bracket(mirror(d)) == bracket(d).subs_A_inverse()
+    h = homotopy_bracket(d, b.connection)
+    assert homotopy_bracket(mirror(d), b.connection).terms == {
+        key: c.subs_A_inverse() for key, c in h.terms.items()}
 
 
 @pytest.mark.parametrize("base", FUZZ_BASES)
@@ -182,6 +192,17 @@ def test_engine_matches_oracle_on_braid_closures():
         word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(n)]
         code = braid_code(word, strands)
         assert bracket(draw_local(disc, "F", code)) == classical_oracle(code), word
+
+
+# -- the polynomial weights ------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-40, 40), st.integers(-9, 9), max_size=12))
+def test_division_inverts_the_loop_factor(coeffs):
+    p = Laurent(coeffs)
+    assert Laurent(br._times_loop(coeffs)) == p * LOOP
+    assert br._over_loop(p * LOOP) == p
+    assert br._over_loop(Laurent.zero()) == Laurent.zero()
 
 
 # -- closed forms past the reach of the brute force ----------------------------
@@ -434,6 +455,16 @@ TORUS_PINS = {
         "+ 3*A^-46)*{u v} + (-14*A^16 + 14*A^12 + -28*A^8 + 14*A^4 + -1*A^0 "
         "+ -18*A^-4 + -1*A^-8 + 16*A^-12 + -2*A^-16 + -17*A^-20 + 2*A^-24 + 7*A^-28 "
         "+ -2*A^-32 + -3*A^-40 + 1*A^-44 + 1*A^-48 + -1*A^-52)*{u, v}"),
+    8: ("-14*A^22 + -14*A^18 + -14*A^14 + -14*A^10 + -6*A^6 + -14*A^2 + -6*A^-2 "
+        "+ -14*A^-6 + -6*A^-10 + -1*A^-14 + -6*A^-18 + -1*A^-22 + -6*A^-26 + -1*A^-30 "
+        "+ -6*A^-34 + -1*A^-38 + -1*A^-46 + -1*A^-54 + -1*A^-62 + -1*A^-70",
+        "(-4*A^14 + 8*A^10 + -22*A^6 + -6*A^2 + 54*A^-2 + -28*A^-6 + -42*A^-10 "
+        "+ 32*A^-14 + 30*A^-18 + -20*A^-22 + -24*A^-26 + 16*A^-30 + 8*A^-34 + 4*A^-38 "
+        "+ -6*A^-42 + -8*A^-46 + 6*A^-50 + 4*A^-54 + -2*A^-58 + -2*A^-62 "
+        "+ 2*A^-66)*{u v^-1} + (14*A^20 + 10*A^12 + 12*A^8 + -28*A^4 + 36*A^0 "
+        "+ 24*A^-4 + -38*A^-8 + 2*A^-12 + 31*A^-16 + 5*A^-20 + -24*A^-24 + 6*A^-28 "
+        "+ 11*A^-32 + 3*A^-36 + 2*A^-40 + -8*A^-44 + 1*A^-48 + 5*A^-52 + -2*A^-60 "
+        "+ 1*A^-64 + 1*A^-68)*{u, v}"),
 }
 
 

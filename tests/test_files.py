@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkcx as lx
 from linkcx import files
+from linkcx import moves as mv
 from linkcx.errors import FormatError
 from linkcx.examples import EXAMPLE_IDS, example, hopf_code
 
@@ -24,6 +27,19 @@ def test_round_trips_are_byte_exact(name, n):
         ntext = files.serialize_connection(b.connection, b.complex)
         conn = files.parse_connection(ntext, cx)
         assert files.serialize_connection(conn, cx) == ntext
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALL_EXAMPLES), st.integers(0, 2 ** 32 - 1))
+def test_fuzzed_round_trips_are_byte_exact(example_id, seed):
+    b = example(*example_id)
+    d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
+    dtext = files.serialize_diagram(d)
+    back = files.parse_diagram(dtext, b.complex)
+    assert files.serialize_diagram(back) == dtext
+    assert lx.bracket(back) == lx.bracket(d)
+    assert lx.wri(back) == lx.wri(d)
+    assert lx.homotopy_bracket(back, b.connection) == lx.homotopy_bracket(d, b.connection)
 
 
 def test_parsed_diagram_has_same_invariants():
