@@ -213,10 +213,9 @@ def _times_loop(p: Dict[int, int]) -> Dict[int, int]:
 
 def _over_loop(p: Laurent) -> Laurent:
     """p divided by (-A^2 - A^-2), exactly; p must be a multiple of it."""
-    terms = p.terms()
-    given, q = dict(terms), {}
+    given, q = p.terms, {}
     # from the top down: p[y + 2] = -q[y] - q[y + 4]
-    for y in range(terms[0][0] - 2, terms[-1][0] + 1, -1) if terms else ():
+    for y in range(max(given) - 2, min(given) + 1, -1) if given else ():
         q[y] = -given.get(y + 2, 0) - q.get(y + 4, 0)
     return Laurent(q)
 

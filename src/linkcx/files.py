@@ -246,7 +246,9 @@ def parse_diagram(text: str, cx: TwoComplex) -> Diagram:
 def _check_port_refs(d: Diagram, ports: Dict[str, Tuple[str, ...]],
                      comp_names: List[str]) -> None:
     """The serialized arc-end references must match the component data."""
+    # a name the file declares wins over the canonical k1, k2, ...
     names = {f"k{i + 1}": i for i in range(len(d.components))}
+    names.update((name, i) for i, name in enumerate(comp_names))
     actual = {port: f"{arc.comp}.{arc.index}.{end}"
               for port, (arc, end) in port_ends(d).items()}
     for c, refs in ports.items():
@@ -254,12 +256,9 @@ def _check_port_refs(d: Diagram, ports: Dict[str, Tuple[str, ...]],
             raise FormatError(f"port list for unknown crossing {c!r}")
         for p, ref in enumerate(refs):
             comp_name, _, rest = ref.partition(".")
-            if comp_name in names:
-                want = f"{names[comp_name]}.{rest}"
-            elif comp_name in comp_names:
-                want = f"{comp_names.index(comp_name)}.{rest}"
-            else:
+            if comp_name not in names:
                 raise FormatError(f"port reference {ref!r} names no component")
+            want = f"{names[comp_name]}.{rest}"
             if actual.get((c, p)) != want:
                 raise FormatError(
                     f"crossing {c!r} port {p}: reference {ref!r} does not "

@@ -19,16 +19,16 @@ its homotopy bracket is (-A^2 - A^-2) times its kept bracket, under the
 empty multiset, and no group state sum runs.
 
 The three value types, PiElement (LK), TensorElement (co) and
-SystemElement (the homotopy bracket), share one term algebra and one text
-codec: "0", or terms ``coeff*<open>class<sep>class<close>`` joined by
-" + ", as in ``2*[u v]``, ``3*[u]x[v]`` and ``(1*A^4)*{u, v}``.  Each
-type's ``parse`` (bound as ``parse_pi_element``, ``parse_tensor_element``
-and ``parse_system_element``) inverts its ``to_text`` byte for byte.
+SystemElement (the homotopy bracket), are sums keyed by curve classes on
+``laurent._Terms``, the arithmetic and text codec Laurent uses too.  A term
+prints as ``coeff*<open>class<sep>class<close>``, as in ``2*[u v]``,
+``3*[u]x[v]`` and ``(1*A^4)*{u, v}``.  Each type's ``parse`` (bound as
+``parse_pi_element``, ``parse_tensor_element`` and ``parse_system_element``)
+inverts its ``to_text`` byte for byte.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -39,7 +39,7 @@ from .errors import DiagramError
 from .groups import (ConjClass, GroupSpec, Word, conj_class, inv, mul,
                      reduce_word, text_to_word, word_to_text)
 from .invariants import _sign_from_visits, _visit_pairs, wri
-from .laurent import Laurent
+from .laurent import Laurent, _put, _Terms
 from .twocomplex import Incidence, TwoComplex
 
 __all__ = [
@@ -119,53 +119,33 @@ def component_class(d: Diagram, conn: Connection, ci: int) -> ConjClass:
 
 # -- module elements ----------------------------------------------------
 
-# split a term list at every " + " outside a parenthesised coefficient
-_TERM_SEP = re.compile(r" \+ (?![^(]*\))")
-
-
-def _put(acc: dict, key, c) -> None:
-    acc[key] = acc[key] + c if key in acc else c
-
-
-class _Terms:
-    """Finite combination of class keys with nonzero coefficients.
+class _ClassTerms(_Terms):
+    """Sum keyed by curve classes, printed sorted by the classes of its keys.
 
     Subclasses declare the key shape (``_key`` from a list of classes,
-    ``_classes`` back), the brackets of the text codec and the coefficient
-    codec.  Terms print sorted by the classes of their keys.
+    ``_classes`` back), the brackets and separator and the coefficient codec.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     _open, _sep, _close = "[", "]x[", "]"
-    _coeff_text = str
-    _coeff_parse = int
-
-    def __init__(self, terms=()):
-        self.terms = {k: c for k, c in dict(terms).items() if c}
 
     @staticmethod
     def _classes(key):
         return key
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
+    @classmethod
+    def _key_text(cls, key, spec: GroupSpec) -> str:
+        return cls._sep.join(word_to_text(spec, a) for a in cls._classes(key))
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    @classmethod
+    def _key_parse(cls, text: str, spec: GroupSpec):
+        return cls._key([conj_class(spec, text_to_word(spec, a))
+                         for a in (text.split(cls._sep) if text.strip() else [])])
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _put(acc, k, c)
-        return type(self)(acc)
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
-    def scale(self, f):
-        return type(self)({k: f * c for k, c in self.terms.items()})
+    @classmethod
+    def _order(cls, key):
+        classes = cls._classes(key)
+        return len(classes), [a.sort_key() for a in classes]
 
     def involution(self):
         """Induced by inversion in the group, class by class."""
@@ -174,42 +154,8 @@ class _Terms:
             _put(acc, self._key([a.inverse() for a in self._classes(k)]), c)
         return type(self)(acc)
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.terms})"
-
-    def to_text(self, spec: GroupSpec) -> str:
-        if not self.terms:
-            return "0"
-        rows = sorted(((self._classes(k), c) for k, c in self.terms.items()),
-                      key=lambda row: (len(row[0]), [a.sort_key() for a in row[0]]))
-        return " + ".join(
-            f"{self._coeff_text(c)}*{self._open}"
-            f"{self._sep.join(word_to_text(spec, a) for a in classes)}{self._close}"
-            for classes, c in rows)
-
-    @classmethod
-    def parse(cls, spec: GroupSpec, text: str):
-        """Inverse of ``to_text``."""
-        text = text.strip()
-        acc = {}
-        for part in ([] if text == "0" else _TERM_SEP.split(text)):
-            coeff, _, rest = part.partition("*" + cls._open)
-            body = rest[:-len(cls._close)]
-            try:
-                if not rest.endswith(cls._close):
-                    raise ValueError("unclosed term")
-                classes = [conj_class(spec, text_to_word(spec, a))
-                           for a in (body.split(cls._sep) if body.strip() else [])]
-                _put(acc, cls._key(classes), cls._coeff_parse(coeff.strip()))
-            except ValueError as exc:
-                raise ValueError(f"bad term {part!r}: {exc}") from None
-        return cls(acc)
-
-
-class PiElement(_Terms):
+class PiElement(_ClassTerms):
     """Finite integer combination of conjugacy classes: ``2*[u v]``."""
 
     __slots__ = ()
@@ -228,7 +174,7 @@ class PiElement(_Terms):
         return sum(self.terms.values())
 
 
-class TensorElement(_Terms):
+class TensorElement(_ClassTerms):
     """Finite integer combination of ordered class pairs: ``3*[u]x[v]``."""
 
     __slots__ = ()
@@ -239,7 +185,7 @@ class TensorElement(_Terms):
         return a, b
 
 
-class SystemElement(_Terms):
+class SystemElement(_ClassTerms):
     """Laurent combination of multisets of nontrivial classes: ``(1*A^4)*{u, v}``."""
 
     __slots__ = ()

@@ -90,11 +90,7 @@ def lk(d: Diagram) -> int:
     """Linking number of an oriented 2-component diagram."""
     if len(d.components) != 2:
         raise DiagramError("linking number needs exactly two components")
-    total = 0
-    for sign, c1, c2 in _all_signs(d, need_directed=True).values():
-        if c1 != c2:
-            total += sign
-    return total
+    return pairwise_lk(d, 0, 1)
 
 
 def pairwise_lk(d: Diagram, i: int, j: int) -> int:

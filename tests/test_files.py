@@ -74,6 +74,15 @@ def test_referential_errors():
         files.parse_diagram(good.replace("k1.0.0", "k2.0.0", 1), cx)
 
 
+def test_declared_component_names_win_over_canonical_ones():
+    b = example("Ln", 1)
+    text = files.serialize_diagram(b.diagram)
+    swapped = text.replace("k1", "k#").replace("k2", "k1").replace("k#", "k2")
+    assert "component k2 oriented +" in swapped.splitlines()[-2]
+    d = files.parse_diagram(swapped, b.complex)
+    assert files.serialize_diagram(d) == text
+
+
 def test_header_mismatch():
     b = example("torus_link")
     other = example("moebius_link").complex

@@ -1,5 +1,5 @@
-"""Properties of the term algebra shared by PiElement, TensorElement and
-SystemElement, and of its one text codec."""
+"""Properties of the term algebra shared by Laurent, PiElement,
+TensorElement and SystemElement, and of its one text codec."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +12,14 @@ from linkcx.homotopy import (PiElement, SystemElement, TensorElement,
 from linkcx.laurent import Laurent
 
 SPECS = [GroupSpec.free("u", "v"), GroupSpec.abelian(2)]
+
+
+def parse_laurent(_spec, text):
+    return Laurent.parse(text)
+
+
 PARSE = {PiElement: parse_pi_element, TensorElement: parse_tensor_element,
-         SystemElement: parse_system_element}
+         SystemElement: parse_system_element, Laurent: parse_laurent}
 
 
 def classes(spec):
@@ -32,8 +38,10 @@ def laurents():
 @st.composite
 def elements(draw, kind=None, spec=None):
     spec = spec or draw(st.sampled_from(SPECS))
-    kind = kind or draw(st.sampled_from([PiElement, TensorElement, SystemElement]))
+    kind = kind or draw(st.sampled_from(list(PARSE)))
     cl = classes(spec)
+    if kind is Laurent:
+        return spec, draw(laurents())
     if kind is PiElement:
         terms = st.dictionaries(cl, st.integers(-5, 5), max_size=4)
     elif kind is TensorElement:
@@ -85,6 +93,7 @@ def test_equal_elements_hash_equal(spec_x):
 def test_kinds_never_compare_equal():
     assert PiElement() != TensorElement()
     assert TensorElement() != SystemElement()
+    assert Laurent() != PiElement()
 
 
 @pytest.mark.parametrize("parse, text", [
@@ -95,6 +104,15 @@ def test_kinds_never_compare_equal():
     (parse_tensor_element, "3*[u]"),
     (parse_system_element, "1*A^0*{u}"),
     (parse_system_element, "(1*A^0)*{u"),
+    (parse_pi_element, "3*[u] + 1*[u]"),
+    (parse_pi_element, "+3*[u]"),
+    (parse_system_element, "(1*A^0)*{u, v} + (2*A^1)*{v, u}"),
+    (parse_laurent, "1*A^2 + 3*A^2"),
+    (parse_laurent, "+1*A^2"),
+    (parse_laurent, "1_0*A^2"),
+    (parse_laurent, "1*A^x"),
+    (parse_laurent, "A^2"),
+    (parse_laurent, "1*A^2*A^1"),
 ])
 def test_malformed_terms_are_value_errors(parse, text):
     with pytest.raises(ValueError, match="bad term"):
