@@ -12,7 +12,7 @@ positive kink multiplies the bracket by -A^3, so this normalization is
 invariant under every move.
 
 One engine serves both brackets.  ``_Contraction``, built once per
-diagram from its components' event lists and kept in its record
+diagram from the legs of its event walk and kept in its record
 (``diagram.derived``), matches every crossing port to the port that the
 curve reaches next, through the transits between them, which form the
 path leaving the port.  The loop count of a state is then a question of
@@ -51,13 +51,12 @@ from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # arcs_of is re-exported: callers look it up here too
-from .diagram import (CrossVisit, Diagram, PlanarCode, arcs_of,  # noqa: F401
-                      derived, sc, transit_steps)
+from .diagram import (Diagram, PlanarCode, TransitStep, arcs_of,  # noqa: F401
+                      code_strands, derived, event_walk, sc, visit_pairs)
 from .errors import CrossingCapError, DiagramError
 from .groups import ConjClass, GroupSpec, Word, inv, mul, unoriented_class
 from .invariants import Wri, wri
 from .laurent import Laurent
-from .twocomplex import Incidence
 
 __all__ = [
     "SimpleSystem",
@@ -75,9 +74,6 @@ __all__ = [
     "classical_lk",
     "default_crossing_cap",
 ]
-
-TransitStep = Tuple[str, Incidence, Incidence]   # edge, entering side, exiting side
-
 
 def default_crossing_cap() -> int:
     """LINKCX_MAX_CROSSINGS, a non-negative integer; 22 when unset."""
@@ -113,12 +109,12 @@ class _Contraction:
 
     Port 4*i + p is port p of crossing ``order[i]``.  Path a leads from
     port a to ``match[a]`` through the transit steps ``steps[a]``.  The
-    paths are read off each component's event list, from one crossing
-    visit to the next; the path back runs through the same transits in
-    reverse, each entered by the side it was left by.  ``joins[i]`` holds
-    the join patterns of crossing i for smoothings 0 and 1 (``_JOINS``),
-    and ``join[s][a]`` is the port that smoothing s (1 in the state) joins
-    to a.  Crossing-free components are the fixed closed paths from
+    paths are the legs of the event walk (``diagram.EventWalk``), from one
+    crossing visit to the next; the path back runs through the same
+    transits in reverse, each entered by the side it was left by.
+    ``joins[i]`` holds the join patterns of crossing i for smoothings 0
+    and 1 (``_JOINS``), and ``join[s][a]`` is the port that smoothing s
+    (1 in the state) joins to a.  Crossing-free components are the fixed closed paths from
     4 * cro; ``transit_ports[i]`` counts crossing i's ports with transit steps.
     ``plan()`` is the group-free part of the state sum, built on first use.
     """
@@ -127,6 +123,8 @@ class _Contraction:
                  "transit_ports", "_plan")
 
     def __init__(self, d: Diagram):
+        visit_pairs(d)      # a fault in the event lists raises DiagramError here
+        walk = event_walk(d)
         self.order = sorted(d.crossings)
         self.index = index = {c: i for i, c in enumerate(self.order)}
         self.joins = [_JOINS[d.crossings[c].dot] for c in self.order]
@@ -134,30 +132,17 @@ class _Contraction:
                           for s in (0, 1))
         self.match = match = [0] * (4 * len(self.order))
         self.steps: List[Tuple[TransitStep, ...]] = [()] * len(match)
-        self.fixed: List[List[int]] = []
         self.transit_ports = [0] * len(self.order)
-        transits = d.transits
-        for ci, comp in enumerate(d.components):
-            events = comp.events
-            visits = [k for k, ev in enumerate(events) if isinstance(ev, CrossVisit)]
-            if not visits:
-                self.fixed.append([len(self.steps)])
-                self.steps.append(tuple(transit_steps(d, ci)))
-                continue
-            for v, w in zip(visits, visits[1:] + visits[:1]):
-                steps = []
-                for ev in events[v + 1:w] if v < w else events[v + 1:] + events[:w]:
-                    tr = transits[ev.transit]
-                    steps.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter]))
-                here, there = events[v], events[w]
-                a = 4 * index[here.crossing] + (here.enter + 2) % 4
-                b = 4 * index[there.crossing] + there.enter
-                match[a], match[b] = b, a
-                if steps:
-                    self.transit_ports[a >> 2] += 1
-                    self.transit_ports[b >> 2] += 1
-                self.steps[a] = tuple(steps)
+        for (_x, here, p), (_y, there, q), steps in walk.legs:
+            a, b = 4 * index[here] + p, 4 * index[there] + q
+            match[a], match[b] = b, a
+            if steps:
+                self.transit_ports[a >> 2] += 1
+                self.transit_ports[b >> 2] += 1
+                self.steps[a] = steps
                 self.steps[b] = tuple([(e, out, into) for e, into, out in reversed(steps)])
+        self.fixed = [[len(self.steps) + k] for k in range(len(walk.loops))]
+        self.steps += [tuple(walk.steps[ci]) for ci in walk.loops]
         self._plan: Optional[List[Tuple[_Step, List[int]]]] = None
 
     def plan(self) -> List[Tuple[_Step, List[int]]]:
@@ -657,45 +642,13 @@ def classical_oracle(code: PlanarCode) -> Laurent:
     return total
 
 
-def _trace_code_components(code: PlanarCode) -> List[List[Tuple[str, int]]]:
-    """Components as lists of (crossing id, entering port), traced deterministically."""
-    ends: Dict[str, List[Tuple[str, int]]] = {}
-    for cid, ports, _dot in code.crossings:
-        for p, label in enumerate(ports):
-            ends.setdefault(label, []).append((cid, p))
-    other: Dict[Tuple[str, int], Tuple[str, int]] = {}
-    for label, occ in ends.items():
-        if len(occ) != 2:
-            raise DiagramError(f"arc label {label!r} occurs {len(occ)} times")
-        other[occ[0]] = occ[1]
-        other[occ[1]] = occ[0]
-    comps, visited = [], set()
-    for cid, _ports, _dot in code.crossings:
-        for p in range(4):
-            start = (cid, p)
-            if start in visited:
-                continue
-            walk = []
-            cur = start
-            while True:
-                visited.add(cur)
-                walk.append(cur)
-                out = (cur[0], (cur[1] + 2) % 4)
-                visited.add(out)
-                cur = other[out]
-                if cur == start:
-                    break
-            comps.append(walk)
-    return comps
-
-
 def classical_lk(code: PlanarCode) -> int:
     """Linking number of a 2-component code, halved crossing-sign sum.
 
-    Components are directed by the deterministic trace order, the same
-    convention used when the code is drawn into a face.
+    Components are the strands of ``code_strands``, directed as
+    ``draw_local`` draws them into a face.
     """
-    comps = _trace_code_components(code)
+    comps = code_strands(code)
     if len(comps) + code.circles != 2:
         raise DiagramError("classical linking number needs exactly two components")
     if code.circles:

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple, TypeVar, Union)
 
@@ -91,11 +93,11 @@ class Diagram:
     """Crossings, transits and components on a complex.
 
     A diagram is treated as immutable: the library keeps data derived from
-    it (arcs, port ends, visit maps, crossing signs, face maps, a passed
-    validation, the face walks of the move predicates, the state-sum
-    contraction with its plan, the bracket) keyed by the object, so
-    changing its dicts in place after a library call is unsupported.  Build
-    a new diagram with ``dataclasses.replace`` instead.
+    it (the event walk with its arcs, port ends and visits, crossing signs,
+    face maps, a passed validation, the face walks of the move predicates,
+    the state-sum contraction with its plan, the bracket) keyed by the
+    object, so changing its dicts in place after a library call is
+    unsupported.  Build a new diagram with ``dataclasses.replace`` instead.
     """
 
     complex: TwoComplex
@@ -154,9 +156,11 @@ derived = _Record().get
 complex_derived = _Record().get
 
 
-# -- slots and arcs ----------------------------------------------------
+# -- the event walk and its views ----------------------------------------
 
 Slot = Tuple[str, str, int]      # ("x", crossing, port) or ("t", transit, side)
+Visit = Tuple[int, int]          # (component index, event index)
+TransitStep = Tuple[str, Incidence, Incidence]   # edge, entering side, exiting side
 
 
 class Arc(NamedTuple):
@@ -167,33 +171,112 @@ class Arc(NamedTuple):
     face: str
 
 
-def arcs_of(d: Diagram) -> List[Arc]:
-    out = []
-    for ci, comp in enumerate(d.components):
-        k = len(comp.events)
-        if k == 0:
-            out.append(Arc(ci, 0, None, None, comp.arc_faces[0]))
-            continue
-        # (enter slot, exit slot) of each event
-        ends = [(("x", ev.crossing, ev.enter), ("x", ev.crossing, (ev.enter + 2) % 4))
-                if isinstance(ev, CrossVisit) else
-                (("t", ev.transit, ev.enter), ("t", ev.transit, 1 - ev.enter))
-                for ev in comp.events]
-        out += [Arc(ci, ai, ends[ai][1], ends[ai + 1 - k][0], comp.arc_faces[ai])
-                for ai in range(k)]
-    return out
+class EventWalk:
+    """Every component's event list, read once; kept in the record of d.
 
+    A crossing visit entering port p leaves by port p + 2 (mod 4), a
+    transit visit entering side s leaves by side 1 - s.  Per component ci
+    the walk keeps the slots each event is entered and left by
+    (``enters[ci]``, ``exits[ci]``), its transit steps in listing order
+    (``steps[ci]``) and their event indices (``step_events[ci]``).  It
+    keeps the visits of each declared crossing and transit, the ``legs``
+    (exit slot, enter slot, transit steps) from each crossing visit to the
+    next on its component, and the ``loops``: the components that visit no
+    crossing.  The arcs, the arc at each (component, index), the arc end at
+    each crossing port and the visit pairs are built from these on first use.
 
-def port_ends(d: Diagram) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
-    """(crossing, port) -> (arc, end) of the arc end at that port.
-
-    ``end`` is 0 where the arc leaves the port and 1 where it arrives.  The
-    map is kept in the record of d.
+    A fault does not stop the walk: ``fault`` is the first fault of the
+    event lists in the order that validation checks them, or None, and
+    ``visit_pairs`` raises it.
     """
 
-    def build(d: Diagram) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
+    def __init__(self, d: Diagram):
+        faces, transits = d.complex.faces, d.transits
+        self.components = d.components
+        self.crossing_visits: Dict[str, List[Visit]] = {c: [] for c in d.crossings}
+        self.transit_visits: Dict[str, List[Visit]] = {t: [] for t in transits}
+        self.enters: List[List[Slot]] = []
+        self.exits: List[List[Slot]] = []
+        self.steps: List[List[TransitStep]] = []
+        self.step_events: List[List[int]] = []
+        self.legs: List[Tuple[Slot, Slot, Tuple[TransitStep, ...]]] = []
+        self.loops: List[int] = []
+        faults = []
+        x_visits, t_visits, legs = self.crossing_visits, self.transit_visits, self.legs
+        for ci, comp in enumerate(d.components):
+            events = comp.events
+            if not events:
+                if len(comp.arc_faces) != 1:
+                    faults.append(f"component {ci}: a circle needs exactly one face")
+                elif comp.arc_faces[0] not in faces:
+                    faults.append(f"component {ci}: unknown face")
+            elif len(comp.arc_faces) != len(events):
+                faults.append(f"component {ci}: arc face list does not match events")
+            enters, exits, steps, at = [], [], [], []
+            first = None                 # (steps before, enter slot) of the first crossing
+            for ei, ev in enumerate(events):
+                if isinstance(ev, CrossVisit):
+                    c, p = ev.crossing, ev.enter
+                    visits = x_visits.get(c)
+                    if visits is None:
+                        faults.append(f"component {ci}: unknown crossing {c!r}")
+                    else:
+                        visits.append((ci, ei))
+                    if p not in (0, 1, 2, 3):
+                        faults.append(f"component {ci}: bad port {p}")
+                    enter = ("x", c, p)
+                    if first is None:
+                        first = (len(steps), enter)
+                    else:
+                        legs.append((out, enter, tuple(steps[n:])))
+                    out, n = ("x", c, (p + 2) % 4), len(steps)
+                    exits.append(out)
+                else:
+                    t, s = ev.transit, ev.enter
+                    tr = transits.get(t)
+                    if tr is None:
+                        faults.append(f"component {ci}: unknown transit {t!r}")
+                    else:
+                        t_visits[t].append((ci, ei))
+                    if s not in (0, 1):
+                        faults.append(f"component {ci}: bad transit side {s}")
+                    elif tr is not None:
+                        steps.append((tr.edge, tr.sides[s], tr.sides[1 - s]))
+                        at.append(ei)
+                    enter = ("t", t, s)
+                    exits.append(("t", t, 1 - s))
+                enters.append(enter)
+            self.enters.append(enters)
+            self.exits.append(exits)
+            self.steps.append(steps)
+            self.step_events.append(at)
+            if first is None:
+                self.loops.append(ci)
+            else:                        # the leg round the end of the listing
+                m, enter = first
+                legs.append((out, enter, tuple(steps[n:] + steps[:m])))
+        self.fault: Optional[str] = faults[0] if faults else None
+
+    @cached_property
+    def arcs(self) -> List[Arc]:
+        out = []
+        for ci, comp in enumerate(self.components):
+            enters, exits = self.enters[ci], self.exits[ci]
+            if not enters:
+                out.append(Arc(ci, 0, None, None, comp.arc_faces[0]))
+                continue
+            out += [Arc(ci, ai, exits[ai], enters[ai + 1 - len(enters)], comp.arc_faces[ai])
+                    for ai in range(len(enters))]
+        return out
+
+    @cached_property
+    def arc_at(self) -> Dict[Tuple[int, int], Arc]:
+        return {(a.comp, a.index): a for a in self.arcs}
+
+    @cached_property
+    def port_ends(self) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
         out = {}
-        for arc in derived(d, "arcs", arcs_of):
+        for arc in self.arcs:
             if arc.src is None:
                 continue
             for end, slot in ((0, arc.src), (1, arc.dst)):
@@ -201,26 +284,67 @@ def port_ends(d: Diagram) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
                     out[(slot[1], slot[2])] = (arc, end)
         return out
 
-    return derived(d, "port_ends", build)
+    @cached_property
+    def visit_pairs(self) -> Dict[str, List[Visit]]:
+        if self.fault is not None:
+            raise DiagramError(self.fault)
+        enters = self.enters
+        for c, vs in self.crossing_visits.items():
+            if len(vs) != 2:
+                raise DiagramError(f"crossing {c!r} visited {len(vs)} times, expected 2")
+            (c1, e1), (c2, e2) = vs     # one entering port of each parity:
+            if (enters[c1][e1][2] + enters[c2][e2][2]) % 2 != 1:
+                raise DiagramError(f"crossing {c!r}: visits do not cover both diameters")
+        return self.crossing_visits
 
 
-def crossing_visits(d: Diagram) -> Dict[str, List[Tuple[int, int]]]:
+def event_walk(d: Diagram) -> EventWalk:
+    """The event walk of d, built once and kept in the record of d."""
+    return derived(d, "walk", EventWalk)
+
+
+# The views of the event walk.
+
+def arcs_of(d: Diagram) -> List[Arc]:
+    return event_walk(d).arcs
+
+
+def port_ends(d: Diagram) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
+    """(crossing, port) -> (arc, end), end 0 where the arc leaves the port, else 1."""
+    return event_walk(d).port_ends
+
+
+def crossing_visits(d: Diagram) -> Dict[str, List[Visit]]:
     """crossing id -> [(component index, event index)] in listing order."""
-    out: Dict[str, List[Tuple[int, int]]] = {c: [] for c in d.crossings}
-    for ci, comp in enumerate(d.components):
-        for ei, ev in enumerate(comp.events):
-            if isinstance(ev, CrossVisit):
-                out[ev.crossing].append((ci, ei))
-    return out
+    return event_walk(d).crossing_visits
 
 
-def transit_visits(d: Diagram) -> Dict[str, List[Tuple[int, int]]]:
-    out: Dict[str, List[Tuple[int, int]]] = {t: [] for t in d.transits}
-    for ci, comp in enumerate(d.components):
-        for ei, ev in enumerate(comp.events):
-            if isinstance(ev, TransitVisit):
-                out[ev.transit].append((ci, ei))
-    return out
+def transit_visits(d: Diagram) -> Dict[str, List[Visit]]:
+    return event_walk(d).transit_visits
+
+
+def visit_pairs(d: Diagram) -> Dict[str, List[Visit]]:
+    """crossing id -> its two visits; DiagramError with validation's text if not."""
+    return event_walk(d).visit_pairs
+
+
+def transit_steps(d: Diagram, ci: int, start: int = 0,
+                  stop: Optional[int] = None) -> List[TransitStep]:
+    """(edge, entering incidence, exiting incidence) per transit of a component.
+
+    Events are read cyclically from index ``start`` up to, but not
+    including, ``stop``; once round the component when ``stop`` is None.
+    """
+    walk = event_walk(d)
+    steps = walk.steps[ci]
+    if not steps:
+        return []
+    k, at = len(d.components[ci].events), walk.step_events[ci]
+    i = bisect_left(at, start % k)
+    if stop is None:
+        return steps[i:] + steps[:i]
+    j = bisect_left(at, stop % k)
+    return steps[i:j] if start % k <= stop % k else steps[i:] + steps[:j]
 
 
 def _transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:
@@ -398,7 +522,7 @@ def face_maps(d: Diagram) -> Iterator[Tuple[str, FaceMap]]:
     for c in sorted(d.crossings):
         crossings.setdefault(d.crossings[c].face, []).append(c)
     face_arcs: Dict[str, List[Arc]] = {f: [] for f in faces}
-    for arc in derived(d, "arcs", arcs_of):
+    for arc in arcs_of(d):
         if arc.src is not None:
             face_arcs.setdefault(arc.face, []).append(arc)
     marks = derived(d, "marks", boundary_marks)
@@ -455,35 +579,8 @@ def _checked_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
             if transits[t1].pos == transits[t2].pos:
                 raise DiagramError(f"edge {e!r} carries transits at equal positions")
 
-    for ci, comp in enumerate(d.components):
-        k = len(comp.events)
-        if k == 0:
-            if len(comp.arc_faces) != 1:
-                raise DiagramError(f"component {ci}: a circle needs exactly one face")
-            if comp.arc_faces[0] not in cx.faces:
-                raise DiagramError(f"component {ci}: unknown face")
-            continue
-        if len(comp.arc_faces) != k:
-            raise DiagramError(f"component {ci}: arc face list does not match events")
-        for ev in comp.events:
-            if isinstance(ev, CrossVisit):
-                if ev.crossing not in crossings:
-                    raise DiagramError(f"component {ci}: unknown crossing {ev.crossing!r}")
-                if ev.enter not in (0, 1, 2, 3):
-                    raise DiagramError(f"component {ci}: bad port {ev.enter}")
-            else:
-                if ev.transit not in transits:
-                    raise DiagramError(f"component {ci}: unknown transit {ev.transit!r}")
-                if ev.enter not in (0, 1):
-                    raise DiagramError(f"component {ci}: bad transit side {ev.enter}")
-
-    for c, vs in derived(d, "crossing_visits", crossing_visits).items():
-        if len(vs) != 2:
-            raise DiagramError(f"crossing {c!r} visited {len(vs)} times, expected 2")
-        (c1, e1), (c2, e2) = vs     # one entering port of each parity:
-        if (d.components[c1].events[e1].enter + d.components[c2].events[e2].enter) % 2 != 1:
-            raise DiagramError(f"crossing {c!r}: visits do not cover both diameters")
-    for t, vs in derived(d, "transit_visits", transit_visits).items():
+    visit_pairs(d)              # the event lists, then the crossing visits
+    for t, vs in transit_visits(d).items():
         if len(vs) != 1:
             raise DiagramError(f"transit {t!r} visited {len(vs)} times, expected 1")
 
@@ -492,7 +589,7 @@ def _checked_face_maps(d: Diagram) -> List[Tuple[str, FaceMap]]:
     # ends: the arcs are read one by one only to name the first that does not.
     maps = list(face_maps(d))
     if not all(fm.ok for _f, fm in maps):
-        for arc in derived(d, "arcs", arcs_of):
+        for arc in arcs_of(d):
             src, dst = arc.src, arc.dst
             if src is None:
                 continue
@@ -516,21 +613,15 @@ def mirror(d: Diagram) -> Diagram:
 
 
 def reverse_component(d: Diagram, ci: int) -> Diagram:
-    """Reverse the direction of one component."""
+    """Reverse the direction of one component: each event is entered where it was left."""
     comp = d.components[ci]
-    k = len(comp.events)
-    if k == 0:
+    if not comp.events:
         return d
-
-    def flip(ev: Event) -> Event:
-        if isinstance(ev, CrossVisit):
-            return CrossVisit(ev.crossing, (ev.enter + 2) % 4)
-        return TransitVisit(ev.transit, 1 - ev.enter)
-
-    events = tuple(flip(ev) for ev in (comp.events[0],) + comp.events[:0:-1])
-    faces = comp.arc_faces[::-1]
+    exits = event_walk(d).exits[ci]
+    events = tuple(CrossVisit(name, k) if kind == "x" else TransitVisit(name, k)
+                   for kind, name, k in [exits[0]] + exits[:0:-1])
     comps = list(d.components)
-    comps[ci] = Component(events, faces, comp.directed)
+    comps[ci] = Component(events, comp.arc_faces[::-1], comp.directed)
     return replace(d, components=tuple(comps))
 
 
@@ -538,25 +629,6 @@ def trace_loop(d: Diagram, ci: int) -> List[str]:
     """The transit sequence of a component, crossings ignored."""
     return [ev.transit for ev in d.components[ci].events
             if isinstance(ev, TransitVisit)]
-
-
-def transit_steps(d: Diagram, ci: int, start: int = 0,
-                  stop: Optional[int] = None) -> List[Tuple[str, Incidence, Incidence]]:
-    """(edge, entering incidence, exiting incidence) per transit of a component.
-
-    Events are read cyclically from index ``start`` up to, but not
-    including, ``stop``; once round the component when ``stop`` is None.
-    """
-    events = d.components[ci].events
-    k = len(events)
-    count = k if stop is None else (stop - start) % k
-    out = []
-    for off in range(start, start + count):
-        ev = events[off % k]
-        if isinstance(ev, TransitVisit):
-            tr = d.transits[ev.transit]
-            out.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter]))
-    return out
 
 
 def split_components(d: Diagram) -> List[List[int]]:
@@ -570,8 +642,7 @@ def split_components(d: Diagram) -> List[List[int]]:
             x = parent[x]
         return x
 
-    for vs in derived(d, "crossing_visits", crossing_visits).values():
-        (c1, _), (c2, _) = vs
+    for (c1, _), (c2, _) in visit_pairs(d).values():
         r1, r2 = find(c1), find(c2)
         if r1 != r2:
             parent[r1] = r2
@@ -701,65 +772,56 @@ class PlanarCode:
     circles: int = 0
 
 
-def _code_arc_ends(code: PlanarCode) -> Dict[str, List[Tuple[str, int]]]:
+def code_strands(code: PlanarCode) -> List[List[Tuple[str, int]]]:
+    """Each strand of a planar code as its (crossing id, entering port) list.
+
+    A strand enters a port and leaves through the opposite one.  Strands
+    are traced from the ports in code order, so the listing and the
+    direction of each strand are deterministic.
+    """
     ends: Dict[str, List[Tuple[str, int]]] = {}
     for cid, ports, _dot in code.crossings:
         for p, label in enumerate(ports):
             ends.setdefault(label, []).append((cid, p))
-    return ends
+    other: Dict[Tuple[str, int], Tuple[str, int]] = {}
+    for label, occ in ends.items():
+        if len(occ) != 2:
+            raise DiagramError(f"arc label {label!r} occurs {len(occ)} times, expected 2")
+        other[occ[0]], other[occ[1]] = occ[1], occ[0]
+    strands, visited = [], set()
+    for cid, _ports, _dot in code.crossings:
+        for start in ((cid, p) for p in range(4)):
+            if start in visited:
+                continue
+            strand, cur = [], start
+            while True:
+                strand.append(cur)
+                out = (cur[0], (cur[1] + 2) % 4)
+                visited.update((cur, out))
+                cur = other[out]
+                if cur == start:
+                    break
+            strands.append(strand)
+    return strands
 
 
 def draw_local(cx: TwoComplex, face: str, code: PlanarCode) -> Diagram:
     """Realize a planar dotted code inside one face; crossing id k is named ck."""
     if face not in cx.faces:
         raise DiagramError(f"unknown face {face!r}")
-    ends = _code_arc_ends(code)
-    for label, occ in ends.items():
-        if len(occ) != 2:
-            raise DiagramError(f"arc label {label!r} occurs {len(occ)} times, expected 2")
     crossings = {}
-    port_arc: Dict[Tuple[str, int], str] = {}
-    for cid, ports, dot in code.crossings:
+    for cid, _ports, dot in code.crossings:
         name = f"c{cid}"
         if name in crossings:
             raise DiagramError(f"duplicate crossing id {cid!r}")
         if dot not in (0, 1):
             raise DiagramError(f"crossing {cid!r}: dots must mark one opposite sector pair")
         crossings[name] = Crossing(face, dot)
-        for p, label in enumerate(ports):
-            port_arc[(name, p)] = label
-
-    # follow strands: enter a port, leave through the opposite port
-    other_end: Dict[Tuple[str, int], Tuple[str, int]] = {}
-    for label, ((c1, p1), (c2, p2)) in \
-            {k: (v[0], v[1]) for k, v in ends.items()}.items():
-        a = (f"c{c1}", p1)
-        b = (f"c{c2}", p2)
-        other_end[a] = b
-        other_end[b] = a
-
-    visited = set()
-    components = []
-    for cid, ports, _dot in code.crossings:
-        for start_port in range(4):
-            start = (f"c{cid}", start_port)
-            if start in visited:
-                continue
-            events = []
-            cur = start
-            while True:
-                visited.add(cur)
-                events.append(CrossVisit(cur[0], cur[1]))
-                out = (cur[0], (cur[1] + 2) % 4)
-                visited.add(out)
-                cur = other_end[out]
-                if cur == start:
-                    break
-            components.append(Component(tuple(events), (face,) * len(events)))
-    for _ in range(code.circles):
-        components.append(Component((), (face,)))
-    d = Diagram(cx, crossings, {}, tuple(components))
-    return validate_diagram(d)
+    components = [Component(tuple(CrossVisit(f"c{cid}", p) for cid, p in strand),
+                            (face,) * len(strand))
+                  for strand in code_strands(code)]
+    components += [Component((), (face,))] * code.circles
+    return validate_diagram(Diagram(cx, crossings, {}, tuple(components)))
 
 
 def braid_code(word: Iterable[int], strands: int) -> PlanarCode:

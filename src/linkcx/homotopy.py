@@ -34,11 +34,11 @@ from typing import Dict, Optional, Tuple
 
 # state_curves is re-exported: callers look it up here too
 from .bracket import _bracket_of, _contract, _state_sum, state_curves  # noqa: F401
-from .diagram import Diagram, derived, transit_steps
+from .diagram import Diagram, derived, transit_steps, visit_pairs
 from .errors import DiagramError
 from .groups import (ConjClass, GroupSpec, Word, conj_class, inv, mul,
                      reduce_word, text_to_word, word_to_text)
-from .invariants import _sign_from_visits, _visit_pairs, wri
+from .invariants import _sign_from_visits, wri
 from .laurent import Laurent, _put, _Terms
 from .twocomplex import Incidence, TwoComplex
 
@@ -227,7 +227,7 @@ def LK(d: Diagram, conn: Connection) -> PiElement:
     if not d.oriented():
         raise DiagramError("linking class needs directed components")
     acc: Dict[ConjClass, int] = {}
-    for c, (v1, v2) in _visit_pairs(d).items():
+    for c, (v1, v2) in visit_pairs(d).items():
         if v1[0] == v2[0]:
             continue
         steps = (transit_steps(d, v1[0], v1[1] + 1)
@@ -245,7 +245,7 @@ def co(d: Diagram, conn: Connection) -> TensorElement:
     knot_class = component_class(d, conn, 0)
     one = conj_class(conn.group, conn.group.identity())
     acc: Dict[Tuple[ConjClass, ConjClass], int] = {}
-    for c, (v1, v2) in _visit_pairs(d).items():
+    for c, (v1, v2) in visit_pairs(d).items():
         sign = _sign_from_visits(d, c, v1, v2)
         k1 = loop_class(conn, transit_steps(d, 0, v1[1] + 1, v2[1]))
         k2 = loop_class(conn, transit_steps(d, 0, v2[1] + 1, v1[1]))

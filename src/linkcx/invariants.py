@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .diagram import Diagram, crossing_visits, derived
+from .diagram import Diagram, derived, visit_pairs
 from .errors import DiagramError
 
 __all__ = [
@@ -25,23 +25,6 @@ __all__ = [
     "parity_check",
     "local_obstruction",
 ]
-
-
-Visit = Tuple[int, int]                  # (component index, event index)
-
-
-def _visit_pairs(d: Diagram) -> Dict[str, Tuple[Visit, Visit]]:
-    """crossing -> its two visits in listing order, kept in the record of d."""
-    return derived(d, "visit_pairs", _pairs_of_visits)
-
-
-def _pairs_of_visits(d: Diagram) -> Dict[str, Tuple[Visit, Visit]]:
-    out = {}
-    for c, vs in derived(d, "crossing_visits", crossing_visits).items():
-        if len(vs) != 2:
-            raise DiagramError(f"crossing {c!r} is not visited exactly twice")
-        out[c] = (vs[0], vs[1])
-    return out
 
 
 def _sign_from_visits(d: Diagram, c: str, v1, v2) -> int:
@@ -60,7 +43,7 @@ def crossing_sign(d: Diagram, c: str) -> int:
     """Sign of a crossing of an oriented diagram, in {+1, -1}."""
     if c not in d.crossings:
         raise DiagramError(f"unknown crossing {c!r}")
-    v1, v2 = _visit_pairs(d)[c]
+    v1, v2 = visit_pairs(d)[c]
     for ci, _ei in (v1, v2):
         if not d.components[ci].directed:
             raise DiagramError(f"crossing {c!r}: strand through it is not directed")
@@ -83,7 +66,7 @@ def _all_signs(d: Diagram, need_directed: bool) -> Dict[str, Tuple[int, int, int
 
 def _signs_of(d: Diagram) -> Dict[str, Tuple[int, int, int]]:
     return {c: (_sign_from_visits(d, c, v1, v2), v1[0], v2[0])
-            for c, (v1, v2) in _visit_pairs(d).items()}
+            for c, (v1, v2) in visit_pairs(d).items()}
 
 
 def lk(d: Diagram) -> int:

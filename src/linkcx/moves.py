@@ -43,10 +43,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
                       Transit, TransitVisit, arcs_of, boundary_edges, complex_derived,
-                      crossing_visits, derived, face_maps, port_ends, transit_orders,
-                      valid_face_maps, validate_diagram)
+                      crossing_visits, derived, event_walk, face_maps, port_ends,
+                      transit_orders, valid_face_maps, validate_diagram, visit_pairs)
 from .errors import DiagramError, MoveError
-from .invariants import _sign_from_visits, _visit_pairs
+from .invariants import _sign_from_visits
 from .twocomplex import Incidence, TwoComplex, corner_vertex, vertex_link
 
 __all__ = ["MoveKind", "MoveSite", "find_sites", "apply", "fuzz",
@@ -213,12 +213,6 @@ def _replace_event_block(comp: Component, start: int, length: int,
                                 new_events, inner_faces)
 
 
-def _arc_index(d: Diagram) -> Dict[Tuple[int, int], Arc]:
-    """(component, arc index) -> arc, kept in the record of d."""
-    return derived(d, "arc_index", lambda d: {(a.comp, a.index): a
-                                              for a in derived(d, "arcs", arcs_of)})
-
-
 def _with_component(d: Diagram, ci: int, comp: Component) -> Diagram:
     comps = list(d.components)
     comps[ci] = comp
@@ -293,7 +287,7 @@ def _kink_fault(d: Diagram, kind: MoveKind, ci: int, i: int) -> Optional[str]:
     if not (isinstance(a, CrossVisit) and isinstance(b, CrossVisit)
             and a.crossing == b.crossing):
         return "stale kink site"
-    sign = _sign_from_visits(d, a.crossing, *_visit_pairs(d)[a.crossing])
+    sign = _sign_from_visits(d, a.crossing, *visit_pairs(d)[a.crossing])
     if sign != (1 if kind is MoveKind.M1P_INV else -1):
         return "kink sign does not match the move kind"
     return None
@@ -329,7 +323,7 @@ def _candidates_m2(d: Diagram, kind: MoveKind) -> _Rows:
     sites are listed, so a face of m arcs gives rows of 4m - 2 sites.
     """
     by_face: Dict[str, List[Arc]] = {}
-    for arc in derived(d, "arcs", arcs_of):
+    for arc in arcs_of(d):
         by_face.setdefault(arc.face, []).append(arc)
 
     def row(group: List[Arc], p: int):
@@ -383,7 +377,7 @@ def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 def _candidates_m2_inv(d: Diagram, kind: MoveKind) -> List[MoveSite]:
     between: Dict[frozenset, List[Arc]] = {}
-    for arc in derived(d, "arcs", arcs_of):
+    for arc in arcs_of(d):
         if (arc.src is not None and arc.src[0] == arc.dst[0] == "x"
                 and arc.src[1] != arc.dst[1]):
             between.setdefault(frozenset((arc.src[1], arc.dst[1])), []).append(arc)
@@ -422,7 +416,7 @@ def _bigon_ok(d: Diagram, a: Arc, b: Arc) -> bool:
 
 def _apply_m2_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     key_a, key_b = site.get("arc_a"), site.get("arc_b")
-    arcs = _arc_index(d)
+    arcs = event_walk(d).arc_at
     try:
         a, b = arcs[key_a], arcs[key_b]
     except KeyError:
@@ -477,7 +471,7 @@ def _triangles(d: Diagram):
 def _strand_extremal(d: Diagram, arc_key) -> Optional[bool]:
     """True if the strand through the arc is over at both its crossings,
     False if under at both, None if mixed."""
-    arcs = _arc_index(d)
+    arcs = event_walk(d).arc_at
     arc = arcs[arc_key]
     x1, x2 = arc.src[1], arc.dst[1]
     over1 = arc.src[2] % 2 == d.crossings[x1].dot % 2
@@ -493,7 +487,7 @@ def _candidates_m3(d: Diagram, kind: MoveKind) -> List[MoveSite]:
 
 def _apply_m3(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     arc_keys, slide = site.get("arcs"), site.get("slide")
-    arcs = _arc_index(d)
+    arcs = event_walk(d).arc_at
     try:
         tri = [arcs[k] for k in arc_keys]
     except KeyError:
@@ -780,7 +774,7 @@ def _apply_m5_push(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     crossings = dict(d.crossings)
     crossings[c] = Crossing(s2[0], dot)
     d2 = replace(d, crossings=crossings, transits=transits)
-    visits = sorted(derived(d, "crossing_visits", crossing_visits)[c],
+    visits = sorted(crossing_visits(d)[c],
                     key=lambda v: v[1], reverse=True)
     for ci, ei in visits:
         comp = d2.components[ci]
@@ -818,7 +812,7 @@ def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     for p in range(4):
         del transits[transit_of[p][0]]
     d2 = replace(d, crossings=crossings, transits=transits)
-    visits = sorted(derived(d, "crossing_visits", crossing_visits)[c],
+    visits = sorted(crossing_visits(d)[c],
                     key=lambda v: v[1], reverse=True)
     shift: Dict[int, int] = {}
     for ci, ei in visits:
@@ -1158,7 +1152,7 @@ class _Regions:
                 j = d.transits[t].sides[k][1]
                 keys.append((j, 2 * rank[t] if word[j][1] > 0 else -2 * rank[t]))
             self.maps[f] = (fm, comp, keys)
-        for arc in derived(d, "arcs", arcs_of):
+        for arc in arcs_of(d):
             if arc.src is None:
                 continue
             fm, comp, _keys = self.maps[arc.face]

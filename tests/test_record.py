@@ -2,7 +2,9 @@
 
 One module-level slot holds (weak reference to a diagram, its record).
 These tests check that a record serves only the object it was built for,
-that the three state sums share one contraction and one plan, that a
+that one event walk serves validation, the state sums, the signs, the
+split components and the move sites, that the three state sums share one
+contraction and one plan, that a
 diagram's bracket and sign table are computed once while the checks on
 each call still run, that a rejected move leaves its input's record in the
 slot, and that the order of calls across diagrams never changes a result.
@@ -25,7 +27,7 @@ from linkcx.errors import CrossingCapError, DiagramError, MoveError
 from linkcx.examples import example
 from linkcx.homotopy import LK, co, homotopy_bracket
 from linkcx.invariants import Wri, lk, pairwise_lk, parity_check, wri
-from linkcx.moves import MoveKind, apply, candidate_sites, fuzz
+from linkcx.moves import MoveKind, apply, candidate_sites, find_sites, fuzz
 
 # ``linkcx.bracket`` is also the name of a function in the package
 br = importlib.import_module("linkcx.bracket")
@@ -52,6 +54,30 @@ def test_the_three_state_sums_share_one_contraction(monkeypatch):
     homotopy_bracket(d, bundle.connection)
     all_state_counts(d)
     assert builds == [d]
+
+
+def test_one_walk_serves_every_reader(monkeypatch):
+    bundles = [example("Kn", 2), example("Ln", 2)]
+    walks = []
+    init = dg.EventWalk.__init__
+
+    def counting(self, d):
+        walks.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(dg.EventWalk, "__init__", counting)
+    for bundle in bundles:
+        d = replace(bundle.diagram)      # an object no earlier call has seen
+        validate_diagram(d)
+        bracket(d)
+        homotopy_bracket(d, bundle.connection)
+        wri(d)
+        (co if len(d.components) == 1 else LK)(d, bundle.connection)
+        dg.sc(d)
+        find_sites(d, MoveKind.M2)
+        assert len(walks) == 1 and walks[0] is d
+        walks.clear()
+    assert {len(b.diagram.components) for b in bundles} == {1, 2}
 
 
 def _counting(monkeypatch, module, name):

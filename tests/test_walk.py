@@ -1,0 +1,208 @@
+"""The event walk against plain walkers, and its faults on unvalidated diagrams.
+
+Each reference below reads the event lists on its own, as the separate
+walkers did before ``diagram.EventWalk`` took their place.  Every view of
+the walk must equal its reference on every example, its mirror, and fuzzed
+diagrams with up to 42 transits: the arcs, the port ends, the crossing
+visits and visit pairs, the transit visits, the transit steps between any
+two events, and the contraction's ``match``, ``steps``, ``fixed`` and
+``transit_ports``.  A hand-built diagram that was never validated gets a
+``DiagramError`` with validation's text from every reader of visit pairs.
+"""
+
+import importlib
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linkcx import moves as mv
+from linkcx.diagram import (Arc, CrossVisit, TransitVisit, arcs_of, crossing_visits,
+                            mirror, port_ends, sc, transit_steps, transit_visits,
+                            visit_pairs)
+from linkcx.errors import DiagramError
+from linkcx.examples import EXAMPLE_IDS, example
+from linkcx.homotopy import LK
+from linkcx.invariants import lk, wri
+
+br = importlib.import_module("linkcx.bracket")
+
+
+# -- the references -------------------------------------------------------------
+
+def ref_arcs(d):
+    out = []
+    for ci, comp in enumerate(d.components):
+        k = len(comp.events)
+        if k == 0:
+            out.append(Arc(ci, 0, None, None, comp.arc_faces[0]))
+            continue
+        ends = [(("x", ev.crossing, ev.enter), ("x", ev.crossing, (ev.enter + 2) % 4))
+                if isinstance(ev, CrossVisit) else
+                (("t", ev.transit, ev.enter), ("t", ev.transit, 1 - ev.enter))
+                for ev in comp.events]
+        out += [Arc(ci, ai, ends[ai][1], ends[ai + 1 - k][0], comp.arc_faces[ai])
+                for ai in range(k)]
+    return out
+
+
+def ref_port_ends(d):
+    out = {}
+    for arc in ref_arcs(d):
+        if arc.src is None:
+            continue
+        for end, slot in ((0, arc.src), (1, arc.dst)):
+            if slot[0] == "x":
+                out[(slot[1], slot[2])] = (arc, end)
+    return out
+
+
+def ref_visits(d, kind, names):
+    out = {name: [] for name in names}
+    for ci, comp in enumerate(d.components):
+        for ei, ev in enumerate(comp.events):
+            if isinstance(ev, kind):
+                out[ev.crossing if kind is CrossVisit else ev.transit].append((ci, ei))
+    return out
+
+
+def ref_transit_steps(d, ci, start=0, stop=None):
+    events = d.components[ci].events
+    k = len(events)
+    count = k if stop is None else (stop - start) % k
+    out = []
+    for off in range(start, start + count):
+        ev = events[off % k]
+        if isinstance(ev, TransitVisit):
+            tr = d.transits[ev.transit]
+            out.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter]))
+    return out
+
+
+def ref_contraction(d):
+    """(match, steps, fixed, transit_ports) read off the event lists."""
+    order = sorted(d.crossings)
+    index = {c: i for i, c in enumerate(order)}
+    match = [0] * (4 * len(order))
+    steps = [()] * len(match)
+    fixed = []
+    transit_ports = [0] * len(order)
+    for ci, comp in enumerate(d.components):
+        events = comp.events
+        visits = [k for k, ev in enumerate(events) if isinstance(ev, CrossVisit)]
+        if not visits:
+            fixed.append([len(steps)])
+            steps.append(tuple(ref_transit_steps(d, ci)))
+            continue
+        for v, w in zip(visits, visits[1:] + visits[:1]):
+            path = []
+            for ev in events[v + 1:w] if v < w else events[v + 1:] + events[:w]:
+                tr = d.transits[ev.transit]
+                path.append((tr.edge, tr.sides[ev.enter], tr.sides[1 - ev.enter]))
+            here, there = events[v], events[w]
+            a = 4 * index[here.crossing] + (here.enter + 2) % 4
+            b = 4 * index[there.crossing] + there.enter
+            match[a], match[b] = b, a
+            if path:
+                transit_ports[a >> 2] += 1
+                transit_ports[b >> 2] += 1
+            steps[a] = tuple(path)
+            steps[b] = tuple([(e, out, into) for e, into, out in reversed(path)])
+    return match, steps, fixed, transit_ports
+
+
+# -- the views against the references -----------------------------------------------
+
+def assert_views_match(d, every_span=False):
+    assert arcs_of(d) == ref_arcs(d)
+    assert port_ends(d) == ref_port_ends(d)
+    visits = ref_visits(d, CrossVisit, d.crossings)
+    assert crossing_visits(d) == visits
+    assert visit_pairs(d) == visits and all(len(v) == 2 for v in visits.values())
+    assert transit_visits(d) == ref_visits(d, TransitVisit, d.transits)
+    con = br._Contraction(d)
+    assert (con.match, con.steps, con.fixed, con.transit_ports) == ref_contraction(d)
+    for ci, comp in enumerate(d.components):
+        k = len(comp.events)
+        # every span for small diagrams, else the spans LK and co read
+        if k == 0:
+            spans = [(0, None)]
+        elif every_span:
+            spans = [(a, b) for a in range(k + 1) for b in [None, *range(k + 1)]]
+        else:
+            marks = sorted({ei + 1 for vs in visits.values() for cj, ei in vs if cj == ci})
+            spans = [(0, None)] + [(a, b) for a in marks for b in [None, *marks]]
+        for start, stop in spans:
+            assert (transit_steps(d, ci, start, stop)
+                    == ref_transit_steps(d, ci, start, stop)), (ci, start, stop)
+
+
+def _bundles():
+    for name in EXAMPLE_IDS:
+        for n in ((None,) if name not in ("Ln", "Kn") else range(5)):
+            yield example(name, n)
+
+
+def test_examples_and_mirrors():
+    for b in _bundles():
+        for d in (b.diagram, mirror(b.diagram)):
+            assert_views_match(replace(d), every_span=True)
+
+
+FUZZ_BASES = [("trefoil_left", None), ("torus_link", None), ("moebius_link", None),
+              ("annulus_link", None), ("Ln", 0), ("Ln", 1), ("Kn", 0),
+              ("unknot_local", None)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FUZZ_BASES), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_fuzzed_diagrams(base, seed, many_transits):
+    steps, caps = ((60, dict(max_crossings=8, max_transits=40)) if many_transits
+                   else (25, dict(max_crossings=7, max_transits=12)))
+    d, _trace = mv.fuzz(example(*base).diagram, steps, seed=seed, **caps)
+    assert_views_match(replace(d))
+
+
+def test_fuzzed_diagrams_with_38_to_42_transits():
+    counts = set()
+    for base in FUZZ_BASES:
+        for seed in range(2):
+            d, _trace = mv.fuzz(example(*base).diagram, 60, seed=seed, max_crossings=8,
+                                max_transits=40)
+            counts.add(len(d.transits))
+            assert_views_match(replace(d))
+    assert {38, 40, 42} <= counts
+
+
+# -- faults of unvalidated diagrams -----------------------------------------------
+
+def _with_events(d, ci, events):
+    comps = list(d.components)
+    comps[ci] = replace(comps[ci], events=tuple(events))
+    return replace(d, components=tuple(comps))
+
+
+def _readers(bundle):
+    return (wri, lk, sc, lambda d: LK(d, bundle.connection), br.bracket)
+
+
+def test_an_undeclared_crossing_is_a_diagram_error():
+    b = example("Ln", 1)
+    events = list(b.diagram.components[0].events)
+    events[0] = CrossVisit("nope", events[0].enter)
+    d = _with_events(b.diagram, 0, events)
+    for reader in _readers(b):
+        with pytest.raises(DiagramError, match=r"^component 0: unknown crossing 'nope'$"):
+            reader(d)
+
+
+def test_a_crossing_visited_three_times_is_a_diagram_error():
+    b = example("Ln", 1)
+    events = list(b.diagram.components[0].events)
+    assert [ev.crossing for ev in events[:2]] == ["c1", "c2"]
+    events[1] = CrossVisit("c1", events[1].enter)
+    d = _with_events(b.diagram, 0, events)
+    for reader in _readers(b):
+        with pytest.raises(DiagramError, match=r"^crossing 'c1' visited 3 times, expected 2$"):
+            reader(d)
