@@ -179,12 +179,16 @@ def _cmd_move(args) -> int:
     _cx, d, conn = _load(args.complex, args.diagram, args.conn)
     if args.action == "apply":
         kind = moves.MoveKind(args.kind)
-        sites = moves.find_sites(d, kind)
-        if not (0 <= args.site < len(sites)):
-            print(f"error: {kind.value} has {len(sites)} sites; "
+        # stop at the chosen site; count them all only to report a bad index
+        count = 0
+        for count, site in enumerate(moves.iter_sites(d, kind), 1):
+            if count == args.site + 1:
+                break
+        else:
+            print(f"error: {kind.value} has {count} sites; "
                   f"--site {args.site} is out of range", file=sys.stderr)
             return 1
-        d2 = moves.apply(d, kind, sites[args.site])
+        d2 = moves.apply(d, kind, site)
         sys.stdout.write(files.serialize_diagram(d2))
         return 0
     if args.action == "replay":

@@ -613,13 +613,16 @@ def mirror(d: Diagram) -> Diagram:
 
 
 def reverse_component(d: Diagram, ci: int) -> Diagram:
-    """Reverse the direction of one component: each event is entered where it was left."""
+    """Reverse the direction of one component: each event is entered where it was left.
+
+    Port p becomes p ^ 2 (p + 2 mod 4, and a bad port stays bad), side s 1 - s.
+    """
     comp = d.components[ci]
     if not comp.events:
         return d
-    exits = event_walk(d).exits[ci]
-    events = tuple(CrossVisit(name, k) if kind == "x" else TransitVisit(name, k)
-                   for kind, name, k in [exits[0]] + exits[:0:-1])
+    events = tuple(CrossVisit(ev.crossing, ev.enter ^ 2) if isinstance(ev, CrossVisit)
+                   else TransitVisit(ev.transit, 1 - ev.enter)
+                   for ev in comp.events[:1] + comp.events[:0:-1])
     comps = list(d.components)
     comps[ci] = Component(events, comp.arc_faces[::-1], comp.directed)
     return replace(d, components=tuple(comps))
@@ -777,10 +780,14 @@ def code_strands(code: PlanarCode) -> List[List[Tuple[str, int]]]:
 
     A strand enters a port and leaves through the opposite one.  Strands
     are traced from the ports in code order, so the listing and the
-    direction of each strand are deterministic.
+    direction of each strand are deterministic.  Crossing ids are unique.
     """
     ends: Dict[str, List[Tuple[str, int]]] = {}
+    ids = set()
     for cid, ports, _dot in code.crossings:
+        if cid in ids:
+            raise DiagramError(f"duplicate crossing id {cid!r}")
+        ids.add(cid)
         for p, label in enumerate(ports):
             ends.setdefault(label, []).append((cid, p))
     other: Dict[Tuple[str, int], Tuple[str, int]] = {}
@@ -811,12 +818,9 @@ def draw_local(cx: TwoComplex, face: str, code: PlanarCode) -> Diagram:
         raise DiagramError(f"unknown face {face!r}")
     crossings = {}
     for cid, _ports, dot in code.crossings:
-        name = f"c{cid}"
-        if name in crossings:
-            raise DiagramError(f"duplicate crossing id {cid!r}")
         if dot not in (0, 1):
             raise DiagramError(f"crossing {cid!r}: dots must mark one opposite sector pair")
-        crossings[name] = Crossing(face, dot)
+        crossings[f"c{cid}"] = Crossing(face, dot)
     components = [Component(tuple(CrossVisit(f"c{cid}", p) for cid, p in strand),
                             (face,) * len(strand))
                   for strand in code_strands(code)]

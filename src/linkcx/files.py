@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .diagram import (Component, Crossing, CrossVisit, Diagram, PlanarCode,
                       Transit, TransitVisit, _normalized_positions, port_ends,
-                      validate_diagram)
+                      reverse_component, validate_diagram)
 from .errors import FormatError
 from .groups import GroupSpec, text_to_word, word_to_text
 from .homotopy import Connection
@@ -234,23 +234,31 @@ def parse_diagram(text: str, cx: TwoComplex) -> Diagram:
     if header is None:
         raise FormatError("missing diagram header", 1)
     d = Diagram(cx, crossings, transits, tuple(components))
-    _check_port_refs(d, ports, comp_names)
     # a `-` orientation flag means the listing runs against the direction;
-    # normalize to forward listings after the references are checked
-    from .diagram import reverse_component
-    for ci in sorted(reversed_comps):
+    # normalize to forward listings first, so that one walk serves the
+    # reference check and validation
+    for ci in reversed_comps:
         d = reverse_component(d, ci)
+    _check_port_refs(d, ports, comp_names, reversed_comps)
     return validate_diagram(d)
 
 
 def _check_port_refs(d: Diagram, ports: Dict[str, Tuple[str, ...]],
-                     comp_names: List[str]) -> None:
-    """The serialized arc-end references must match the component data."""
+                     comp_names: List[str], reversed_comps: set) -> None:
+    """The serialized arc-end references must match the component data.
+
+    Arc i of a reversed component of k events, as listed, is arc k - 1 - i
+    of d with its ends swapped.
+    """
     # a name the file declares wins over the canonical k1, k2, ...
     names = {f"k{i + 1}": i for i in range(len(d.components))}
     names.update((name, i) for i, name in enumerate(comp_names))
-    actual = {port: f"{arc.comp}.{arc.index}.{end}"
-              for port, (arc, end) in port_ends(d).items()}
+    actual = {}
+    for port, (arc, end) in port_ends(d).items():
+        index = arc.index
+        if arc.comp in reversed_comps:
+            index, end = len(d.components[arc.comp].events) - 1 - index, 1 - end
+        actual[port] = f"{arc.comp}.{index}.{end}"
     for c, refs in ports.items():
         if c not in d.crossings:
             raise FormatError(f"port list for unknown crossing {c!r}")

@@ -22,12 +22,13 @@ which ``candidate_sites`` lists in full, its rewrite, which ``apply``
 performs and validates, and, for M1p, M1m, M2, M4, M5p and M5m, the
 predicate that decides its candidates exactly from the face walks of a
 valid diagram's face maps.  The face walks (``_Regions``) are kept in the
-diagram's record.  ``find_sites`` returns every candidate whose
-application yields a valid diagram: it asks the predicate where there is
-one and applies every other candidate.  The fuzzer draws kinds and
-candidate indices from a seeded generator, so identical (diagram, steps,
-seed) always reproduce the same trace; it builds only the sites it tries,
-and skips the candidates that a predicate rejects without applying them.
+diagram's record.  ``iter_sites`` yields, and ``find_sites`` lists, every
+candidate whose application yields a valid diagram: they ask the predicate
+where there is one, build M2 sites from region pairs only, and apply every
+other candidate.  The fuzzer draws kinds and candidate indices from a
+seeded generator, so identical (diagram, steps, seed) always reproduce the
+same trace; it builds only the sites it tries, and skips the candidates
+that a predicate rejects without applying them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
                       Transit, TransitVisit, arcs_of, boundary_edges, complex_derived,
@@ -49,7 +50,7 @@ from .errors import DiagramError, MoveError
 from .invariants import _sign_from_visits
 from .twocomplex import Incidence, TwoComplex, corner_vertex, vertex_link
 
-__all__ = ["MoveKind", "MoveSite", "find_sites", "apply", "fuzz",
+__all__ = ["MoveKind", "MoveSite", "find_sites", "iter_sites", "apply", "fuzz",
            "serialize_trace", "parse_trace"]
 
 
@@ -322,10 +323,6 @@ def _candidates_m2(d: Diagram, kind: MoveKind) -> _Rows:
     then b and ``anti`` False then True; with b = a only the two ``anti``
     sites are listed, so a face of m arcs gives rows of 4m - 2 sites.
     """
-    by_face: Dict[str, List[Arc]] = {}
-    for arc in arcs_of(d):
-        by_face.setdefault(arc.face, []).append(arc)
-
     def row(group: List[Arc], p: int):
         a = group[p]
 
@@ -344,8 +341,15 @@ def _candidates_m2(d: Diagram, kind: MoveKind) -> _Rows:
 
         return 4 * len(group) - 2, site
 
-    return _Rows(row(group, p) for group in by_face.values()
-                 for p in range(len(group)))
+    return _Rows(row(group, p) for group in _face_groups(d) for p in range(len(group)))
+
+
+def _face_groups(d: Diagram) -> List[List[Arc]]:
+    """The arcs of each face, faces in the order of their first arc."""
+    by_face: Dict[str, List[Arc]] = {}
+    for arc in arcs_of(d):
+        by_face.setdefault(arc.face, []).append(arc)
+    return list(by_face.values())
 
 
 def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
@@ -1235,11 +1239,22 @@ class _Regions:
         (ports 1, 3) and once by b (ports 2, 2 or 0, 0), so once per
         diameter; the five new arcs lie in the shared face.
         """
-        a = self.arcs.get((site.get("comp_a"), site.get("arc_a")))
-        b = self.arcs.get((site.get("comp_b"), site.get("arc_b")))
-        if a is None or b is None or a[0] != b[0]:
-            return True
-        return a[1] == (b[1] if site.get("anti") else b[2])
+        return bool(site.get("anti")) in _fingers(
+            self.arcs.get((site.get("comp_a"), site.get("arc_a"))),
+            self.arcs.get((site.get("comp_b"), site.get("arc_b"))))
+
+    def slides(self, d: Diagram) -> Iterator[MoveSite]:
+        """The M2 sites of d that ``_slide`` admits, in ``candidate_sites`` order."""
+        for group in _face_groups(d):
+            records = [self.arcs.get((arc.comp, arc.index)) for arc in group]
+            for a, ra in zip(group, records):
+                for b, rb in zip(group, records):   # b = a: the two self-poke sites
+                    antis = (True,) if b is a else _fingers(ra, rb)
+                    for over in "ab":
+                        for anti in antis:
+                            yield MoveSite.make(MoveKind.M2, comp_a=a.comp, arc_a=a.index,
+                                                comp_b=b.comp, arc_b=b.index,
+                                                over=over, anti=anti)
 
     def _tongue(self, site: MoveSite) -> bool:
         """M4: admitted unless the arc's side facing the gap misses its region.
@@ -1345,6 +1360,16 @@ class _Regions:
         return self._meets_gap(site, component, corners[site.get("rot")])
 
 
+def _fingers(a, b) -> Tuple[bool, ...]:
+    """The ``anti`` values that ``_slide`` admits from arc record a to b (None: a circle).
+
+    False needs b's left, True b's right, on a's right face walk.
+    """
+    if a is None or b is None or a[0] != b[0]:
+        return (False, True)
+    return (False,) * (b[2] == a[1]) + (True,) * (b[1] == a[1])
+
+
 # -- dispatch ---------------------------------------------------------------
 
 # kind -> (candidates(d, kind), apply(d, kind, site), predicate): the
@@ -1432,30 +1457,34 @@ def _regions(d: Diagram, kind: MoveKind) -> Optional[_Regions]:
         return None
 
 
-def find_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
-    """Every candidate site whose application yields a valid diagram.
+def iter_sites(d: Diagram, kind: MoveKind) -> Iterator[MoveSite]:
+    """Every candidate site whose application yields a valid diagram, lazily.
 
     On a valid diagram, the predicate in a kind's ``_MOVES`` row decides
     its candidates exactly from the face walks of the face maps (Mohar &
     Thomassen, *Graphs on Surfaces*, 2001), without applying one: M1p,
-    M1m, M2, M4, M5p and M5m have one.  Every candidate of the other kinds
-    (M1pi, M1mi, M2i, M3, M3i, M4i, M6, M6i and M7) is applied and fully
-    validated, and so is every candidate of an invalid diagram, which is
-    never pruned.  The sites come in ``candidate_sites`` order.
+    M1m, M2, M4, M5p and M5m have one, and M2 sites are built from region
+    pairs only.  Every other candidate, and each of an invalid diagram, is
+    applied and validated.  The order is ``candidate_sites`` order.
     """
     kind, _entry = _move(kind)
-    sites = candidate_sites(d, kind)
     regions = _regions(d, kind)
-    if regions is not None:
-        return [site for site in sites if regions.admits(site)]
-    out = []
-    for site in sites:
-        try:
-            apply(d, kind, site)
-        except MoveError:
-            continue
-        out.append(site)
-    return out
+    if regions is None:
+        for site in _candidates(d, kind):
+            try:
+                apply(d, kind, site)
+            except MoveError:
+                continue
+            yield site
+    elif kind is MoveKind.M2:
+        yield from regions.slides(d)
+    else:
+        yield from filter(regions.admits, _candidates(d, kind))
+
+
+def find_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
+    """The list of ``iter_sites``: every site of the kind, in ``candidate_sites`` order."""
+    return list(iter_sites(d, kind))
 
 
 # -- the fuzzer ---------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from linkcx import cli
+from linkcx import cli, files, moves
 from linkcx.cli import main
 
 
@@ -333,3 +333,34 @@ def test_a_bad_exponent_is_a_format_error(tmp_path, capsys, name, n, label, line
     captured = capsys.readouterr()
     assert captured.err == f"error: line {line}: bad exponent in {bad!r}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name, n, kind", [("Ln", 2, "M2"), ("torus_link", None, "M7"),
+                                           ("annulus_link", None, "M4")])
+def test_move_apply_prints_the_listed_site(tmp_path, capsys, name, n, kind):
+    cx_path, d_path, _ = _emit(tmp_path, name, n)
+    d = files.parse_diagram(d_path.read_text(), files.parse_complex(cx_path.read_text()))
+    sites = moves.find_sites(d, kind)
+    argv = ["move", "apply", str(cx_path), str(d_path), kind, "--site"]
+    capsys.readouterr()
+    for i, site in enumerate(sites):
+        assert main(argv + [str(i)]) == 0
+        assert capsys.readouterr().out == files.serialize_diagram(moves.apply(d, kind, site))
+    for i in (len(sites), -1):
+        assert main(argv + [str(i)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {kind} has {len(sites)} sites; --site {i} is out of range\n")
+
+
+def test_move_apply_builds_no_m2_site_past_its_own(tmp_path, capsys, monkeypatch):
+    cx, d, _ = _emit(tmp_path, "Ln", 2)
+    made = []
+    make = moves.MoveSite.make.__func__
+
+    def counting_make(cls, kind, **data):
+        made.append(kind)
+        return make(cls, kind, **data)
+
+    monkeypatch.setattr(moves.MoveSite, "make", classmethod(counting_make))
+    assert main(["move", "apply", str(cx), str(d), "M2", "--site", "0"]) == 0
+    assert made == [moves.MoveKind.M2]

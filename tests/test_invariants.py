@@ -1,10 +1,11 @@
 import pytest
 
 import linkcx as lx
-from linkcx.diagram import mirror, reverse_component
+from linkcx.diagram import PlanarCode, draw_local, mirror, reverse_component
 from linkcx.errors import DiagramError
 from linkcx.examples import example, hopf_code
 from linkcx.bracket import classical_lk
+from linkcx.twocomplex import build_disc
 
 
 def test_paper_linking_numbers():
@@ -84,6 +85,14 @@ def test_local_hopf_doubles_classical_lk():
     d = example("hopf_local").diagram
     assert classical_lk(hopf_code()) == 1
     assert lx.lk(d) == 2 * classical_lk(hopf_code()) == 2
+
+
+def test_a_repeated_crossing_id_is_refused_as_by_draw_local():
+    # classical_lk used to trace the strands of this code and return 1
+    code = PlanarCode((("1", ("a", "b", "c", "d"), 0), ("1", ("c", "d", "a", "b"), 0)))
+    for read in (classical_lk, lambda code: draw_local(build_disc(), "F", code)):
+        with pytest.raises(DiagramError, match="^duplicate crossing id '1'$"):
+            read(code)
 
 
 def test_lk_needs_two_components():

@@ -472,6 +472,41 @@ def test_find_sites_matches_brute_force_on_fuzzed_diagrams(base, seed):
     assert_sites_match_brute(d)
 
 
+def m2_diagrams():
+    """Fuzzed examples (caps 6 and 12 crossings), with floating kinks where listed."""
+    for name, n, face in SITE_FUZZ_BASES:
+        base = example(name, n).diagram
+        for seed, cap in ((0, 6), (1, 12)):
+            d = mv.fuzz(base, 5, seed, max_crossings=cap, max_transits=2 * cap)[0]
+            yield d
+        if face is not None:
+            yield with_floating_kink(base, face)
+            yield with_floating_kink(d, face)
+
+
+def test_m2_sites_from_region_pairs_match_brute_force():
+    for d in m2_diagrams():
+        assert mv.find_sites(d, K.M2) == brute_sites(d, K.M2)
+
+
+def test_m2_site_search_builds_only_the_sites_it_keeps(monkeypatch):
+    made = Counter()
+    make = mv.MoveSite.make.__func__
+
+    def counting_make(cls, kind, **data):
+        made[kind] += 1
+        return make(cls, kind, **data)
+
+    monkeypatch.setattr(mv.MoveSite, "make", classmethod(counting_make))
+    rejected = 0
+    for d in m2_diagrams():
+        made.clear()                         # drop the sites that fuzz tried
+        sites = mv.find_sites(d, K.M2)
+        assert made[K.M2] == len(sites)
+        rejected += len(mv.candidate_sites(d, K.M2)) - len(sites)
+    assert rejected > 0
+
+
 # -- outputs pinned to recorded values -------------------------------------------
 
 FUZZ_DIGEST = "331631cb63f784a7d670908a8155e3c138a91d5dfb8eda413e13dd4c0f1c0b18"

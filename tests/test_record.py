@@ -25,6 +25,7 @@ from linkcx.bracket import (_Contraction, all_state_counts, bracket,
 from linkcx.diagram import derived, validate_diagram
 from linkcx.errors import CrossingCapError, DiagramError, MoveError
 from linkcx.examples import example
+from linkcx.files import parse_diagram, serialize_diagram
 from linkcx.homotopy import LK, co, homotopy_bracket
 from linkcx.invariants import Wri, lk, pairwise_lk, parity_check, wri
 from linkcx.moves import MoveKind, apply, candidate_sites, find_sites, fuzz
@@ -78,6 +79,26 @@ def test_one_walk_serves_every_reader(monkeypatch):
         assert len(walks) == 1 and walks[0] is d
         walks.clear()
     assert {len(b.diagram.components) for b in bundles} == {1, 2}
+
+
+def test_a_reversed_listing_is_parsed_with_one_walk(monkeypatch):
+    # the `-` flag used to walk the listing as read, then the reversed one
+    bundle = example("Ln", 1)
+    text = serialize_diagram(bundle.diagram)
+    walks = []
+    init = dg.EventWalk.__init__
+
+    def counting(self, d):
+        walks.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(dg.EventWalk, "__init__", counting)
+    for flag in ("+", "-"):
+        flagged = text.replace("component k1 oriented +", f"component k1 oriented {flag}")
+        d = parse_diagram(flagged, bundle.complex)
+        assert lk(d) == (2 if flag == "+" else -2)
+        assert len(walks) == 1 and walks[0] is d
+        walks.clear()
 
 
 def _counting(monkeypatch, module, name):
