@@ -69,14 +69,17 @@ def _cmd_inv(args) -> int:
 
 
 def _applicable(name, d, conn) -> bool:
-    two = len(d.components) == 2
-    knot = len(d.components) == 1
+    """Whether the invariant is defined on d: all but wri need every component directed."""
+    if name == "wri":
+        return True
+    if not d.oriented():
+        return False
     if name == "lk":
-        return two
+        return len(d.components) == 2
     if name == "lkclass":
-        return two and conn is not None
+        return len(d.components) == 2 and conn is not None
     if name == "co":
-        return knot and conn is not None
+        return len(d.components) == 1 and conn is not None
     return True
 
 
@@ -155,13 +158,12 @@ def _move_checker(d0, conn):
         snap = {"nb": normalized_bracket(d)}
         if conn is not None:
             snap["hb"] = homotopy.normalized_homotopy_bracket(d, conn)
-        if all(c.directed for c in d.components):
-            if len(d.components) == 2:
-                snap["lk"] = invariants.lk(d)
-                if conn is not None:
-                    snap["LK"] = homotopy.LK(d, conn)
-            if len(d.components) == 1 and conn is not None:
-                snap["co"] = homotopy.co(d, conn)
+        if _applicable("lk", d, conn):
+            snap["lk"] = invariants.lk(d)
+        if _applicable("lkclass", d, conn):
+            snap["LK"] = homotopy.LK(d, conn)
+        if _applicable("co", d, conn):
+            snap["co"] = homotopy.co(d, conn)
         return snap
 
     state.update(snapshot(d0))

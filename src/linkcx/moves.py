@@ -25,10 +25,13 @@ valid diagram's face maps.  The face walks (``_Regions``) are kept in the
 diagram's record.  ``iter_sites`` yields, and ``find_sites`` lists, every
 candidate whose application yields a valid diagram: they ask the predicate
 where there is one, build M2 sites from region pairs only, and apply every
-other candidate.  The fuzzer draws kinds and candidate indices from a
-seeded generator, so identical (diagram, steps, seed) always reproduce the
-same trace; it builds only the sites it tries, and skips the candidates
-that a predicate rejects without applying them.
+other candidate.  Every rewrite but M3's in-place swap returns through
+``_rewrite``: a set of splices of components, each in the old event
+indices, plus one delta of crossings and transits.  The fuzzer draws kinds
+and candidate indices from a seeded generator, so identical (diagram,
+steps, seed) always reproduce the same trace; it builds only the sites it
+tries, and skips the candidates that a predicate rejects without applying
+them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import (Arc, Component, Crossing, CrossVisit, Diagram, FaceMap,
                       Transit, TransitVisit, arcs_of, boundary_edges, complex_derived,
@@ -148,76 +151,77 @@ def _positions_in_gap(d: Diagram, edge: str, slot: int, count: int) -> List[Frac
     return [lo + step * (i + 1) for i in range(count)]
 
 
-# -- component surgery -----------------------------------------------------
+# -- rewrites ------------------------------------------------------------------
 
-def _replace_arc(comp: Component, ai: int, new_events: Sequence,
-                 new_faces: Sequence[str]) -> Component:
-    """Split arc ai, inserting events; new_faces lists all resulting arcs."""
-    if len(new_faces) != len(new_events) + 1:
-        raise MoveError("arc replacement needs len(events) + 1 faces")
-    k = len(comp.events)
-    if k == 0:
-        if new_faces[0] != new_faces[-1]:
-            raise MoveError("splitting a circle needs matching end faces")
-        return Component(tuple(new_events), tuple(new_faces[1:]), comp.directed)
-    events = comp.events[:ai + 1] + tuple(new_events) + comp.events[ai + 1:]
-    faces = comp.arc_faces[:ai] + tuple(new_faces) + comp.arc_faces[ai + 1:]
-    return Component(events, faces, comp.directed)
+def _splice(comp: Component, edits) -> Component:
+    """comp with every edit ``(a, n, events, inner)`` made, in its event indices.
 
-
-def _remove_events(comp: Component, idxs: Iterable[int]) -> Component:
-    """Drop events, merging the arcs around each; faces must agree."""
-    idxs = set(idxs)
-    k = len(comp.events)
-    if not idxs:
-        return comp
-    survivors = [i for i in range(k) if i not in idxs]
-    if not survivors:
-        face = comp.arc_faces[0]
-        if any(f != face for f in comp.arc_faces):
+    An edit takes the n events after arc a, counted cyclically.  New events
+    go between arc a and arc a + n, with the ``inner`` faces between them,
+    so n = 0 splits arc a; without new events, arcs a .. a + n merge into
+    one, which must lie in one face, and removing every event leaves a
+    circle.  The listing keeps its start unless an edit takes both its last
+    event and its first: it then starts right after that edit.
+    """
+    events, faces = comp.events, comp.arc_faces
+    k = len(events)
+    if not k:
+        # a circle: each edit in turn splits its one arc
+        cuts = [(tuple(new), tuple(inner) + faces) for _a, _n, new, inner in edits if new]
+        return Component(sum((e for e, _f in cuts), ()), sum((f for _e, f in cuts), ()) or faces,
+                         comp.directed)
+    # per edit, its first taken event, or where an insertion goes: after
+    # event a, so one into the last arc goes last
+    spans = [((a + 1) % k if n else a % k + 1, n, new, inner) for a, n, new, inner in edits]
+    for s, n, _new, _inner in spans:
+        if s + n > k:
+            r = s + n - k
+            events, faces = events[r:] + events[:r], faces[r:] + faces[:r]
+            spans = [((s - r) % k if n else (s - r - 1) % k + 1, n, new, inner)
+                     for s, n, new, inner in spans]
+            break
+    out_events, out_faces, at = (), (), 0
+    for s, n, new, inner in sorted(spans, key=lambda span: span[:2]):
+        out_events += events[at:s]
+        out_faces += faces[at:s]
+        if new:
+            out_events += tuple(new)
+            out_faces += tuple(inner) + (faces[s + n - 1],)
+        elif len({faces[s - 1], *faces[s:s + n]}) != 1:
             raise MoveError("cannot merge arcs lying in different faces")
-        return Component((), (face,), comp.directed)
-    events = tuple(comp.events[i] for i in survivors)
-    faces = []
-    for pos, i in enumerate(survivors):
-        j = survivors[(pos + 1) % len(survivors)]
-        merged = {comp.arc_faces[t % k] for t in range(i, i + ((j - i) % k or k))}
-        if len(merged) != 1:
-            raise MoveError("cannot merge arcs lying in different faces")
-        faces.append(merged.pop())
-    return Component(events, tuple(faces), comp.directed)
+        at = s + n
+    out_events += events[at:]
+    out_faces += faces[at:]
+    if not out_events:
+        return Component((), faces[:1], comp.directed)
+    return Component(out_events, out_faces, comp.directed)
 
 
-def _replace_event_block(comp: Component, start: int, length: int,
-                         new_events: Sequence, inner_faces: Sequence[str]) -> Component:
-    """Replace `length` consecutive events by new ones; flanking arcs stay."""
-    k = len(comp.events)
-    if length < 1 or length > k:
-        raise MoveError("bad block length")
-    if len(inner_faces) != max(len(new_events) - 1, 0):
-        raise MoveError("block replacement needs len(events) - 1 inner faces")
-    if not new_events:
-        return _remove_events(comp, [(start + i) % k for i in range(length)])
-    if start + length <= k:
-        events = (comp.events[:start] + tuple(new_events)
-                  + comp.events[start + length:])
-        faces = (comp.arc_faces[:start] + tuple(inner_faces)
-                 + (comp.arc_faces[start + length - 1],)
-                 + comp.arc_faces[start + length:])
-        return Component(events, faces, comp.directed)
-    # wrapped block: rotate so it becomes contiguous, accept the new listing
-    rot = (start + length) % k
-    rotated = Component(comp.events[rot:] + comp.events[:rot],
-                        comp.arc_faces[rot:] + comp.arc_faces[:rot],
-                        comp.directed)
-    return _replace_event_block(rotated, (start - rot) % k, length,
-                                new_events, inner_faces)
+def _updated(old: dict, delta) -> dict:
+    """old with delta's ``(name, value)`` pairs set in order; None deletes the name."""
+    if not delta:
+        return old
+    new = dict(old)
+    for name, value in delta:
+        if value is None:
+            del new[name]
+        else:
+            new[name] = value
+    return new
 
 
-def _with_component(d: Diagram, ci: int, comp: Component) -> Diagram:
+def _rewrite(d: Diagram, edits, crossings=(), transits=()) -> Diagram:
+    """d with the edits ``(component, a, n, events, inner)`` spliced in.
+
+    Every edit is in d's event indices (see ``_splice``).  ``crossings`` and
+    ``transits`` are ``(name, value)`` pairs: a value set on an existing name
+    keeps its place in the dict, a new name goes last and None deletes it.
+    """
     comps = list(d.components)
-    comps[ci] = comp
-    return replace(d, components=tuple(comps))
+    for ci in dict.fromkeys(edit[0] for edit in edits):
+        comps[ci] = _splice(comps[ci], [edit[1:] for edit in edits if edit[0] == ci])
+    return replace(d, crossings=_updated(d.crossings, crossings),
+                   transits=_updated(d.transits, transits), components=tuple(comps))
 
 
 # -- candidate sequences -----------------------------------------------------
@@ -271,14 +275,10 @@ def _apply_m1_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     ci, ai, bend = site.get("comp"), site.get("arc"), site.get("bend")
     if bend not in (1, 3):
         raise MoveError("kink bend must be 1 or 3")
-    comp = d.components[ci]
-    face = comp.arc_faces[ai]
+    face = d.components[ci].arc_faces[ai]
     (name,) = _fresh(d.crossings, "c")
-    crossings = dict(d.crossings)
-    crossings[name] = Crossing(face, _m1_dot(kind, bend))
-    events = [CrossVisit(name, 0), CrossVisit(name, bend)]
-    comp2 = _replace_arc(comp, ai, events, [face] * 3)
-    return replace(_with_component(d, ci, comp2), crossings=crossings)
+    return _rewrite(d, [(ci, ai, 0, (CrossVisit(name, 0), CrossVisit(name, bend)), (face,))],
+                    crossings=[(name, Crossing(face, _m1_dot(kind, bend)))])
 
 
 def _kink_fault(d: Diagram, kind: MoveKind, ci: int, i: int) -> Optional[str]:
@@ -305,13 +305,8 @@ def _apply_m1_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     fault = _kink_fault(d, kind, ci, i)
     if fault:
         raise MoveError(fault)
-    comp = d.components[ci]
-    k = len(comp.events)
-    a = comp.events[i]
-    crossings = dict(d.crossings)
-    del crossings[a.crossing]
-    comp2 = _remove_events(comp, [i, (i + 1) % k])
-    return replace(_with_component(d, ci, comp2), crossings=crossings)
+    return _rewrite(d, [(ci, i - 1, 2, (), ())],
+                    crossings=[(d.components[ci].events[i].crossing, None)])
 
 
 # -- slide moves (M2) --------------------------------------------------------
@@ -361,22 +356,14 @@ def _apply_m2_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         raise MoveError("strands must share a face")
     x1, x2 = _fresh(d.crossings, "c", 2)
     dot = 1 if over == "a" else 0
-    crossings = dict(d.crossings)
-    crossings[x1] = Crossing(face, dot)
-    crossings[x2] = Crossing(face, dot)
-    ev_a = [CrossVisit(x1, 1), CrossVisit(x2, 3)]
-    ev_b = ([CrossVisit(x1, 2), CrossVisit(x2, 2)] if not anti
-            else [CrossVisit(x2, 0), CrossVisit(x1, 0)])
+    ev_a = (CrossVisit(x1, 1), CrossVisit(x2, 3))
+    ev_b = ((CrossVisit(x1, 2), CrossVisit(x2, 2)) if not anti
+            else (CrossVisit(x2, 0), CrossVisit(x1, 0)))
     if (ca, aa) == (cb, ab):
-        splices = [((ca, aa), ev_a + ev_b)]
+        edits = [(ca, aa, 0, ev_a + ev_b, (face,) * 3)]
     else:
-        # the later arc first, so that the earlier arc keeps its index
-        splices = sorted([((ca, aa), ev_a), ((cb, ab), ev_b)], reverse=True)
-    d2 = d
-    for (ci, ai), events in splices:
-        comp = _replace_arc(d2.components[ci], ai, events, [face] * (len(events) + 1))
-        d2 = _with_component(d2, ci, comp)
-    return replace(d2, crossings=crossings)
+        edits = [(ca, aa, 0, ev_a, (face,)), (cb, ab, 0, ev_b, (face,))]
+    return _rewrite(d, edits, crossings=[(x1, Crossing(face, dot)), (x2, Crossing(face, dot))])
 
 
 def _candidates_m2_inv(d: Diagram, kind: MoveKind) -> List[MoveSite]:
@@ -431,18 +418,8 @@ def _apply_m2_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         raise MoveError("arcs do not join the same crossing pair")
     if not _bigon_ok(d, a, b):
         raise MoveError("arcs do not bound a cancelling bigon")
-    x1, x2 = a.src[1], a.dst[1]
-    crossings = dict(d.crossings)
-    del crossings[x1], crossings[x2]
-    removal: Dict[int, set] = {}
-    for arc in (a, b):
-        k = len(d.components[arc.comp].events)
-        removal.setdefault(arc.comp, set()).update(
-            {arc.index, (arc.index + 1) % k})
-    d2 = d
-    for ci, idxs in removal.items():
-        d2 = _with_component(d2, ci, _remove_events(d.components[ci], idxs))
-    return replace(d2, crossings=crossings)
+    return _rewrite(d, [(arc.comp, arc.index - 1, 2, (), ()) for arc in (a, b)],
+                    crossings=[(a.src[1], None), (a.dst[1], None)])
 
 
 # -- triangle move (M3) -------------------------------------------------------
@@ -504,20 +481,16 @@ def _apply_m3(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         raise MoveError("arcs do not form a triangle")
     if _strand_extremal(d, arc_keys[slide]) is None:
         raise MoveError("the sliding strand must be over or under both others")
-    # swap the two events flanking each triangle arc; ports and dots stay
-    swaps: Dict[int, List[int]] = {}
+    # swap the two events flanking each triangle arc in place, which keeps
+    # the listing start where a splice of a wrapping pair would move it;
+    # ports and dots stay
+    comps = list(d.components)
     for arc in tri:
-        swaps.setdefault(arc.comp, []).append(arc.index)
-    d2 = d
-    for ci, starts in swaps.items():
-        comp = d.components[ci]
-        events = list(comp.events)
-        k = len(events)
-        for i in starts:
-            events[i], events[(i + 1) % k] = events[(i + 1) % k], events[i]
-        d2 = _with_component(d2, ci, Component(tuple(events), comp.arc_faces,
-                                               comp.directed))
-    return d2
+        events = list(comps[arc.comp].events)
+        i, j = arc.index, (arc.index + 1) % len(events)
+        events[i], events[j] = events[j], events[i]
+        comps[arc.comp] = replace(comps[arc.comp], events=tuple(events))
+    return replace(d, components=tuple(comps))
 
 
 # -- tongue moves (M4) ---------------------------------------------------------
@@ -575,20 +548,15 @@ def _apply_m4_insert(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     e = site.get("edge")
     s1, s2 = _inc(site.get("s1")), _inc(site.get("s2"))
     slot = site.get("slot")
-    comp = d.components[ci]
-    f1 = comp.arc_faces[ai]
+    f1 = d.components[ci].arc_faces[ai]
     if s1 not in d.complex.incidences.get(e, ()) or s2 not in d.complex.incidences[e]:
         raise MoveError("bad edge incidences")
     if s1[0] != f1:
         raise MoveError("the arc does not run in the side's face")
     p1, p2 = _positions_in_gap(d, e, slot, 2)
     ta, tb = _fresh(d.transits, "t", 2)
-    transits = dict(d.transits)
-    transits[ta] = Transit(e, p1, (s1, s2))
-    transits[tb] = Transit(e, p2, (s1, s2))
-    comp2 = _replace_arc(comp, ai, [TransitVisit(ta, 0), TransitVisit(tb, 1)],
-                         [f1, s2[0], f1])
-    return replace(_with_component(d, ci, comp2), transits=transits)
+    return _rewrite(d, [(ci, ai, 0, (TransitVisit(ta, 0), TransitVisit(tb, 1)), (s2[0],))],
+                    transits=[(ta, Transit(e, p1, (s1, s2))), (tb, Transit(e, p2, (s1, s2)))])
 
 
 def _tongue_fault(d: Diagram, ci: int, i: int) -> Optional[str]:
@@ -622,13 +590,10 @@ def _apply_m4_delete(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     fault = _tongue_fault(d, ci, i)
     if fault:
         raise MoveError(fault)
-    comp = d.components[ci]
-    k = len(comp.events)
-    a, b = comp.events[i], comp.events[(i + 1) % k]
-    transits = dict(d.transits)
-    del transits[a.transit], transits[b.transit]
-    comp2 = _remove_events(comp, [i, (i + 1) % k])
-    return replace(_with_component(d, ci, comp2), transits=transits)
+    events = d.components[ci].events
+    return _rewrite(d, [(ci, i - 1, 2, (), ())],
+                    transits=[(events[i].transit, None),
+                              (events[(i + 1) % len(events)].transit, None)])
 
 
 # -- crossing push (M5) ----------------------------------------------------------
@@ -771,24 +736,17 @@ def _apply_m5_push(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
     port_pos = {p: positions[i] for i, p in enumerate(ordered)}
     names = _fresh(d.transits, "t", 4)
     transit_of = {p: names[i] for i, p in enumerate(sorted(port_pos))}
-    transits = dict(d.transits)
-    for p, t in transit_of.items():
-        transits[t] = Transit(e, port_pos[p], (s1, s2))
     new_of, dot = _relocated_crossing(d, c, port_pos, s2)
-    crossings = dict(d.crossings)
-    crossings[c] = Crossing(s2[0], dot)
-    d2 = replace(d, crossings=crossings, transits=transits)
-    visits = sorted(crossing_visits(d)[c],
-                    key=lambda v: v[1], reverse=True)
-    for ci, ei in visits:
-        comp = d2.components[ci]
-        ev = comp.events[ei]
-        block = [TransitVisit(transit_of[ev.enter], 0),
-                 CrossVisit(c, new_of[ev.enter]),
-                 TransitVisit(transit_of[(ev.enter + 2) % 4], 1)]
-        comp2 = _replace_event_block(comp, ei, 1, block, [s2[0], s2[0]])
-        d2 = _with_component(d2, ci, comp2)
-    return d2
+    edits = []
+    for ci, ei in crossing_visits(d)[c]:
+        enter = d.components[ci].events[ei].enter
+        edits.append((ci, ei - 1, 1, (TransitVisit(transit_of[enter], 0),
+                                      CrossVisit(c, new_of[enter]),
+                                      TransitVisit(transit_of[(enter + 2) % 4], 1)),
+                      (s2[0], s2[0])))
+    return _rewrite(d, edits, crossings=[(c, Crossing(s2[0], dot))],
+                    transits=[(t, Transit(e, port_pos[p], (s1, s2)))
+                              for p, t in transit_of.items()])
 
 
 def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
@@ -810,32 +768,18 @@ def _apply_m5_retract(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         # flip gluing: re-encode through the reflection
         new_of = {p: (4 - p) % 4 for p in range(4)}
         dot = 1 - d.crossings[c].dot
-    crossings = dict(d.crossings)
-    crossings[c] = Crossing(s1[0], dot)
-    transits = dict(d.transits)
-    for p in range(4):
-        del transits[transit_of[p][0]]
-    d2 = replace(d, crossings=crossings, transits=transits)
-    visits = sorted(crossing_visits(d)[c],
-                    key=lambda v: v[1], reverse=True)
-    shift: Dict[int, int] = {}
-    for ci, ei in visits:
-        comp = d2.components[ci]
-        k = len(comp.events)
-        ei -= shift.get(ci, 0)
-        if ei == k - 1:
-            # the block wraps, and the new listing starts one event later
-            shift[ci] = 1
-        ev = comp.events[ei]
-        prev_ev, next_ev = comp.events[(ei - 1) % k], comp.events[(ei + 1) % k]
+    edits = []
+    for ci, ei in crossing_visits(d)[c]:
+        events = d.components[ci].events
+        k = len(events)
+        ev, prev_ev, next_ev = events[ei], events[(ei - 1) % k], events[(ei + 1) % k]
         if not (isinstance(prev_ev, TransitVisit) and isinstance(next_ev, TransitVisit)
                 and prev_ev.transit == transit_of[ev.enter][0]
                 and next_ev.transit == transit_of[(ev.enter + 2) % 4][0]):
             raise MoveError("strand does not pass straight through the edge")
-        comp2 = _replace_event_block(comp, (ei - 1) % k, 3,
-                                     [CrossVisit(c, new_of[ev.enter])], [])
-        d2 = _with_component(d2, ci, comp2)
-    return d2
+        edits.append((ci, ei - 2, 3, (CrossVisit(c, new_of[ev.enter]),), ()))
+    return _rewrite(d, edits, crossings=[(c, Crossing(s1[0], dot))],
+                    transits=[(transit_of[p][0], None) for p in range(4)])
 
 
 # -- transit exchange (M6) -----------------------------------------------------
@@ -860,10 +804,8 @@ def _apply_m6(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         raise MoveError("transits are not adjacent on the edge")
     if len(set(tr1.sides) | set(tr2.sides)) < 3:
         raise MoveError("exchange needs three pairwise-distinct branches")
-    transits = dict(d.transits)
-    transits[t1] = replace(tr1, pos=tr2.pos)
-    transits[t2] = replace(tr2, pos=tr1.pos)
-    return replace(d, transits=transits)
+    return _rewrite(d, (), transits=[(t1, replace(tr1, pos=tr2.pos)),
+                                     (t2, replace(tr2, pos=tr1.pos))])
 
 
 # -- vertex move (M7) -----------------------------------------------------------
@@ -1066,17 +1008,14 @@ def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         way = not fwd
     # the new path crosses the m - r nodes of the cycle that the run does not
     steps = [_cycle_step(cycle, entry, j, way) for j in range(m - r)]
-    transits = dict(d.transits)
-    removed = set()
     k = len(comp.events)
-    for i in range(r):
-        ev = comp.events[(start + i) % k]
-        removed.add(ev.transit)
-        del transits[ev.transit]
+    delta = [(comp.events[(start + i) % k].transit, None) for i in range(r)]
+    removed = {t for t, _none in delta}
     taken: Dict[str, List[Fraction]] = {}
     new_events = []
     inner_faces = []
-    names = _fresh(transits, "t", len(steps))
+    # a removed transit's name is free again, and goes last
+    names = _fresh(set(d.transits) - removed, "t", len(steps))
     for idx, (node, before, after) in enumerate(steps):
         edge, end = node
         flank_in = _corner_flank(cx, before, node)
@@ -1090,18 +1029,13 @@ def _apply_m7(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
         pos = _near_vertex_position(d, edge, end, removed, taken)
         taken.setdefault(edge, []).append(pos)
         t = names[idx]
-        transits[t] = Transit(edge, pos, (inc_in, inc_out))
+        delta.append((t, Transit(edge, pos, (inc_in, inc_out))))
         new_events.append(TransitVisit(t, 0))
         if idx + 1 < len(steps):
             inner_faces.append(after[0])
-    d2 = replace(d, transits=transits)
-    if r == 0:
-        comp2 = _replace_arc(comp, start, new_events,
-                             [comp.arc_faces[start]] + inner_faces
-                             + [comp.arc_faces[start]])
-    else:
-        comp2 = _replace_event_block(comp, start, r, new_events, inner_faces)
-    return _with_component(d2, ci, comp2)
+    # an empty run splits arc start; a run takes its r events from event start
+    arc = start if r == 0 else start - 1
+    return _rewrite(d, [(ci, arc, r, new_events, inner_faces)], transits=delta)
 
 
 # -- face-walk regions -------------------------------------------------------

@@ -63,6 +63,17 @@ def test_inv_all(tmp_path, capsys):
     assert "co = " in out
 
 
+def test_inv_on_an_undirected_diagram_prints_wri_only(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "hopf_local")
+    d.write_text(d.read_text().replace(" oriented +", ""))
+    capsys.readouterr()
+    assert main(["inv", str(cx), str(d)]) == 0
+    out = capsys.readouterr().out
+    assert out == "wri = 0\n"
+    assert main(["inv", str(cx), str(d), "--lk"]) == 1
+    assert capsys.readouterr().err == "error: diagram is not fully directed\n"
+
+
 def test_move_apply_and_replay(tmp_path, capsys):
     cx, d, _ = _emit(tmp_path, "unknot_local")
     capsys.readouterr()

@@ -575,6 +575,38 @@ def test_candidate_sites_are_pinned():
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == CANDIDATE_DIGEST
 
 
+REWRITE_DIGEST = "efeb5cbc4c8628c4f0acb1fd9721f9ca4f3284c83087314355ba55ba30808879"
+
+
+def rewrite_lines():
+    """The raw rewrite, unvalidated, at about 40 evenly spaced candidates of each kind.
+
+    A line holds the kind, the site and either the result's components,
+    crossings and transits, in dict order, or the text of what it raised.
+    """
+    lines = []
+    for d in candidate_diagrams():
+        for kind in K:
+            cands = mv._candidates(d, kind)
+            for i in range(0, len(cands), max(1, -(-len(cands) // 40))):
+                site = cands[i]
+                try:
+                    out = mv._MOVES[kind][1](d, kind, site)
+                except (MoveError, KeyError, IndexError) as exc:
+                    result = f"{type(exc).__name__} {exc}"
+                else:
+                    result = (f"{out.components!r} {list(out.crossings.items())!r} "
+                              f"{list(out.transits.items())!r}")
+                lines.append(f"{kind.value} {site.fingerprint()} {result}")
+    return lines
+
+
+def test_rewrites_are_pinned():
+    lines = rewrite_lines()
+    assert len(lines) > 5000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REWRITE_DIGEST
+
+
 def test_fuzz_builds_only_the_sites_it_tries(monkeypatch):
     made, tried, longest, over = Counter(), Counter(), [0], []
     make = mv.MoveSite.make.__func__
