@@ -159,8 +159,8 @@ def _splice(comp: Component, edits) -> Component:
     An edit takes the n events after arc a, counted cyclically.  New events
     go between arc a and arc a + n, with the ``inner`` faces between them,
     so n = 0 splits arc a; without new events, arcs a .. a + n merge into
-    one, which must lie in one face, and removing every event leaves a
-    circle.  The listing keeps its start unless an edit takes both its last
+    one, in the face of arc a, which must be that of arc a + n, and
+    removing every event leaves a circle there.  The listing keeps its start unless an edit takes both its last
     event and its first: it then starts right after that edit.
     """
     events, faces = comp.events, comp.arc_faces
@@ -187,13 +187,13 @@ def _splice(comp: Component, edits) -> Component:
         if new:
             out_events += tuple(new)
             out_faces += tuple(inner) + (faces[s + n - 1],)
-        elif len({faces[s - 1], *faces[s:s + n]}) != 1:
+        elif faces[s - 1] != faces[s + n - 1]:
             raise MoveError("cannot merge arcs lying in different faces")
         at = s + n
     out_events += events[at:]
     out_faces += faces[at:]
-    if not out_events:
-        return Component((), faces[:1], comp.directed)
+    if not out_events:      # a circle, in the face of the arc before the edit
+        return Component((), (faces[s - 1],), comp.directed)
     return Component(out_events, out_faces, comp.directed)
 
 

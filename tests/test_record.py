@@ -244,13 +244,15 @@ def test_call_order_does_not_change_results():
 
 
 def _rejected_sites():
-    """(diagram, kind, site) whose apply raises MoveError, one per kind."""
-    torus = example("torus_link").diagram
+    """(diagram, kind, site) whose apply raises MoveError, one per kind.
+
+    The site is the kind's first candidate that ``find_sites`` leaves out.
+    """
     ln1 = example("Ln", 1).diagram
-    out = [(torus, MoveKind.M7)]
-    for steps, kind in ((10, MoveKind.M4_INV), (12, MoveKind.M6)):
-        out.append((fuzz(ln1, steps, 0, max_crossings=6, max_transits=12)[0], kind))
-    return [(d, kind, candidate_sites(d, kind)[0]) for d, kind in out]
+    out = [(example("torus_link").diagram, MoveKind.M7), (ln1, MoveKind.M4),
+           (fuzz(ln1, 12, 0, max_crossings=6, max_transits=12)[0], MoveKind.M6)]
+    return [(d, kind, next(s for s in candidate_sites(d, kind) if s not in find_sites(d, kind)))
+            for d, kind in out]
 
 
 def test_a_rejected_apply_keeps_the_record_of_its_input(monkeypatch):
