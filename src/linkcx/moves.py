@@ -19,25 +19,23 @@ pattern (M1pi, M1mi, M4i, the M5 retracts, the M7 transit runs) test it in
 one function that both their candidate list and ``apply`` call.  Each kind
 has one row in the registry ``_MOVES``: its indexed candidate sequence,
 which ``candidate_sites`` lists in full, its rewrite, which ``apply``
-performs and validates, and, for M1p, M1m, M2, M4, M5p and M5m, the
-predicate that decides its candidates exactly from the face walks of a
-valid diagram's face maps.  The face walks (``_Regions``) are kept in the
-diagram's record.  ``iter_sites`` yields, and ``find_sites`` lists, every
-candidate whose application yields a valid diagram: they ask the predicate
-where there is one, build M2 sites from region pairs only, and apply every
-other candidate.  Every rewrite but M3's in-place swap returns through
-``_rewrite``: a set of splices of components, each in the old event
-indices, plus one delta of crossings and transits.  The fuzzer draws kinds
-and candidate indices from a seeded generator, so identical (diagram,
-steps, seed) always reproduce the same trace; it builds only the sites it
-tries, and skips the candidates that a predicate rejects without applying
-them.
+performs and validates, and the predicate that decides its candidates
+exactly from the face walks (``_Regions``, kept in the record) of a valid
+diagram.  ``iter_sites`` yields, and ``find_sites`` lists, the candidates
+that the predicate admits, without applying one, and the fuzzer applies
+only an admitted site; both raise DiagramError on an invalid diagram.
+Every rewrite but M3's in-place swap returns through ``_rewrite``: a set
+of splices of components, each in the old event indices, plus one delta of
+crossings and transits.  The fuzzer draws kinds and candidate indices from
+a seeded generator, so identical (diagram, steps, seed) always reproduce
+the same trace, and builds only the sites it tries.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -1060,8 +1058,8 @@ class _Regions:
     drawing of the map, cut open at that node, is a drawing of the tangle
     in the disc.  The genus check is made per component, so a component
     that does not hold the boundary may be drawn in any region of the
-    others, with any of its own regions outermost.  Each decided move
-    works at a few places of one face map (an arc's side, a crossing's
+    others, with any of its own regions outermost.  Each move that can
+    fail works at a few places of one face map (an arc's side, a crossing's
     corner, a gap between two boundary marks) joined by a short path.  If
     the places share a region, draw the old map, run the path inside that
     region and make the move along it: the result is drawn, so it passes
@@ -1072,7 +1070,7 @@ class _Regions:
 
     def __init__(self, d: Diagram):
         """The regions of d; DiagramError when d is not valid."""
-        self.faces = d.complex.faces
+        self.faces, self.transits = d.complex.faces, d.transits
         self.arcs: Dict[Tuple[int, int], Tuple[tuple, int, int]] = {}
         self.crossings: Dict[str, Tuple[tuple, List[int]]] = {}
         self.maps: Dict[str, Tuple[FaceMap, List[int], List[Tuple[int, int]]]] = {}
@@ -1098,29 +1096,31 @@ class _Regions:
             self.arcs[(arc.comp, arc.index)] = ((arc.face, comp[fm.node_of(a)]),
                                                 fm.orbit_of[a], fm.orbit_of[b])
 
-    def _meets_gap(self, site: MoveSite, component: tuple, region: int) -> bool:
-        """Whether a place of a face map lies on the region of the site's gap.
+    def _meets_gap(self, f: str, gap: tuple, component: tuple, region: int) -> bool:
+        """Whether a place of face f's map lies on the region of a boundary gap.
 
-        The gap is ``slot`` on the edge of side ``s1``; the boundary segment
-        that holds it joins the two marks of the side's face that flank it.
-        Its region is the walk that reaches the later mark and turns along
-        the segment into the earlier mark's arc, that is the walk through
-        the earlier mark's dart.  A place in another component of the
-        face map, or in a face without marks (whose boundary is not part
-        of the map), shares no face walk with the gap and always meets it.
+        The gap sorts among the marks' keys as ``gap``; the boundary segment
+        that holds it joins the two marks of the face that flank it.  Its
+        region is the walk that reaches the later mark and turns along the
+        segment into the earlier mark's arc, that is the walk through the
+        earlier mark's dart.  A place in another component of the face map,
+        or in a face without marks (whose boundary is not part of the map),
+        shares no face walk with the gap and always meets it.
         """
-        f, j = _inc(site.get("s1"))
         fm, comp, keys = self.maps[f]
         if not keys:
             return True
-        slot = site.get("slot")
-        gap = 2 * slot - 1 if self.faces[f][j][1] > 0 else 1 - 2 * slot
-        i = bisect.bisect(keys, (j, gap)) - 1
-        dart = fm.mark_dart(i % len(keys))
+        dart = fm.mark_dart((bisect.bisect(keys, gap) - 1) % len(keys))
         return (f, comp[fm.node_of(dart)]) != component or fm.orbit_of[dart] == region
 
+    def _slot(self, site: MoveSite) -> Tuple[str, tuple]:
+        """The face and key of the gap ``slot`` on the edge of side ``s1``."""
+        f, j = _inc(site.get("s1"))
+        slot = site.get("slot")
+        return f, (j, 2 * slot - 1 if self.faces[f][j][1] > 0 else 1 - 2 * slot)
+
     def admits(self, site: MoveSite) -> bool:
-        """Whether ``apply`` accepts a candidate site of a decided kind.
+        """Whether ``apply`` accepts a candidate site.
 
         The kind's predicate is the last entry of its ``_MOVES`` row; each
         is exact for the sites that ``candidate_sites`` lists on the (valid)
@@ -1129,22 +1129,31 @@ class _Regions:
         """
         return _MOVES[site.kind][2](self, site)
 
-    def _kink(self, site: MoveSite) -> bool:
-        """M1 insertion: every candidate is admitted.
+    def _always(self, site: MoveSite) -> bool:
+        """M1, M2i, M3, M4i and the M7 transit runs: every candidate is admitted.
 
-        Other checks: the crossing's name is fresh; it is entered at port
-        0 and at port ``bend`` (1 or 3), once per diameter; its three arcs
-        lie in the arc's face, where both old ends lie.
+        Each rewrite is made inside one region of a drawing of the old map,
+        or erases a part of it, so the result is drawn (class docstring);
+        the other checks of ``validate_diagram`` hold by construction:
+        fresh names, one visit per transit and per diameter, arcs in the
+        face of their ends.
 
-        Face walk: the new node takes the two halves of the arc on the
-        adjacent ports 0 and ``bend + 2`` and a loop on the adjacent ports
-        2 and ``bend``.  The loop's inner side is a new one-dart walk, and
-        the two walks along the old arc pass round the node, so V - E + F
-        changes by 1 - 2 + 1 = 0 in the arc's component.  On a circle the
-        kink is a new component, one node with loops on two disjoint pairs
-        of adjacent ports: 1 - 2 + 3 = 2.  So the result always passes;
-        drawn, it is a small curl on the arc, and there is no converse to
-        argue.
+        M1p, M1m: a small curl on the arc, inside a region on its side.
+        M1pi, M1mi: the loop joins two adjacent ports, so its inner side is
+        a one-dart walk with nothing inside; erase the loop and the node.
+        M2i: ``_bigon_ok`` asks that a and b turn opposite ways at their
+        two crossings, which makes them a two-dart walk, a disc; pull the
+        strands apart across it.  M3, M3i: the triangle is a three-dart
+        walk; the swap slides the strand across that disc.
+        M4i: the tip cuts a half-disc off its face at two marks next along
+        the edge, and the arcs before and after it meet the other side's
+        two marks, which flank one boundary segment and so one walk; erase
+        the tip and join the arcs along the segment.
+        M7 runs: the run's transits are the nearest to the vertex, so each
+        arc between two of them cuts a corner off its face, as each new one
+        does; the run's two outer arcs keep their places among the marks,
+        moved round their corner to the other side of the vertex, or join
+        there when the run is the whole cycle.
         """
         return True
 
@@ -1169,9 +1178,8 @@ class _Regions:
         sides are one face walk.  Same arc with ``anti``: a's right meets
         itself, and the self-poke is always drawn.
 
-        Other checks: two fresh crossing names, each entered once by a
-        (ports 1, 3) and once by b (ports 2, 2 or 0, 0), so once per
-        diameter; the five new arcs lie in the shared face.
+        Other checks: two fresh crossings, each entered by a at port 1 or 3
+        and by b at 2 or 0, once per diameter, in the shared face.
         """
         return bool(site.get("anti")) in _fingers(
             self.arcs.get((site.get("comp_a"), site.get("arc_a"))),
@@ -1203,34 +1211,24 @@ class _Regions:
         is the segment's inner region.  An arc in another component, a
         circle, or a face without marks is always admitted.
 
-        Source face: sufficiency draws the old map, pulls a finger of the
-        arc along a path in the shared region to the gap and cuts its tip
-        off at the boundary; an arc apart is drawn in the gap's region with
-        the facing side outermost.  Necessity: in a drawing of the result,
-        join the two new arc ends by a path along the short segment
-        between ``ta`` and ``tb`` and lift it off the boundary; that draws
-        the old map with the facing side on the gap's region.
-
+        Source face: the places are the facing side and the gap, and the
+        path is the tongue (class docstring); undone, the path joins the
+        two new arc ends along the segment between ``ta`` and ``tb``.
         Target face: the cap joins two marks of side ``s2`` with no mark
-        between them, which cuts a half-disc off the boundary: +2 nodes,
-        +3 edges, +1 walk, or a new theta-graph component where the face
-        had no marks.  Its genus never changes, also when ``s2`` is a
-        second side of the same face, as on the torus: the cap is drawn
-        beside its own gap whatever is drawn at the other.
+        between them, so it cuts a half-disc off the boundary and never
+        changes the genus, also when ``s2`` is a second side of the same
+        face, as on the torus.
 
-        Other checks: two fresh transit names at positions strictly
-        inside the gap, so in (0, 1) and off every position on the edge;
-        the edge is not a boundary edge and ``s1 != s2`` are incidences
-        of it (``candidate_sites`` lists only those); each new transit is
-        visited once; the arc's halves lie in ``s1``'s face and the cap in
-        ``s2``'s, as their ends do.
+        Other checks: two fresh transits strictly inside the gap, on a
+        non-boundary edge between the incidences ``s1 != s2``, each visited
+        once; the arc's halves lie in ``s1``'s face and the cap in ``s2``'s.
         """
         rec = self.arcs.get((site.get("comp"), site.get("arc")))
         if rec is None:
             return True
         f, j = _inc(site.get("s1"))
         forward = self.faces[f][j][1] > 0
-        return self._meets_gap(site, rec[0], rec[1] if forward else rec[2])
+        return self._meets_gap(*self._slot(site), rec[0], rec[1] if forward else rec[2])
 
     def _carry(self, site: MoveSite) -> bool:
         """M5: a retract is always admitted, a push unless it misses the gap.
@@ -1240,58 +1238,79 @@ class _Regions:
         gap's region.  When the crossing and the gap are in one component
         of the face map, the site is admitted exactly when that corner is
         the segment's inner region; a crossing in another component, or a
-        face without marks, is always admitted.
+        face without marks, is always admitted.  Source face: the crossing
+        is dragged along a path in the shared region and split into four
+        marks in fan order (class docstring).  Target face: the crossing
+        sits beside four consecutive marks of ``s2``, ports counterclockwise
+        in the side's walk order, a fan that cuts three triangles off the
+        boundary and never changes the genus.
 
-        Source face: sufficiency drags the crossing along a path in the
-        shared region to the gap and splits it into four marks in fan
-        order, which is the order ``apply`` gives the new transits; a
-        component apart is drawn in the gap's region with that corner
-        outermost.  Necessity: in a drawing of the result, pull the four
-        consecutive marks off the boundary together into one node just
-        inside the gap; that draws the old map with the open corner on the
-        gap's region.
+        Retract: ``_retract_info`` lists a crossing only when its four ports
+        run straight to four consecutive transits of one edge and meet the
+        near side as a counterclockwise fan in its walk order, the one way
+        a node joined to four consecutive marks is drawn.  The near face
+        loses that node, a part of a drawing; in the far face the four
+        marks become one node just inside their gap, with its ports
+        counterclockwise in the far side's walk order (kept, or reflected
+        when the sides run the same way along the edge), again a drawing.
 
-        Target face: the crossing sits beside four consecutive marks of
-        ``s2`` with its ports counterclockwise in the side's walk order, a
-        fan that cuts three triangles off the boundary, so its genus never
-        changes, also when ``s2``'s face is the crossing's own.
-
-        Other checks: four fresh transits at positions strictly inside the
-        gap, on a non-boundary edge between the distinct incidences ``s1``
-        and ``s2``, each visited once; the ports are renumbered by a
-        rotation or a reflection of their cycle, which keeps the two
-        diameters apart and a dotted pair of adjacent ports a pair, so the
-        dots transport and the two visits stay one per diameter; the flank
-        arcs keep the crossing's face and the four short arcs lie in
-        ``s2``'s face.
-
-        Retract: ``candidate_sites`` lists a crossing only when
-        ``_retract_info`` matched it: its four ports run straight to four
-        distinct transits, consecutive on one edge, with one near side in
-        the crossing's face and one far side, and the ports meet the near
-        side as a counterclockwise fan in its walk order.  In a valid
-        diagram that fan is forced, since a node joined to four consecutive
-        marks is drawn only so; a fan in the inverted order would fail the
-        genus check, and it is never listed.
-
-        Face walks: the near face loses the node, its four arcs and their
-        marks, and a part of a drawing is a drawing.  In the far face four
-        consecutive marks of one gap become one node just inside it, with
-        its ports counterclockwise in the far side's walk order (the same
-        ports when the two sides run opposite ways along the edge, their
-        reflection when they run the same way), which is again a drawing.
-        So the result always passes, and there is no converse to argue.
-
-        Other checks: the four transits are deleted with the two events
-        that flank each visit, so no transit is left unvisited; the ports
-        are kept or reflected, so the visits stay one per diameter; each
-        new visit's flanking arcs are the far face's arcs that met the
-        deleted transits.
+        Other checks, both ways: fresh transits strictly inside the gap,
+        each visited once, or deleted with the events that flank each
+        visit; ports renumbered by a rotation or a reflection, which keeps
+        the diameters apart and the dotted pairs pairs; the arcs lie in the
+        faces of their ends.
         """
         if site.get("mode") != "push":
             return True
         component, corners = self.crossings[site.get("crossing")]
-        return self._meets_gap(site, component, corners[site.get("rot")])
+        return self._meets_gap(*self._slot(site), component, corners[site.get("rot")])
+
+    def _exchange(self, site: MoveSite) -> bool:
+        """M6, M6i: admitted unless the swap crosses the two marks' arcs.
+
+        A side that only one of the transits crosses keeps its order of
+        marks.  On the side they share, their marks x, y are next on the
+        boundary and swap; the site is admitted exactly when the gaps just
+        before x and just after y lie in one face walk.  Then a path in it
+        cuts off a disc that meets the boundary between the two gaps, holds
+        all that hangs on x and y, and a half-turn of that disc swaps them.
+        Else the three walks through the corners before, between and after
+        x and y are distinct (an arc whose two sides are one walk is a
+        bridge, and what it cuts off would hold crossings only, of odd
+        total degree), and the swap joins them into one: two walks fewer.
+        """
+        t1, t2 = site.get("t1"), site.get("t2")
+        sides1, sides2 = self.transits[t1].sides, self.transits[t2].sides
+        shared = set(sides1) & set(sides2)
+        if not shared:
+            return True
+        (side,) = shared
+        fm = self.maps[side[0]][0]
+        n = len(fm.marks)
+        m1, m2 = (fm.mark_end[("t", t, sides.index(side))] - fm.mark_base
+                  for t, sides in ((t1, sides1), (t2, sides2)))
+        first = m1 if (m1 + 1) % n == m2 else m2
+        return (fm.orbit_of[fm.mark_dart((first - 1) % n)]
+                == fm.orbit_of[fm.mark_dart((first + 1) % n)])
+
+    def _reroute(self, site: MoveSite) -> bool:
+        """M7: a transit run is always admitted (``_always``), an empty run
+        unless the arc's side facing the entry corner misses its gap.
+
+        The empty run cuts the arc and joins its ends to two new marks at
+        the gap of the entry corner, next to the vertex; the new arcs at the
+        other corners of the cycle cut them off their faces, which never
+        changes a genus.  The facing side is the arc's left if ``forward``,
+        its right if not; the site is admitted exactly when that side is
+        the gap's region, by ``_tongue``'s argument, with the corner for the
+        segment between ``ta`` and ``tb``.  An arc in another component of
+        the face map, or a circle, is always admitted.
+        """
+        rec = self.arcs.get((site.get("comp"), site.get("arc")))
+        if site.get("length") or rec is None:
+            return True
+        f, i = site.get("cycle")[site.get("entry")][1]
+        return self._meets_gap(f, (i, math.inf), rec[0], rec[2] if site.get("forward") else rec[1])
 
 
 def _fingers(a, b) -> Tuple[bool, ...]:
@@ -1309,27 +1328,24 @@ def _fingers(a, b) -> Tuple[bool, ...]:
 # kind -> (candidates(d, kind), apply(d, kind, site), predicate): the
 # candidates are a _Rows for the kinds with many sites, a list for the
 # others; the predicate is the _Regions method that decides the kind on a
-# valid diagram, or None where every candidate is applied
+# valid diagram
 _MOVES = {
-    MoveKind.M1P: (_candidates_m1, _apply_m1_insert, _Regions._kink),
-    MoveKind.M1M: (_candidates_m1, _apply_m1_insert, _Regions._kink),
-    MoveKind.M1P_INV: (_candidates_m1_inv, _apply_m1_delete, None),
-    MoveKind.M1M_INV: (_candidates_m1_inv, _apply_m1_delete, None),
+    MoveKind.M1P: (_candidates_m1, _apply_m1_insert, _Regions._always),
+    MoveKind.M1M: (_candidates_m1, _apply_m1_insert, _Regions._always),
+    MoveKind.M1P_INV: (_candidates_m1_inv, _apply_m1_delete, _Regions._always),
+    MoveKind.M1M_INV: (_candidates_m1_inv, _apply_m1_delete, _Regions._always),
     MoveKind.M2: (_candidates_m2, _apply_m2_insert, _Regions._slide),
-    MoveKind.M2_INV: (_candidates_m2_inv, _apply_m2_delete, None),
-    MoveKind.M3: (_candidates_m3, _apply_m3, None),
-    MoveKind.M3_INV: (_candidates_m3, _apply_m3, None),
+    MoveKind.M2_INV: (_candidates_m2_inv, _apply_m2_delete, _Regions._always),
+    MoveKind.M3: (_candidates_m3, _apply_m3, _Regions._always),
+    MoveKind.M3_INV: (_candidates_m3, _apply_m3, _Regions._always),
     MoveKind.M4: (_candidates_m4, _apply_m4_insert, _Regions._tongue),
-    MoveKind.M4_INV: (_candidates_m4_inv, _apply_m4_delete, None),
+    MoveKind.M4_INV: (_candidates_m4_inv, _apply_m4_delete, _Regions._always),
     MoveKind.M5P: (_candidates_m5, _apply_m5, _Regions._carry),
     MoveKind.M5M: (_candidates_m5, _apply_m5, _Regions._carry),
-    MoveKind.M6: (_candidates_m6, _apply_m6, None),
-    MoveKind.M6_INV: (_candidates_m6, _apply_m6, None),
-    MoveKind.M7: (_candidates_m7, _apply_m7, None),
+    MoveKind.M6: (_candidates_m6, _apply_m6, _Regions._exchange),
+    MoveKind.M6_INV: (_candidates_m6, _apply_m6, _Regions._exchange),
+    MoveKind.M7: (_candidates_m7, _apply_m7, _Regions._reroute),
 }
-
-# the kinds that _Regions decides
-_DECIDED = {kind for kind, (_cands, _apply, decide) in _MOVES.items() if decide}
 
 
 def _move(kind: MoveKind):
@@ -1377,43 +1393,20 @@ def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
                         f"diagram: {exc}") from exc
 
 
-def _regions(d: Diagram, kind: MoveKind) -> Optional[_Regions]:
-    """The face-walk regions of d, kept in its record, when they decide kind.
-
-    None when the kind's ``_MOVES`` row has no predicate, or when d is not
-    valid: its candidates are then applied.
-    """
-    if kind not in _DECIDED:
-        return None
-    try:
-        return derived(d, "regions", _Regions)
-    except DiagramError:
-        return None
-
-
 def iter_sites(d: Diagram, kind: MoveKind) -> Iterator[MoveSite]:
     """Every candidate site whose application yields a valid diagram, lazily.
 
-    On a valid diagram, the predicate in a kind's ``_MOVES`` row decides
-    its candidates exactly from the face walks of the face maps (Mohar &
-    Thomassen, *Graphs on Surfaces*, 2001), without applying one: M1p,
-    M1m, M2, M4, M5p and M5m have one, and M2 sites are built from region
-    pairs only.  Every other candidate, and each of an invalid diagram, is
-    applied and validated.  The order is ``candidate_sites`` order.
+    The predicate in the kind's ``_MOVES`` row decides each candidate
+    exactly from the face walks of d's face maps (Mohar & Thomassen,
+    *Graphs on Surfaces*, 2001), without applying one; M2 sites are built
+    from region pairs only.  The order is ``candidate_sites`` order.  d must
+    be valid: DiagramError, with validation's text, if it is not.
     """
     kind, _entry = _move(kind)
-    regions = _regions(d, kind)
-    if regions is None:
-        for site in _candidates(d, kind):
-            try:
-                apply(d, kind, site)
-            except MoveError:
-                continue
-            yield site
-    elif kind is MoveKind.M2:
-        yield from regions.slides(d)
-    else:
-        yield from filter(regions.admits, _candidates(d, kind))
+    regions = derived(d, "regions", _Regions)
+    if kind is MoveKind.M2:
+        return regions.slides(d)
+    return filter(regions.admits, _candidates(d, kind))
 
 
 def find_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
@@ -1441,16 +1434,16 @@ def fuzz(d: Diagram, steps: int, seed: int,
     the indices of the kind's candidate sequence and builds only the sites
     it tries; ``random.shuffle`` draws depend only on the length, so the
     trace is the one that shuffling the full ``candidate_sites`` list
-    gives.  On a valid diagram, a candidate that the predicate in its
-    kind's ``_MOVES`` row rejects (M1p, M1m, M2, M4, M5p, M5m) is skipped
-    without being applied; every other candidate goes through ``apply``.
-    The predicates are exact, so the trace is the one that applying every
-    candidate would give.
+    gives.  The predicate in the kind's ``_MOVES`` row skips a rejected
+    candidate without applying it, and only the admitted site is applied;
+    the predicates are exact, so the trace is the one that applying every
+    candidate would give.  d must be valid: DiagramError if it is not.
     """
     rng = random.Random(seed)
     trace: List[Tuple[MoveKind, MoveSite]] = []
     cur = d
     for i in range(steps):
+        regions = derived(cur, "regions", _Regions)
         kinds = list(MoveKind)
         if len(cur.crossings) >= max_crossings:
             preferred = [k for k in kinds if k not in _GROWING]
@@ -1467,17 +1460,9 @@ def fuzz(d: Diagram, steps: int, seed: int,
                     continue
                 order = list(range(len(cands)))
                 rng.shuffle(order)
-                regions = _regions(cur, kind)
-                for site in map(cands.__getitem__, order[:40]):
-                    if regions is not None and not regions.admits(site):
-                        continue
-                    try:
-                        nxt = apply(cur, kind, site)
-                    except MoveError:
-                        continue
-                    applied = (kind, site, nxt)
-                    break
-                if applied:
+                site = next(filter(regions.admits, map(cands.__getitem__, order[:40])), None)
+                if site is not None:
+                    applied = (kind, site, apply(cur, kind, site))
                     break
             if applied:
                 break

@@ -336,23 +336,29 @@ def test_find_sites_matches_brute_force_across_map_components():
         assert_sites_match_brute(with_floating_kink(example(name, n).diagram, face))
 
 
-def test_find_sites_on_an_invalid_diagram_prunes_nothing():
-    d = example("Ln", 1).diagram
-    comp = d.components[0]
-    bad = replace(d, components=(replace(comp, arc_faces=comp.arc_faces[1:]
-                                         + comp.arc_faces[:1]),) + d.components[1:])
-    with pytest.raises(DiagramError):
-        validate_diagram(bad)
-    for kind in (K.M2, K.M4, K.M5P, K.M5M):
-        assert mv.find_sites(bad, kind) == brute_sites(bad, kind)
-
-
 def invalid_ln1():
     """Ln(1) with one component's arc faces rotated by one: every arc mislabeled."""
     d = example("Ln", 1).diagram
     comp = d.components[0]
     return replace(d, components=(replace(comp, arc_faces=comp.arc_faces[1:]
                                           + comp.arc_faces[:1]),) + d.components[1:])
+
+
+def test_site_search_on_an_invalid_diagram_raises_validation_error():
+    # search used to apply and validate every candidate of an invalid diagram
+    bad = invalid_ln1()
+    with pytest.raises(DiagramError) as exc:
+        validate_diagram(bad)
+    text = str(exc.value)
+    for kind in K:
+        mv.candidate_sites(bad, kind)            # lists without validating
+        for search in (mv.find_sites, mv.iter_sites):
+            with pytest.raises(DiagramError) as raised:
+                search(bad, kind)
+            assert str(raised.value) == text
+    with pytest.raises(DiagramError) as raised:
+        mv.fuzz(bad, 1, 0)
+    assert str(raised.value) == text
 
 
 def test_face_maps_of_an_invalid_diagram_list_no_triangle():
@@ -376,17 +382,15 @@ def test_m3_candidates_of_a_valid_diagram_build_no_face_map(monkeypatch):
     assert built == []
 
 
-DECIDED = (K.M1P, K.M1M, K.M2, K.M4, K.M5P, K.M5M)
-
-
 def test_each_kind_has_one_registry_row():
     assert len(mv._MOVES) == len(K) and set(mv._MOVES) == set(K)
-    assert all(len(row) == 3 for row in mv._MOVES.values())
-    assert set(mv._DECIDED) == set(DECIDED)
+    # candidates, rewrite and the _Regions predicate that decides the kind
+    assert all(len(row) == 3 and row[2].__qualname__.startswith("_Regions.")
+               for row in mv._MOVES.values())
 
 
 def test_decided_kinds_apply_nothing_on_a_valid_diagram(monkeypatch):
-    calls = Counter()
+    calls, found = Counter(), Counter()
     real_apply = mv.apply
 
     def counting_apply(d, kind, site):
@@ -396,13 +400,10 @@ def test_decided_kinds_apply_nothing_on_a_valid_diagram(monkeypatch):
     monkeypatch.setattr(mv, "apply", counting_apply)
     for name, n in (("Ln", 2), ("Kn", 2), ("torus_link", None)):
         d = example(name, n).diagram
-        for kind in DECIDED:
-            assert mv.find_sites(d, kind)
+        for kind in K:
+            found[kind] += len(mv.find_sites(d, kind))
     assert calls == Counter()
-    bad = invalid_ln1()
-    for kind in DECIDED:
-        mv.find_sites(bad, kind)
-        assert calls[kind] == len(mv.candidate_sites(bad, kind)) > 0
+    assert sum(found.values()) > 0
 
 
 def pushed_diagrams():
@@ -428,8 +429,7 @@ def test_find_sites_matches_brute_force_after_every_push():
     assert len(pushed) == 56
     assert sum(len(retract_sites(d)) for d, _c in pushed) == 60
     for d, _c in pushed:
-        for kind in DECIDED:
-            assert mv.find_sites(d, kind) == brute_sites(d, kind), kind
+        assert_sites_match_brute(d)
 
 
 def test_retract_applies_whatever_the_listing_start():
@@ -565,8 +565,8 @@ def test_fuzz_applies_no_candidate_that_the_regions_reject(monkeypatch):
         d = example(name, n).diagram
         for seed in range(3):
             mv.fuzz(d, 30, seed, max_crossings=6, max_transits=12)
-    assert sum(tried[k] for k in mv._DECIDED) > 0
-    assert {k: rejected[k] for k in mv._DECIDED if rejected[k]} == {}
+    assert set(tried) == set(K)
+    assert rejected == Counter()
 
 
 def candidate_diagrams():

@@ -22,7 +22,7 @@ from linkcx import moves as mv
 from linkcx.cli import main
 from linkcx.diagram import (Component, Crossing, CrossVisit, Diagram, Transit,
                             TransitVisit, validate_diagram)
-from linkcx.errors import DiagramError
+from linkcx.errors import DiagramError, MoveError
 from linkcx.examples import example
 from linkcx.twocomplex import PointClass, build_disc, edge_class
 
@@ -403,11 +403,18 @@ FUZZ_EXAMPLES = (("trefoil_left", None), ("trefoil_right", None),
 
 
 def test_fuzz_steps_match_the_reference(validated):
-    # every move result a fuzz run validates, those rejected included
+    # every move result a fuzz run validates, and the results of the M6
+    # and M7 candidates at its end, those rejected included
     for name, n in FUZZ_EXAMPLES:
         for seed in range(6):
-            mv.fuzz(example(name, n).diagram, 25, seed, max_crossings=6,
-                    max_transits=12)
+            out, _trace = mv.fuzz(example(name, n).diagram, 25, seed, max_crossings=6,
+                                  max_transits=12)
+            for kind in (mv.MoveKind.M6, mv.MoveKind.M7):
+                for site in mv.candidate_sites(out, kind):
+                    try:
+                        mv.apply(out, kind, site)
+                    except MoveError:
+                        pass
     verdicts = [reference_checks(d)[0] for d in validated]
     assert verdicts.count("ok") >= 9 * 6 * 25 and "error" in verdicts
     for d in list(validated):
