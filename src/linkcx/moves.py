@@ -1378,10 +1378,13 @@ def candidate_sites(d: Diagram, kind: MoveKind) -> List[MoveSite]:
 
 
 def apply(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
-    """Apply one move and validate the result."""
+    """Apply one move and validate the result; a negative index is stale."""
     kind, (_candidates, apply_kind, _decide) = _move(kind)
     if site.kind is not kind:
         raise MoveError(f"site is for {site.kind.value}, not {kind.value}")
+    for key, value in site.data.items():
+        if type(value) is int and value < 0:
+            raise MoveError(f"stale site for {kind.value}: {key!r} is negative")
     try:
         out = apply_kind(d, kind, site)
     except (KeyError, IndexError) as exc:

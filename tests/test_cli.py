@@ -185,8 +185,18 @@ def test_ill_typed_trace_site_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: trace step 1:")
 
 
+def test_a_negative_trace_index_is_a_stale_site(tmp_path, capsys):
+    # apply used to read a negative index from the end of the component
+    cx, d, _ = _emit(tmp_path, "Ln", 1)
+    trace = tmp_path / "trace.txt"
+    trace.write_text('M1p {"arc": 0, "bend": 1, "comp": -1}\n')
+    capsys.readouterr()
+    assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
+    assert capsys.readouterr().err == ("error: stale site for M1p: 'comp' is negative "
+                                       "(trace step 1)\n")
+
+
 @pytest.mark.parametrize("line", [
-    'M1p {"arc": 0, "bend": 1, "comp": -1}',
     'M1p {"arc": true, "bend": 1, "comp": 0}',
     'M2 {"anti": "yes", "arc_a": 0, "arc_b": 0, "comp_a": 0, "comp_b": 0, "over": "a"}'])
 def test_unlisted_trace_site_is_an_error(tmp_path, capsys, line):

@@ -254,6 +254,27 @@ def test_apply_rejects_mismatched_site():
         mv.apply(d, K.M2, site)
 
 
+def test_a_negative_site_index_is_stale():
+    # apply used to read a negative index from the end of the component
+    sites = {}
+    for name, n in (("torus_link", None), ("Kn", 0), ("trefoil_left", None)):
+        d = example(name, n).diagram
+        for d in (d, mv.fuzz(d, 12, 1, max_crossings=6, max_transits=12)[0]):
+            for kind in K:
+                for site in mv.find_sites(d, kind):
+                    ints = [key for key, v in site.data.items() if type(v) is int]
+                    if ints:
+                        sites.setdefault(kind, (d, site, ints))
+                        break
+    assert set(K) - set(sites) == {K.M2_INV, K.M6, K.M6_INV}   # no integer field
+    for kind, (d, site, ints) in sites.items():
+        for key in ints:
+            bad = mv.MoveSite.make(kind, **{**site.data, key: -1})
+            with pytest.raises(MoveError) as exc:
+                mv.apply(d, kind, bad)
+            assert str(exc.value) == f"stale site for {kind.value}: {key!r} is negative"
+
+
 def test_unknown_move_kind_is_a_move_error():
     d = example("unknot_local").diagram
     site = mv.find_sites(d, K.M1P)[0]
