@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linkcx as lx
@@ -511,6 +511,28 @@ def test_find_sites_matches_brute_force_on_fuzzed_diagrams(base, seed):
         d = with_floating_kink(d, face)
     d, _trace = mv.fuzz(d, 8, seed=seed, max_crossings=4, max_transits=8)
     assert_sites_match_brute(d)
+
+
+INVERSES = {K.M1P: (K.M1P_INV,), K.M1M: (K.M1M_INV,), K.M2: (K.M2_INV,),
+            K.M4: (K.M4_INV,), K.M5P: (K.M5P, K.M5M), K.M5M: (K.M5P, K.M5M)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SITE_FUZZ_BASES), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(sorted(INVERSES)), st.data())
+def test_a_move_and_its_inverse_give_back_the_diagram(base, seed, kind, data):
+    # M5 draws a push and undoes it with a retract of either dot variant
+    name, n, face = base
+    d = example(name, n).diagram
+    if face is not None:
+        d = with_floating_kink(d, face)
+    d, _trace = mv.fuzz(d, 6, seed=seed, max_crossings=4, max_transits=8)
+    sites = [s for s in mv.find_sites(d, kind) if s.data.get("mode", "push") == "push"]
+    assume(sites)
+    d2 = mv.apply(d, kind, data.draw(st.sampled_from(sites)))
+    assert any(same_diagram(mv.apply(d2, inverse, s), d)
+               for inverse in INVERSES[kind] for s in mv.find_sites(d2, inverse)
+               if s.data.get("mode") != "push")
 
 
 def m2_diagrams():
