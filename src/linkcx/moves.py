@@ -158,8 +158,9 @@ def _splice(comp: Component, edits) -> Component:
     go between arc a and arc a + n, with the ``inner`` faces between them,
     so n = 0 splits arc a; without new events, arcs a .. a + n merge into
     one, in the face of arc a, which must be that of arc a + n, and
-    removing every event leaves a circle there.  The listing keeps its start unless an edit takes both its last
-    event and its first: it then starts right after that edit.
+    removing every event leaves a circle there.  The listing keeps its
+    start unless an edit takes both its last event and its first: it then
+    starts right after that edit.
     """
     events, faces = comp.events, comp.arc_faces
     k = len(events)
@@ -1310,7 +1311,8 @@ class _Regions:
         if site.get("length") or rec is None:
             return True
         f, i = site.get("cycle")[site.get("entry")][1]
-        return self._meets_gap(f, (i, math.inf), rec[0], rec[2] if site.get("forward") else rec[1])
+        facing = rec[2] if site.get("forward") else rec[1]
+        return self._meets_gap(f, (i, math.inf), rec[0], facing)
 
 
 def _fingers(a, b) -> Tuple[bool, ...]:
