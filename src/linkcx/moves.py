@@ -1295,8 +1295,7 @@ class _Regions:
                 == fm.orbit_of[fm.mark_dart((first + 1) % n)])
 
     def _reroute(self, site: MoveSite) -> bool:
-        """M7: a transit run is always admitted (``_always``), an empty run
-        unless the arc's side facing the entry corner misses its gap.
+        """M7: a transit run is admitted (``_always``), an empty run unless it misses its gap.
 
         The empty run cuts the arc and joins its ends to two new marks at
         the gap of the entry corner, next to the vertex; the new arcs at the
