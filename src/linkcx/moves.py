@@ -494,16 +494,6 @@ def _apply_m3(d: Diagram, kind: MoveKind, site: MoveSite) -> Diagram:
 
 # -- tongue moves (M4) ---------------------------------------------------------
 
-def _edge_sides(cx: TwoComplex, face: str) -> List[Tuple[str, Incidence]]:
-    """(edge, incidence) for each non-boundary side of the face."""
-    boundary = boundary_edges(cx)
-    out = []
-    for j, (e, _dir) in enumerate(cx.faces[face]):
-        if e not in boundary:
-            out.append((e, (face, j)))
-    return out
-
-
 def _ways_out(d: Diagram, face: str) -> List[Tuple[str, Incidence, Incidence, int]]:
     """(edge, s1, s2, slots) for each way out of the face across an edge.
 
@@ -512,10 +502,12 @@ def _ways_out(d: Diagram, face: str) -> List[Tuple[str, Incidence, Incidence, in
     the transits on that edge.
     """
     cx = d.complex
+    boundary = boundary_edges(cx)
     out = []
-    for e, s1 in _edge_sides(cx, face):
-        slots = len(transit_orders(d).get(e, ())) + 1
-        out.extend((e, s1, s2, slots) for s2 in cx.incidences[e] if s2 != s1)
+    for j, (e, _dir) in enumerate(cx.faces[face]):
+        if e not in boundary:
+            s1, slots = (face, j), len(transit_orders(d).get(e, ())) + 1
+            out.extend((e, s1, s2, slots) for s2 in cx.incidences[e] if s2 != s1)
     return out
 
 
@@ -1133,28 +1125,16 @@ class _Regions:
     def _always(self, site: MoveSite) -> bool:
         """M1, M2i, M3, M4i and the M7 transit runs: every candidate is admitted.
 
-        Each rewrite is made inside one region of a drawing of the old map,
-        or erases a part of it, so the result is drawn (class docstring);
-        the other checks of ``validate_diagram`` hold by construction:
-        fresh names, one visit per transit and per diameter, arcs in the
-        face of their ends.
-
-        M1p, M1m: a small curl on the arc, inside a region on its side.
-        M1pi, M1mi: the loop joins two adjacent ports, so its inner side is
-        a one-dart walk with nothing inside; erase the loop and the node.
-        M2i: ``_bigon_ok`` asks that a and b turn opposite ways at their
-        two crossings, which makes them a two-dart walk, a disc; pull the
-        strands apart across it.  M3, M3i: the triangle is a three-dart
-        walk; the swap slides the strand across that disc.
-        M4i: the tip cuts a half-disc off its face at two marks next along
-        the edge, and the arcs before and after it meet the other side's
-        two marks, which flank one boundary segment and so one walk; erase
-        the tip and join the arcs along the segment.
-        M7 runs: the run's transits are the nearest to the vertex, so each
-        arc between two of them cuts a corner off its face, as each new one
-        does; the run's two outer arcs keep their places among the marks,
-        moved round their corner to the other side of the vertex, or join
-        there when the run is the whole cycle.
+        Each rewrite works inside one region of a drawing of the old map, or
+        erases a part of it, so the result is drawn (class docstring); the
+        other checks of ``validate_diagram`` hold by construction.  M1p, M1m:
+        a curl in a region on the arc's side.  M1pi, M1mi: the loop's inner
+        side is a one-dart walk; erase it.  M2i, M3, M3i: ``_bigon_ok`` and
+        the triangle match make a two- or three-dart walk, a disc to slide
+        across.  M4i: the tip cuts a half-disc off its face, and the arcs
+        that flank it meet the other side's two marks, which flank one
+        segment and so one walk.  M7 runs: each arc between the run's
+        transits cuts a corner off its face, as each new arc does.
         """
         return True
 
@@ -1179,8 +1159,9 @@ class _Regions:
         sides are one face walk.  Same arc with ``anti``: a's right meets
         itself, and the self-poke is always drawn.
 
-        Other checks: two fresh crossings, each entered by a at port 1 or 3
-        and by b at 2 or 0, once per diameter, in the shared face.
+        Other checks: two fresh crossing names, each entered once by a
+        (ports 1, 3) and once by b (ports 2, 2 or 0, 0), so once per
+        diameter; the five new arcs lie in the shared face.
         """
         return bool(site.get("anti")) in _fingers(
             self.arcs.get((site.get("comp_a"), site.get("arc_a"))),
@@ -1212,17 +1193,27 @@ class _Regions:
         is the segment's inner region.  An arc in another component, a
         circle, or a face without marks is always admitted.
 
-        Source face: the places are the facing side and the gap, and the
-        path is the tongue (class docstring); undone, the path joins the
-        two new arc ends along the segment between ``ta`` and ``tb``.
-        Target face: the cap joins two marks of side ``s2`` with no mark
-        between them, so it cuts a half-disc off the boundary and never
-        changes the genus, also when ``s2`` is a second side of the same
-        face, as on the torus.
+        Source face: sufficiency draws the old map, pulls a finger of the
+        arc along a path in the shared region to the gap and cuts its tip
+        off at the boundary; an arc apart is drawn in the gap's region with
+        the facing side outermost.  Necessity: in a drawing of the result,
+        join the two new arc ends by a path along the short segment
+        between ``ta`` and ``tb`` and lift it off the boundary; that draws
+        the old map with the facing side on the gap's region.
 
-        Other checks: two fresh transits strictly inside the gap, on a
-        non-boundary edge between the incidences ``s1 != s2``, each visited
-        once; the arc's halves lie in ``s1``'s face and the cap in ``s2``'s.
+        Target face: the cap joins two marks of side ``s2`` with no mark
+        between them, which cuts a half-disc off the boundary: +2 nodes,
+        +3 edges, +1 walk, or a new theta-graph component where the face
+        had no marks.  Its genus never changes, also when ``s2`` is a
+        second side of the same face, as on the torus: the cap is drawn
+        beside its own gap whatever is drawn at the other.
+
+        Other checks: two fresh transit names at positions strictly
+        inside the gap, so in (0, 1) and off every position on the edge;
+        the edge is not a boundary edge and ``s1 != s2`` are incidences
+        of it (``candidate_sites`` lists only those); each new transit is
+        visited once; the arc's halves lie in ``s1``'s face and the cap in
+        ``s2``'s, as their ends do.
         """
         rec = self.arcs.get((site.get("comp"), site.get("arc")))
         if rec is None:
@@ -1239,27 +1230,53 @@ class _Regions:
         gap's region.  When the crossing and the gap are in one component
         of the face map, the site is admitted exactly when that corner is
         the segment's inner region; a crossing in another component, or a
-        face without marks, is always admitted.  Source face: the crossing
-        is dragged along a path in the shared region and split into four
-        marks in fan order (class docstring).  Target face: the crossing
-        sits beside four consecutive marks of ``s2``, ports counterclockwise
-        in the side's walk order, a fan that cuts three triangles off the
-        boundary and never changes the genus.
+        face without marks, is always admitted.
 
-        Retract: ``_retract_info`` lists a crossing only when its four ports
-        run straight to four consecutive transits of one edge and meet the
-        near side as a counterclockwise fan in its walk order, the one way
-        a node joined to four consecutive marks is drawn.  The near face
-        loses that node, a part of a drawing; in the far face the four
-        marks become one node just inside their gap, with its ports
-        counterclockwise in the far side's walk order (kept, or reflected
-        when the sides run the same way along the edge), again a drawing.
+        Source face: sufficiency drags the crossing along a path in the
+        shared region to the gap and splits it into four marks in fan
+        order, which is the order ``apply`` gives the new transits; a
+        component apart is drawn in the gap's region with that corner
+        outermost.  Necessity: in a drawing of the result, pull the four
+        consecutive marks off the boundary together into one node just
+        inside the gap; that draws the old map with the open corner on the
+        gap's region.
 
-        Other checks, both ways: fresh transits strictly inside the gap,
-        each visited once, or deleted with the events that flank each
-        visit; ports renumbered by a rotation or a reflection, which keeps
-        the diameters apart and the dotted pairs pairs; the arcs lie in the
-        faces of their ends.
+        Target face: the crossing sits beside four consecutive marks of
+        ``s2`` with its ports counterclockwise in the side's walk order, a
+        fan that cuts three triangles off the boundary, so its genus never
+        changes, also when ``s2``'s face is the crossing's own.
+
+        Other checks: four fresh transits at positions strictly inside the
+        gap, on a non-boundary edge between the distinct incidences ``s1``
+        and ``s2``, each visited once; the ports are renumbered by a
+        rotation or a reflection of their cycle, which keeps the two
+        diameters apart and a dotted pair of adjacent ports a pair, so the
+        dots transport and the two visits stay one per diameter; the flank
+        arcs keep the crossing's face and the four short arcs lie in
+        ``s2``'s face.
+
+        Retract: ``candidate_sites`` lists a crossing only when
+        ``_retract_info`` matched it: its four ports run straight to four
+        distinct transits, consecutive on one edge, with one near side in
+        the crossing's face and one far side, and the ports meet the near
+        side as a counterclockwise fan in its walk order.  In a valid
+        diagram that fan is forced, since a node joined to four consecutive
+        marks is drawn only so; a fan in the inverted order would fail the
+        genus check, and it is never listed.
+
+        Face walks: the near face loses the node, its four arcs and their
+        marks, and a part of a drawing is a drawing.  In the far face four
+        consecutive marks of one gap become one node just inside it, with
+        its ports counterclockwise in the far side's walk order (the same
+        ports when the two sides run opposite ways along the edge, their
+        reflection when they run the same way), which is again a drawing.
+        So the result always passes, and there is no converse to argue.
+
+        Other checks: the four transits are deleted with the two events
+        that flank each visit, so no transit is left unvisited; the ports
+        are kept or reflected, so the visits stay one per diameter; each
+        new visit's flanking arcs are the far face's arcs that met the
+        deleted transits.
         """
         if site.get("mode") != "push":
             return True
@@ -1269,16 +1286,13 @@ class _Regions:
     def _exchange(self, site: MoveSite) -> bool:
         """M6, M6i: admitted unless the swap crosses the two marks' arcs.
 
-        A side that only one of the transits crosses keeps its order of
-        marks.  On the side they share, their marks x, y are next on the
-        boundary and swap; the site is admitted exactly when the gaps just
-        before x and just after y lie in one face walk.  Then a path in it
-        cuts off a disc that meets the boundary between the two gaps, holds
-        all that hangs on x and y, and a half-turn of that disc swaps them.
-        Else the three walks through the corners before, between and after
-        x and y are distinct (an arc whose two sides are one walk is a
-        bridge, and what it cuts off would hold crossings only, of odd
-        total degree), and the swap joins them into one: two walks fewer.
+        Only the side both transits cross changes: its marks x, y are next
+        on the boundary and swap.  The site is admitted exactly when the
+        gaps just before x and just after y lie in one face walk: a path in
+        it cuts off a disc holding all that hangs on x and y, which a
+        half-turn swaps (class docstring).  Else the walks through the three
+        corners at x and y are distinct (a bridge would cut off crossings
+        only, of odd total degree), and the swap joins them: two walks fewer.
         """
         t1, t2 = site.get("t1"), site.get("t2")
         sides1, sides2 = self.transits[t1].sides, self.transits[t2].sides
@@ -1297,14 +1311,11 @@ class _Regions:
     def _reroute(self, site: MoveSite) -> bool:
         """M7: a transit run is admitted (``_always``), an empty run unless it misses its gap.
 
-        The empty run cuts the arc and joins its ends to two new marks at
-        the gap of the entry corner, next to the vertex; the new arcs at the
-        other corners of the cycle cut them off their faces, which never
-        changes a genus.  The facing side is the arc's left if ``forward``,
-        its right if not; the site is admitted exactly when that side is
-        the gap's region, by ``_tongue``'s argument, with the corner for the
-        segment between ``ta`` and ``tb``.  An arc in another component of
-        the face map, or a circle, is always admitted.
+        An empty run is ``_tongue``'s argument with the entry corner's gap,
+        next to the vertex, for the segment between ``ta`` and ``tb``, and
+        the arc's left if ``forward``, its right if not, for the facing
+        side; the new arcs at the other corners cut corners off their faces.
+        An arc in another component of the face map, or a circle, is admitted.
         """
         rec = self.arcs.get((site.get("comp"), site.get("arc")))
         if site.get("length") or rec is None:
