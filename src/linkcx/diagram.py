@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -177,12 +176,11 @@ class EventWalk:
     A crossing visit entering port p leaves by port p + 2 (mod 4), a
     transit visit entering side s leaves by side 1 - s.  Per component ci
     the walk keeps the slots each event is entered and left by
-    (``enters[ci]``, ``exits[ci]``), its transit steps in listing order
-    (``steps[ci]``) and their event indices (``step_events[ci]``).  It
-    keeps the visits of each declared crossing and transit, the ``legs``
-    (exit slot, enter slot, transit steps) from each crossing visit to the
-    next on its component, and the ``loops``: the components that visit no
-    crossing.  The arcs, the arc at each (component, index), the arc end at
+    (``enters[ci]``, ``exits[ci]``) and its transit steps in listing order
+    (``steps[ci]``).  It keeps the visits of each declared crossing and
+    transit, the ``legs`` (exit slot, enter slot, transit steps) from each
+    crossing visit to the next on its component, and the ``loops``: the
+    components that visit no crossing.  The arcs, the arc at each (component, index), the arc end at
     each crossing port and the visit pairs are built from these on first use.
 
     A fault does not stop the walk: ``fault`` is the first fault of the
@@ -198,7 +196,6 @@ class EventWalk:
         self.enters: List[List[Slot]] = []
         self.exits: List[List[Slot]] = []
         self.steps: List[List[TransitStep]] = []
-        self.step_events: List[List[int]] = []
         self.legs: List[Tuple[Slot, Slot, Tuple[TransitStep, ...]]] = []
         self.loops: List[int] = []
         faults = []
@@ -212,7 +209,7 @@ class EventWalk:
                     faults.append(f"component {ci}: unknown face")
             elif len(comp.arc_faces) != len(events):
                 faults.append(f"component {ci}: arc face list does not match events")
-            enters, exits, steps, at = [], [], [], []
+            enters, exits, steps = [], [], []
             first = None                 # (steps before, enter slot) of the first crossing
             for ei, ev in enumerate(events):
                 if isinstance(ev, CrossVisit):
@@ -242,14 +239,12 @@ class EventWalk:
                         faults.append(f"component {ci}: bad transit side {s}")
                     elif tr is not None:
                         steps.append((tr.edge, tr.sides[s], tr.sides[1 - s]))
-                        at.append(ei)
                     enter = ("t", t, s)
                     exits.append(("t", t, 1 - s))
                 enters.append(enter)
             self.enters.append(enters)
             self.exits.append(exits)
             self.steps.append(steps)
-            self.step_events.append(at)
             if first is None:
                 self.loops.append(ci)
             else:                        # the leg round the end of the listing
@@ -326,25 +321,6 @@ def transit_visits(d: Diagram) -> Dict[str, List[Visit]]:
 def visit_pairs(d: Diagram) -> Dict[str, List[Visit]]:
     """crossing id -> its two visits; DiagramError with validation's text if not."""
     return event_walk(d).visit_pairs
-
-
-def transit_steps(d: Diagram, ci: int, start: int = 0,
-                  stop: Optional[int] = None) -> List[TransitStep]:
-    """(edge, entering incidence, exiting incidence) per transit of a component.
-
-    Events are read cyclically from index ``start`` up to, but not
-    including, ``stop``; once round the component when ``stop`` is None.
-    """
-    walk = event_walk(d)
-    steps = walk.steps[ci]
-    if not steps:
-        return []
-    k, at = len(d.components[ci].events), walk.step_events[ci]
-    i = bisect_left(at, start % k)
-    if stop is None:
-        return steps[i:] + steps[:i]
-    j = bisect_left(at, stop % k)
-    return steps[i:j] if start % k <= stop % k else steps[i:] + steps[:j]
 
 
 def _transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:

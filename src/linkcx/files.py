@@ -107,13 +107,10 @@ def _event_text(ev) -> str:
 def _parse_event(token: str, n: int):
     if not (token[:2] in ("x(", "t(") and token.endswith(")")):
         raise FormatError(f"bad event {token!r}", n)
-    body = token[2:-1]
-    ident, _, num = body.rpartition(",")
-    if not ident or not num.isdigit():
+    ident, _, num = token[2:-1].rpartition(",")
+    if not (ident and num.isascii() and num.isdigit()):
         raise FormatError(f"bad event {token!r}", n)
-    if token[0] == "x":
-        return CrossVisit(ident, int(num))
-    return TransitVisit(ident, int(num))
+    return (CrossVisit if token[0] == "x" else TransitVisit)(ident, int(num))
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -209,13 +206,10 @@ def parse_diagram(text: str, cx: TwoComplex) -> Diagram:
                 raise FormatError(f"duplicate component {name!r}", n)
             comp_names.append(name)
             sep = parts.index(":")
-            directed = False
-            reverse = False
-            if sep == 4 and parts[2] == "oriented" and parts[3] in "+-":
-                directed = True
-                reverse = parts[3] == "-"
-            elif sep != 2:
+            directed = sep == 4 and parts[2] == "oriented" and parts[3] in ("+", "-")
+            if not directed and sep != 2:
                 raise FormatError("bad component line", n)
+            reverse = directed and parts[3] == "-"
             tail = parts[sep + 1:]
             if not tail:
                 raise FormatError("bad component line", n)

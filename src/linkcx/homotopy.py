@@ -5,9 +5,10 @@ Holonomy is supplied as a connection: a group element h(s) for every
 (edge, face-side incidence) pair, in a declared free or free-abelian
 group.  A transit entering through incidence s1 and leaving through s2
 contributes h(s1) * h(s2)^-1 to the loop's holonomy, read in travel
-order.  Supplying a connection that actually presents the holonomy of
-the complex is the caller's responsibility; connections for all example
-complexes ship with the library.
+order.  That the connection presents the holonomy of the complex is the
+caller's responsibility; every example complex ships with one.  LK, co
+and component classes read one list of prefix words per component, so
+the loop cut at a crossing is a product of prefixes and their inverses.
 
 The homotopy bracket implemented here coarsens curve systems to finite
 multisets of nontrivial conjugacy classes: every curve whose class is
@@ -30,15 +31,15 @@ inverts its ``to_text`` byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 # state_curves is re-exported: callers look it up here too
 from .bracket import _bracket_of, _contract, _state_sum, state_curves  # noqa: F401
-from .diagram import Diagram, derived, transit_steps, visit_pairs
+from .diagram import Diagram, TransitVisit, derived, visit_pairs
 from .errors import DiagramError
 from .groups import (ConjClass, GroupSpec, Word, conj_class, inv, mul,
                      reduce_word, text_to_word, word_to_text)
-from .invariants import _sign_from_visits, wri
+from .invariants import _all_signs, wri
 from .laurent import Laurent, _put, _Terms
 from .twocomplex import Incidence, TwoComplex
 
@@ -112,9 +113,25 @@ def loop_class(conn: Connection, steps) -> ConjClass:
     return conj_class(conn.group, holonomy(conn, steps))
 
 
+def _prefix_words(d: Diagram, conn: Connection, ci: int) -> List[Word]:
+    """P[0] = 1, and P[i + 1] is P[i] times event i's ``holonomy`` factor.
+
+    Events a to b - 1 read P[a]^-1 P[b], exactly on reduced free words.
+    """
+    g, acc = conn.group, conn.group.identity()
+    words = [acc]
+    for ev in d.components[ci].events:
+        if isinstance(ev, TransitVisit):
+            tr = d.transits[ev.transit]
+            acc = mul(g, acc, mul(g, conn.h(tr.edge, tr.sides[ev.enter]),
+                                  inv(g, conn.h(tr.edge, tr.sides[1 - ev.enter]))))
+        words.append(acc)
+    return words
+
+
 def component_class(d: Diagram, conn: Connection, ci: int) -> ConjClass:
     """Class of one component's underlying loop, in listing direction."""
-    return loop_class(conn, transit_steps(d, ci))
+    return conj_class(conn.group, _prefix_words(d, conn, ci)[-1])
 
 
 # -- module elements ----------------------------------------------------
@@ -221,34 +238,50 @@ parse_system_element = SystemElement.parse
 # -- linking and colinking classes ---------------------------------------
 
 def LK(d: Diagram, conn: Connection) -> PiElement:
-    """Linking class of an oriented 2-component diagram."""
+    """Linking class of an oriented 2-component diagram.
+
+    At a crossing visited at event a of A and b of B, the loop runs once
+    round A, then B, from just after it: X^-1 A X Y^-1 B Y over prefix
+    words, X = P_A[a + 1] and Y = P_B[b + 1], conjugate to A z B z^-1 for
+    z = X Y^-1.
+    """
     if len(d.components) != 2:
         raise DiagramError("linking class needs exactly two components")
     if not d.oriented():
         raise DiagramError("linking class needs directed components")
+    # visits come in listing order, so a crossing of the two has A = component 0
+    between = [(c, a, b) for c, ((ca, a), (cb, b)) in visit_pairs(d).items() if ca != cb]
+    if not between:
+        return PiElement({})         # and no label is read
+    signs, g = _all_signs(d, need_directed=False), conn.group
+    pa, pb = (_prefix_words(d, conn, ci) for ci in (0, 1))
     acc: Dict[ConjClass, int] = {}
-    for c, (v1, v2) in visit_pairs(d).items():
-        if v1[0] == v2[0]:
-            continue
-        steps = (transit_steps(d, v1[0], v1[1] + 1)
-                 + transit_steps(d, v2[0], v2[1] + 1))
-        _put(acc, loop_class(conn, steps), _sign_from_visits(d, c, v1, v2))
+    for c, a, b in between:
+        z = mul(g, pa[a + 1], inv(g, pb[b + 1]))
+        loop = mul(g, pa[-1], mul(g, mul(g, z, pb[-1]), inv(g, z)))
+        _put(acc, conj_class(g, loop), signs[c][0])
     return PiElement(acc)
 
 
 def co(d: Diagram, conn: Connection) -> TensorElement:
-    """Colinking class of an oriented knot."""
+    """Colinking class of an oriented knot.
+
+    The lobes at a crossing visited at events i < j are events i + 1 to
+    j - 1, P[i + 1]^-1 P[j], and j + 1 round to i - 1, conjugate to
+    P[-1] P[i] P[j + 1]^-1, over the knot's prefix words P.
+    """
     if len(d.components) != 1:
         raise DiagramError("colinking class needs a knot")
     if not d.oriented():
         raise DiagramError("colinking class needs a directed knot")
-    knot_class = component_class(d, conn, 0)
-    one = conj_class(conn.group, conn.group.identity())
+    signs, g, words = _all_signs(d, need_directed=False), conn.group, _prefix_words(d, conn, 0)
+    knot_class = conj_class(g, words[-1])
+    one = conj_class(g, g.identity())
     acc: Dict[Tuple[ConjClass, ConjClass], int] = {}
-    for c, (v1, v2) in visit_pairs(d).items():
-        sign = _sign_from_visits(d, c, v1, v2)
-        k1 = loop_class(conn, transit_steps(d, 0, v1[1] + 1, v2[1]))
-        k2 = loop_class(conn, transit_steps(d, 0, v2[1] + 1, v1[1]))
+    for c, ((_, i), (_, j)) in visit_pairs(d).items():
+        sign = signs[c][0]
+        k1 = conj_class(g, mul(g, inv(g, words[i + 1]), words[j]))
+        k2 = conj_class(g, mul(g, words[-1], mul(g, words[i], inv(g, words[j + 1]))))
         for key, n in (((k1, k2), sign), ((k2, k1), sign),
                        ((knot_class, one), -sign), ((one, knot_class), -sign)):
             _put(acc, key, n)

@@ -31,23 +31,19 @@ def _sign_from_visits(d: Diagram, c: str, v1, v2) -> int:
     dot = d.crossings[c].dot
     e1 = d.components[v1[0]].events[v1[1]].enter
     e2 = d.components[v2[0]].events[v2[1]].enter
-    # over diameter is (p_dot, p_dot+2)
-    over_enter = e1 if e1 % 2 == dot % 2 else e2
-    under_enter = e2 if over_enter == e1 else e1
-    over_exit = (over_enter + 2) % 4
-    under_exit = (under_enter + 2) % 4
-    return 1 if (under_exit - over_exit) % 4 == 1 else -1
+    # over diameter is (p_dot, p_dot+2); the exits differ as the entries do
+    over, under = (e1, e2) if e1 % 2 == dot % 2 else (e2, e1)
+    return 1 if (under - over) % 4 == 1 else -1
 
 
 def crossing_sign(d: Diagram, c: str) -> int:
     """Sign of a crossing of an oriented diagram, in {+1, -1}."""
     if c not in d.crossings:
         raise DiagramError(f"unknown crossing {c!r}")
-    v1, v2 = visit_pairs(d)[c]
-    for ci, _ei in (v1, v2):
-        if not d.components[ci].directed:
-            raise DiagramError(f"crossing {c!r}: strand through it is not directed")
-    return _sign_from_visits(d, c, v1, v2)
+    sign, c1, c2 = _all_signs(d, need_directed=False)[c]
+    if not (d.components[c1].directed and d.components[c2].directed):
+        raise DiagramError(f"crossing {c!r}: strand through it is not directed")
+    return sign
 
 
 def _all_signs(d: Diagram, need_directed: bool) -> Dict[str, Tuple[int, int, int]]:

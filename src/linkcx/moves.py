@@ -1509,7 +1509,7 @@ def parse_trace(text: str) -> List[Tuple[MoveKind, MoveSite]]:
             raise MoveError(f"trace line {ln}: unknown move kind {kind_text!r}")
         try:
             out.append((kind, MoveSite.from_fingerprint(kind, payload)))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MoveError(f"trace line {ln}: bad site {payload!r}: {exc}") from None
     return out
 

@@ -385,3 +385,40 @@ def test_move_apply_builds_no_m2_site_past_its_own(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(moves.MoveSite, "make", classmethod(counting_make))
     assert main(["move", "apply", str(cx), str(d), "M2", "--site", "0"]) == 0
     assert made == [moves.MoveKind.M2]
+
+
+@pytest.mark.parametrize("port", ["²", "١"], ids=["superscript two", "arabic-indic one"])
+def test_a_non_ascii_port_digit_is_a_format_error(tmp_path, capsys, port):
+    cx, d, _ = _emit(tmp_path, "Ln", 2)
+    text = d.read_text(encoding="utf-8")
+    assert " x(c1,2) " in text
+    d.write_text(text.replace(" x(c1,2) ", f" x(c1,{port}) ", 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(cx), str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"bad event 'x(c1,{port})'" in err
+    assert err.count("\n") == 1
+
+
+def test_a_two_sign_orientation_is_a_bad_component_line(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "Ln", 1)
+    lines = d.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("component k1"))
+    assert lines[n].startswith("component k1 oriented + : ")
+    lines[n] = lines[n].replace(" oriented + ", " oriented +- ", 1)
+    d.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(cx), str(d)]) == 1
+    assert capsys.readouterr().err == f"error: line {n + 1}: bad component line\n"
+
+
+def test_a_deeply_nested_trace_site_is_an_error(tmp_path, capsys):
+    cx, d, _ = _emit(tmp_path, "unknot_local")
+    trace = tmp_path / "trace.txt"
+    depth = 200_000
+    trace.write_text('M1p {"arc": ' + "[" * depth + "]" * depth + "}\n")
+    capsys.readouterr()
+    assert main(["move", "replay", str(cx), str(d), str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 1: bad site ")
+    assert err.count("\n") == 1

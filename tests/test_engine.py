@@ -19,7 +19,7 @@ from linkcx import moves as mv
 from linkcx.bracket import (_Contraction, _frontier_order, _state_sum,
                             bracket, classical_oracle)
 from linkcx.diagram import (CrossVisit, PlanarCode, arcs_of, braid_code,
-                            draw_local, mirror, transit_steps)
+                            draw_local, event_walk, mirror)
 from linkcx.errors import MoveError
 from linkcx.examples import EXAMPLE_IDS, example
 from linkcx.groups import GroupSpec, inv, mul, reduce_word, unoriented_class
@@ -386,7 +386,7 @@ def arcs_contraction(d):
     for ci, comp in enumerate(d.components):
         if not any(isinstance(ev, CrossVisit) for ev in comp.events):
             fixed.append([len(steps)])
-            steps.append(tuple(transit_steps(d, ci)))
+            steps.append(tuple(event_walk(d).steps[ci]))
     return match, join, steps, fixed
 
 

@@ -1,14 +1,15 @@
 import pytest
 
 import linkcx as lx
-from linkcx.diagram import mirror, reverse_component
+from linkcx.diagram import PlanarCode, draw_local, mirror, orient_all, reverse_component
 from linkcx.errors import DiagramError
 from linkcx.examples import example
-from linkcx.groups import conj_class, text_to_word
+from linkcx.groups import GroupSpec, conj_class, text_to_word
 from linkcx.homotopy import (LK, Connection, co, component_class,
                              homotopy_bracket, loop_class,
                              normalized_homotopy_bracket)
 from linkcx.laurent import Laurent
+from linkcx.twocomplex import build_disc
 
 LOOP = Laurent.loop_factor()
 
@@ -155,8 +156,18 @@ def test_unoriented_classes_in_homotopy_bracket():
 def test_connection_missing_label():
     b = example("torus_link")
     sparse = Connection(b.connection.group, {})
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError,
+                       match=r"^connection has no label for edge 'v' at \('F', 1\)$"):
         LK(b.diagram, sparse)
+
+
+def test_LK_reads_no_label_without_a_crossing_of_the_two_components():
+    disc = build_disc()
+    circles = orient_all(draw_local(disc, "F", PlanarCode((), 2)))
+    assert LK(circles, Connection(GroupSpec.free(), {})).to_text() == "0"
+    # Ln(0) has transits but no crossing: its labels are not read either
+    b = example("Ln", 0)
+    assert LK(b.diagram, Connection(b.connection.group, {})).to_text() == "0"
 
 
 def test_element_serialization_round_trips():

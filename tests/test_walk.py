@@ -4,9 +4,11 @@ Each reference below reads the event lists on its own, as the separate
 walkers did before ``diagram.EventWalk`` took their place.  Every view of
 the walk must equal its reference on every example, its mirror, and fuzzed
 diagrams with up to 42 transits: the arcs, the port ends, the crossing
-visits and visit pairs, the transit visits, the transit steps between any
-two events, and the contraction's ``match``, ``steps``, ``fixed`` and
-``transit_ports``.  A hand-built diagram that was never validated gets a
+visits and visit pairs, the transit visits, each component's transit
+steps, and the contraction's ``match``, ``steps``, ``fixed`` and
+``transit_ports``.  LK, co and the component classes, which read prefix
+words, must print as the loop classes of the transit steps cut at each
+crossing.  A hand-built diagram that was never validated gets a
 ``DiagramError`` with validation's text from every reader of visit pairs.
 """
 
@@ -19,12 +21,14 @@ from hypothesis import strategies as st
 
 from linkcx import moves as mv
 from linkcx.diagram import (Arc, CrossVisit, TransitVisit, arcs_of, crossing_visits,
-                            mirror, port_ends, sc, transit_steps, transit_visits,
-                            visit_pairs)
+                            event_walk, mirror, port_ends, reverse_component, sc,
+                            transit_visits, visit_pairs)
 from linkcx.errors import DiagramError
 from linkcx.examples import EXAMPLE_IDS, example
-from linkcx.homotopy import LK
-from linkcx.invariants import lk, wri
+from linkcx.groups import conj_class
+from linkcx.homotopy import (LK, PiElement, TensorElement, co, component_class,
+                             loop_class)
+from linkcx.invariants import crossing_sign, lk, wri
 
 br = importlib.import_module("linkcx.bracket")
 
@@ -114,28 +118,17 @@ def ref_contraction(d):
 
 # -- the views against the references -----------------------------------------------
 
-def assert_views_match(d, every_span=False):
+def assert_views_match(d):
     assert arcs_of(d) == ref_arcs(d)
     assert port_ends(d) == ref_port_ends(d)
     visits = ref_visits(d, CrossVisit, d.crossings)
     assert crossing_visits(d) == visits
     assert visit_pairs(d) == visits and all(len(v) == 2 for v in visits.values())
     assert transit_visits(d) == ref_visits(d, TransitVisit, d.transits)
+    assert event_walk(d).steps == [ref_transit_steps(d, ci)
+                                   for ci in range(len(d.components))]
     con = br._Contraction(d)
     assert (con.match, con.steps, con.fixed, con.transit_ports) == ref_contraction(d)
-    for ci, comp in enumerate(d.components):
-        k = len(comp.events)
-        # every span for small diagrams, else the spans LK and co read
-        if k == 0:
-            spans = [(0, None)]
-        elif every_span:
-            spans = [(a, b) for a in range(k + 1) for b in [None, *range(k + 1)]]
-        else:
-            marks = sorted({ei + 1 for vs in visits.values() for cj, ei in vs if cj == ci})
-            spans = [(0, None)] + [(a, b) for a in marks for b in [None, *marks]]
-        for start, stop in spans:
-            assert (transit_steps(d, ci, start, stop)
-                    == ref_transit_steps(d, ci, start, stop)), (ci, start, stop)
 
 
 def _bundles():
@@ -147,7 +140,7 @@ def _bundles():
 def test_examples_and_mirrors():
     for b in _bundles():
         for d in (b.diagram, mirror(b.diagram)):
-            assert_views_match(replace(d), every_span=True)
+            assert_views_match(replace(d))
 
 
 FUZZ_BASES = [("trefoil_left", None), ("torus_link", None), ("moebius_link", None),
@@ -173,6 +166,73 @@ def test_fuzzed_diagrams_with_38_to_42_transits():
             counts.add(len(d.transits))
             assert_views_match(replace(d))
     assert {38, 40, 42} <= counts
+
+
+# -- LK, co and component classes against the loops cut at each crossing ------------
+
+def _add(acc, key, n):
+    acc[key] = acc.get(key, 0) + n
+
+
+def ref_LK(d, conn):
+    """Once round each component from just after the crossing, concatenated."""
+    acc = {}
+    for c, (v1, v2) in ref_visits(d, CrossVisit, d.crossings).items():
+        if v1[0] != v2[0]:
+            steps = (ref_transit_steps(d, v1[0], v1[1] + 1)
+                     + ref_transit_steps(d, v2[0], v2[1] + 1))
+            _add(acc, loop_class(conn, steps), crossing_sign(d, c))
+    return PiElement(acc)
+
+
+def ref_co(d, conn):
+    """The two lobes at each crossing, from the transit steps between its visits."""
+    g = conn.group
+    knot, one = loop_class(conn, ref_transit_steps(d, 0)), conj_class(g, g.identity())
+    acc = {}
+    for c, ((_, i), (_, j)) in ref_visits(d, CrossVisit, d.crossings).items():
+        sign = crossing_sign(d, c)
+        k1 = loop_class(conn, ref_transit_steps(d, 0, i + 1, j))
+        k2 = loop_class(conn, ref_transit_steps(d, 0, j + 1, i))
+        for key, n in (((k1, k2), sign), ((k2, k1), sign),
+                       ((knot, one), -sign), ((one, knot), -sign)):
+            _add(acc, key, n)
+    return TensorElement(acc)
+
+
+def assert_classes_match(d, conn):
+    g = conn.group
+    for ci in range(len(d.components)):
+        ref = loop_class(conn, ref_transit_steps(d, ci))
+        assert (PiElement({component_class(d, conn, ci): 1}).to_text(g)
+                == PiElement({ref: 1}).to_text(g)), ci
+    if len(d.components) == 2:
+        assert LK(d, conn).to_text(g) == ref_LK(d, conn).to_text(g)
+    if len(d.components) == 1:
+        assert co(d, conn).to_text(g) == ref_co(d, conn).to_text(g)
+
+
+def _variants(d):
+    """d, its mirror, and each with one component reversed."""
+    out = [d, mirror(d)]
+    return out + [reverse_component(e, ci) for e in out for ci in range(len(d.components))]
+
+
+def test_classes_of_the_examples_mirrors_and_reversals():
+    for name in EXAMPLE_IDS:
+        for n in ((None,) if name not in ("Ln", "Kn") else range(3)):
+            b = example(name, n)
+            for d in _variants(b.diagram):
+                assert_classes_match(d, b.connection)
+
+
+def test_classes_of_fuzzed_diagrams():
+    for base in FUZZ_BASES + [("Ln", 2), ("Kn", 1), ("hopf_local", None)]:
+        b = example(*base)
+        for seed in range(5):
+            d, _trace = mv.fuzz(b.diagram, 40, seed=seed, max_crossings=8, max_transits=24)
+            for v in _variants(d):
+                assert_classes_match(v, b.connection)
 
 
 # -- faults of unvalidated diagrams -----------------------------------------------
