@@ -173,15 +173,15 @@ class Arc(NamedTuple):
 class EventWalk:
     """Every component's event list, read once; kept in the record of d.
 
-    A crossing visit entering port p leaves by port p + 2 (mod 4), a
-    transit visit entering side s leaves by side 1 - s.  Per component ci
-    the walk keeps the slots each event is entered and left by
-    (``enters[ci]``, ``exits[ci]``) and its transit steps in listing order
-    (``steps[ci]``).  It keeps the visits of each declared crossing and
-    transit, the ``legs`` (exit slot, enter slot, transit steps) from each
-    crossing visit to the next on its component, and the ``loops``: the
-    components that visit no crossing.  The arcs, the arc at each (component, index), the arc end at
-    each crossing port and the visit pairs are built from these on first use.
+    A crossing visit entering port p leaves by port p + 2 (mod 4), a transit
+    visit entering side s leaves by side 1 - s.  Per component ci the walk
+    keeps the slots each event is entered and left by (``enters[ci]``,
+    ``exits[ci]``) and its transit steps in listing order (``steps[ci]``).  It
+    keeps the visits of each declared crossing and transit, the ``legs`` (exit
+    slot, enter slot, transit steps) from each crossing visit to the next on
+    its component, and the ``loops``: the components that visit no crossing.
+    The arcs, the arc at each (component, index), the arc end at each crossing
+    port and the visit pairs are built from these on first use.
 
     A fault does not stop the walk: ``fault`` is the first fault of the
     event lists in the order that validation checks them, or None, and
