@@ -131,6 +131,7 @@ def _prefix_words(d: Diagram, conn: Connection, ci: int) -> List[Word]:
 
 def component_class(d: Diagram, conn: Connection, ci: int) -> ConjClass:
     """Class of one component's underlying loop, in listing direction."""
+    visit_pairs(d)      # a fault in the event lists raises DiagramError here
     return conj_class(conn.group, _prefix_words(d, conn, ci)[-1])
 
 

@@ -1312,17 +1312,23 @@ class _Regions:
         """M7: a transit run is admitted (``_always``), an empty run unless it misses its gap.
 
         An empty run is ``_tongue``'s argument with the entry corner's gap,
-        next to the vertex, for the segment between ``ta`` and ``tb``, and
-        the arc's left if ``forward``, its right if not, for the facing
-        side; the new arcs at the other corners cut corners off their faces.
-        An arc in another component of the face map, or a circle, is admitted.
+        next to the vertex, for the segment between ``ta`` and ``tb``.  The
+        facing side is the arc's left if ``forward`` matches ``along``, the
+        cycle crossing the entry corner from side i's end to side i + 1's as
+        the face's word runs, and its right if not; a one-step cycle joins
+        one edge end to itself and faces the right either way.  The new arcs
+        at the other corners cut corners off their faces.  An arc in another
+        component of the face map, or a circle, is admitted.
         """
         rec = self.arcs.get((site.get("comp"), site.get("arc")))
         if site.get("length") or rec is None:
             return True
-        f, i = site.get("cycle")[site.get("entry")][1]
-        facing = rec[2] if site.get("forward") else rec[1]
-        return self._meets_gap(f, (i, math.inf), rec[0], facing)
+        cycle = site.get("cycle")
+        node, (f, i) = cycle[site.get("entry")]
+        e, sgn = self.faces[f][i]
+        along = node == (e, 1 if sgn > 0 else 0)
+        left = len(cycle) > 1 and site.get("forward") == along
+        return self._meets_gap(f, (i, math.inf), rec[0], rec[2] if left else rec[1])
 
 
 def _fingers(a, b) -> Tuple[bool, ...]:
@@ -1510,7 +1516,8 @@ def parse_trace(text: str) -> List[Tuple[MoveKind, MoveSite]]:
         try:
             out.append((kind, MoveSite.from_fingerprint(kind, payload)))
         except (ValueError, RecursionError) as exc:
-            raise MoveError(f"trace line {ln}: bad site {payload!r}: {exc}") from None
+            cut = "..." if len(payload) > 60 else ""     # a site may be nested 100k deep
+            raise MoveError(f"trace line {ln}: bad site {payload[:60]!r}{cut}: {exc}") from None
     return out
 
 

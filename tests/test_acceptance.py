@@ -21,14 +21,9 @@ from linkcx.laurent import Laurent
 from linkcx.moves import MoveKind as K
 from linkcx.twocomplex import build_disc
 
+import corpus
+
 M1_SIGN = {K.M1P: 1, K.M1M: -1, K.M1P_INV: -1, K.M1M_INV: 1}
-
-FUZZ_EXAMPLES = [("trefoil_left", None), ("trefoil_right", None),
-                 ("torus_link", None), ("moebius_link", None),
-                 ("annulus_link", None), ("Ln", 1), ("Kn", 0),
-                 ("hopf_local", None), ("unknot_local", None)]
-
-ALL_EXAMPLES = FUZZ_EXAMPLES
 
 
 def _report(criterion, ok, detail):
@@ -109,7 +104,7 @@ class FuzzReport:
 @pytest.fixture(scope="module")
 def fuzz_report():
     report = FuzzReport()
-    for name, n in FUZZ_EXAMPLES:
+    for name, n in corpus.EXAMPLES:
         bundle = example(name, n)
         conn = bundle.connection
         d0 = bundle.diagram
@@ -203,7 +198,7 @@ def test_criterion_5_theorem_checks(fuzz_report):
                   and full + empty == 5 == 3 + 2)
     examples_ok = all(lx.check_span_theorem(example(n, k).diagram)
                       and lx.check_state_inequality(example(n, k).diagram)
-                      for n, k in ALL_EXAMPLES)
+                      for n, k in corpus.EXAMPLES)
     ok = fuzz_report.theorem_ok and equalities and examples_ok
     _report(5, ok, "span and state-count bounds hold on all diagrams and "
                    "fuzz intermediates; trefoil attains both equalities")
@@ -213,7 +208,7 @@ def test_criterion_5_theorem_checks(fuzz_report):
 
 def test_criterion_6_mirror_dualities():
     ok = True
-    for name, n in ALL_EXAMPLES:
+    for name, n in corpus.EXAMPLES:
         bundle = example(name, n)
         d = bundle.diagram
         m = mirror(d)
@@ -252,7 +247,7 @@ def test_criterion_7_parity_and_locality(fuzz_report):
 
 def test_criterion_8_reorient_faces():
     ok = True
-    for name, n in ALL_EXAMPLES:
+    for name, n in corpus.EXAMPLES:
         bundle = example(name, n)
         d = bundle.diagram
         conn = bundle.connection
@@ -275,7 +270,7 @@ def test_criterion_8_reorient_faces():
 
 def test_criterion_9_round_trips():
     ok = True
-    for name, n in ALL_EXAMPLES:
+    for name, n in corpus.EXAMPLES:
         bundle = example(name, n)
         ctext = files.serialize_complex(bundle.complex)
         cx = files.parse_complex(ctext)

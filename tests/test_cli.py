@@ -4,6 +4,10 @@ import pytest
 
 from linkcx import cli, files, moves
 from linkcx.cli import main
+from linkcx.diagram import draw_local
+from linkcx.examples import trefoil_code
+
+import corpus
 
 
 def _emit(tmp_path, name, n=None):
@@ -92,6 +96,17 @@ def test_fuzz_check_all(tmp_path, capsys):
     cx, d, conn = _emit(tmp_path, "moebius_link")
     assert main(["fuzz", str(cx), str(d), "--steps", "25", "--seed", "7",
                  "--check", "all", "--conn", str(conn)]) == 0
+
+
+def test_fuzz_check_all_on_a_sphere(tmp_path, capsys):
+    # M7 empty runs round the sphere's one vertex were admitted where they fail
+    sphere = corpus.glue("sphere", {"F": "e", "G": "E"})
+    cx, d = tmp_path / "sphere.complex", tmp_path / "trefoil.diagram"
+    cx.write_text(files.serialize_complex(sphere))
+    d.write_text(files.serialize_diagram(draw_local(sphere, "F", trefoil_code("left"))))
+    for seed in range(4):
+        assert main(["move", "fuzz", str(cx), str(d), "--steps", "80", "--seed", str(seed),
+                     "--check", "all"]) == 0, capsys.readouterr().err
 
 
 def test_fuzz_check_all_catches_homotopy_bracket_drift(tmp_path, capsys, monkeypatch):
@@ -422,3 +437,5 @@ def test_a_deeply_nested_trace_site_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: trace line 1: bad site ")
     assert err.count("\n") == 1
+    # the line quotes a prefix of the payload, not the whole 400,009 characters
+    assert len(err) < 200 and "'..." in err

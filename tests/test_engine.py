@@ -20,13 +20,14 @@ from linkcx.bracket import (_Contraction, _frontier_order, _state_sum,
                             bracket, classical_oracle)
 from linkcx.diagram import (CrossVisit, PlanarCode, arcs_of, braid_code,
                             draw_local, event_walk, mirror)
-from linkcx.errors import MoveError
-from linkcx.examples import EXAMPLE_IDS, example
+from linkcx.examples import example
 from linkcx.groups import GroupSpec, inv, mul, reduce_word, unoriented_class
 from linkcx.homotopy import (Connection, SystemElement, holonomy,
                              homotopy_bracket)
 from linkcx.laurent import Laurent
 from linkcx.twocomplex import build_disc
+
+import corpus
 
 br = importlib.import_module("linkcx.bracket")
 LOOP = Laurent.loop_factor()
@@ -80,36 +81,26 @@ def assert_engine_matches_brute(d, conn):
             == brute_homotopy_bracket(d, conn).to_text(conn.group))
 
 
-def _bundles():
-    for name in EXAMPLE_IDS:
-        for n in ((None,) if name not in ("Ln", "Kn") else range(5)):
-            yield example(name, n)
-
-
 def test_examples_and_mirrors():
-    for b in _bundles():
+    for name, n in corpus.SERIES:
+        b = example(name, n)
         assert_engine_matches_brute(b.diagram, b.connection)
         assert_engine_matches_brute(mirror(b.diagram), b.connection)
 
 
-FUZZ_BASES = [("trefoil_left", None), ("torus_link", None), ("moebius_link", None),
-              ("annulus_link", None), ("Ln", 0), ("Ln", 1), ("Kn", 0),
-              ("unknot_local", None)]
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(FUZZ_BASES), st.integers(0, 2 ** 32 - 1))
-def test_fuzzed_diagrams(base, seed):
-    b = example(*base)
+@given(st.sampled_from(corpus.starts()), st.integers(0, 2 ** 32 - 1))
+def test_fuzzed_diagrams(start, seed):
+    b = start[1]
     d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
     assert_engine_matches_brute(d, b.connection)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(FUZZ_BASES), st.integers(0, 2 ** 32 - 1))
-def test_mirror_inverts_A_in_both_brackets(base, seed):
+@given(st.sampled_from(corpus.starts()), st.integers(0, 2 ** 32 - 1))
+def test_mirror_inverts_A_in_both_brackets(start, seed):
     # the homotopy bracket keeps its class keys, each coefficient under A -> A^-1
-    b = example(*base)
+    b = start[1]
     d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
     assert bracket(mirror(d)) == bracket(d).subs_A_inverse()
     h = homotopy_bracket(d, b.connection)
@@ -117,7 +108,7 @@ def test_mirror_inverts_A_in_both_brackets(base, seed):
         key: c.subs_A_inverse() for key, c in h.terms.items()}
 
 
-@pytest.mark.parametrize("base", FUZZ_BASES)
+@pytest.mark.parametrize("base", corpus.SMALL)
 def test_fuzzed_diagrams_on_fixed_seeds(base):
     # open paths read backwards carry inverse words: these seeds always run
     b = example(*base)
@@ -330,15 +321,7 @@ def scanned_frontier_order(con, by_transits=True):
 
 def test_frontier_order_matches_the_scan():
     diagrams = [_closure(list(range(1, k)) * k, k) for k in range(3, 11)]
-    for b in _bundles():
-        for d in (b.diagram, mirror(b.diagram)):
-            diagrams.append(d)
-            for seed in range(3):
-                try:
-                    diagrams.append(mv.fuzz(d, 20, seed, max_crossings=8,
-                                            max_transits=12)[0])
-                except MoveError:
-                    pass
+    diagrams += [d for d, _conn in corpus.variants()]
     assert len(diagrams) > 100
     without_transits = 0
     for d in diagrams:
@@ -390,25 +373,9 @@ def arcs_contraction(d):
     return match, join, steps, fixed
 
 
-@pytest.fixture(scope="module")
-def engine_diagrams():
-    """(diagram, connection): every example, its mirror and fuzzed variants."""
-    out = []
-    for b in _bundles():
-        for d in (b.diagram, mirror(b.diagram)):
-            out.append((d, b.connection))
-            for seed in range(3):
-                try:
-                    out.append((mv.fuzz(d, 20, seed, max_crossings=8,
-                                        max_transits=12)[0], b.connection))
-                except MoveError:
-                    pass
-    assert len(out) > 100
-    return out
-
-
-def test_contraction_matches_the_arcs(engine_diagrams):
-    for d, _conn in engine_diagrams:
+def test_contraction_matches_the_arcs():
+    assert len(corpus.variants()) > 100
+    for d, _conn in corpus.variants():
         con = _Contraction(d)
         assert (con.match, con.join, con.steps, con.fixed) == arcs_contraction(d)
 
@@ -424,13 +391,14 @@ def both_brackets(diagrams):
     return out
 
 
-def test_results_do_not_depend_on_the_table(engine_diagrams):
+def test_results_do_not_depend_on_the_table():
     # mirrors differ from their diagrams in the join patterns alone
+    diagrams = corpus.variants()
     br._STEPS.clear()
-    cold = both_brackets(engine_diagrams)
+    cold = both_brackets(diagrams)
     br._STEPS.clear()
-    backwards = both_brackets(engine_diagrams[::-1])[::-1]
-    warm = both_brackets(engine_diagrams)
+    backwards = both_brackets(diagrams[::-1])[::-1]
+    warm = both_brackets(diagrams)
     assert cold == backwards
     assert cold == warm
 

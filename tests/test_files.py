@@ -6,15 +6,12 @@ import linkcx as lx
 from linkcx import files
 from linkcx import moves as mv
 from linkcx.errors import FormatError
-from linkcx.examples import EXAMPLE_IDS, example, hopf_code
+from linkcx.examples import example, hopf_code
 
-ALL_EXAMPLES = [("trefoil_left", None), ("trefoil_right", None),
-                ("torus_link", None), ("moebius_link", None),
-                ("annulus_link", None), ("Ln", 2), ("Kn", 1),
-                ("hopf_local", None), ("unknot_local", None)]
+import corpus
 
 
-@pytest.mark.parametrize("name,n", ALL_EXAMPLES)
+@pytest.mark.parametrize("name,n", corpus.SMALL)
 def test_round_trips_are_byte_exact(name, n):
     b = example(name, n)
     ctext = files.serialize_complex(b.complex)
@@ -30,9 +27,9 @@ def test_round_trips_are_byte_exact(name, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(ALL_EXAMPLES), st.integers(0, 2 ** 32 - 1))
-def test_fuzzed_round_trips_are_byte_exact(example_id, seed):
-    b = example(*example_id)
+@given(st.sampled_from(corpus.starts()), st.integers(0, 2 ** 32 - 1))
+def test_fuzzed_round_trips_are_byte_exact(start, seed):
+    b = start[1]
     d, _trace = mv.fuzz(b.diagram, 25, seed=seed, max_crossings=7, max_transits=12)
     dtext = files.serialize_diagram(d)
     back = files.parse_diagram(dtext, b.complex)
@@ -110,7 +107,6 @@ def test_planar_code_round_trip():
 
 
 def test_all_example_ids_construct():
-    for name in EXAMPLE_IDS:
-        n = 1 if name in ("Ln", "Kn") else None
+    for name, n in corpus.SMALL:
         bundle = example(name, n)
         assert bundle.diagram.components or name == "unknot_local"

@@ -13,12 +13,12 @@ from linkcx import diagram as dg
 from linkcx import moves as mv
 from linkcx.diagram import Component, CrossVisit, mirror, same_diagram, validate_diagram
 from linkcx.errors import DiagramError, MoveError
-from linkcx.examples import EXAMPLE_IDS, example
+from linkcx.examples import example
 from linkcx.files import serialize_diagram
 from linkcx.laurent import Laurent
 from linkcx.moves import MoveKind as K
 
-from test_acceptance import FUZZ_EXAMPLES
+import corpus
 
 M1_DELTA = {K.M1P: 1, K.M1M: -1, K.M1P_INV: -1, K.M1M_INV: 1}
 
@@ -318,16 +318,18 @@ def test_m7_site_must_name_its_vertex():
 
 # -- find_sites against the brute force ------------------------------------------
 
+def applies(d, kind, site):
+    """Whether ``apply``, with its full validation, accepts the site."""
+    try:
+        mv.apply(d, kind, site)
+    except MoveError:
+        return False
+    return True
+
+
 def brute_sites(d, kind):
     """The reference: apply and fully validate every candidate."""
-    out = []
-    for site in mv.candidate_sites(d, kind):
-        try:
-            mv.apply(d, kind, site)
-        except MoveError:
-            continue
-        out.append(site)
-    return out
+    return [site for site in mv.candidate_sites(d, kind) if applies(d, kind, site)]
 
 
 def assert_sites_match_brute(d):
@@ -335,28 +337,33 @@ def assert_sites_match_brute(d):
         assert mv.find_sites(d, kind) == brute_sites(d, kind), kind
 
 
-def with_floating_kink(d, face):
-    """d plus a kinked circle in the face: a second component of its face map."""
-    d = validate_diagram(replace(d, components=d.components + (Component((), (face,)),)))
-    site = mv.MoveSite.make(K.M1P, comp=len(d.components) - 1, arc=0, bend=1)
-    return mv.apply(d, K.M1P, site)
-
-
 def test_find_sites_matches_brute_force_on_examples_and_mirrors():
-    for name in EXAMPLE_IDS:
-        for n in ((None,) if name not in ("Ln", "Kn") else range(2)):
-            d = example(name, n).diagram
-            assert_sites_match_brute(d)
-            assert_sites_match_brute(mirror(d))
-    for name in ("Ln", "Kn"):
-        assert_sites_match_brute(example(name, 2).diagram)
+    for name, n in corpus.SMALL:
+        d = example(name, n).diagram
+        assert_sites_match_brute(d)
+        assert_sites_match_brute(mirror(d))
 
 
 def test_find_sites_matches_brute_force_across_map_components():
     # sites between two components of one face map are never pruned
-    for name, n, face in (("Ln", 1, "F.e0"), ("torus_link", None, "F"),
-                          ("hopf_local", None, "F")):
-        assert_sites_match_brute(with_floating_kink(example(name, n).diagram, face))
+    for _label, b in corpus.kinked():
+        assert_sites_match_brute(b.diagram)
+
+
+def test_find_sites_matches_brute_force_on_glued_complexes():
+    # an M7 empty run faced the arc's left whenever it ran forward round the
+    # cycle, which holds only where the cycle passes its entry corner along
+    # the face's word; a one-step cycle passes it both ways.  About 40
+    # evenly spaced candidates of each kind are applied here; a report-only
+    # CI step applies every candidate along eight walks per complex
+    for name, b in corpus.glued():
+        d, _trace = mv.fuzz(b.diagram, 6, 0, max_crossings=2, max_transits=4)
+        for kind in K:
+            cands = mv.candidate_sites(d, kind)
+            sample = cands[::max(1, -(-len(cands) // 40))]
+            listed = set(mv.find_sites(d, kind))
+            assert ([s for s in sample if s in listed]
+                    == [s for s in sample if applies(d, kind, s)]), (name, kind)
 
 
 def invalid_ln1():
@@ -432,26 +439,13 @@ def test_decided_kinds_apply_nothing_on_a_valid_diagram(monkeypatch):
     assert calls == Counter()
 
 
-def pushed_diagrams():
-    """Every M5 push of five base diagrams, with the pushed crossing."""
-    out = []
-    for name, n in (("Ln", 1), ("Kn", 0), ("torus_link", None),
-                    ("moebius_link", None), ("annulus_link", None)):
-        d = example(name, n).diagram
-        for kind in (K.M5P, K.M5M):
-            for site in mv.find_sites(d, kind):
-                if dict(site.data)["mode"] == "push":
-                    out.append((mv.apply(d, kind, site), site.get("crossing")))
-    return out
-
-
 def retract_sites(d):
     return [s for kind in (K.M5P, K.M5M) for s in mv.candidate_sites(d, kind)
             if dict(s.data)["mode"] == "retract"]
 
 
 def test_find_sites_matches_brute_force_after_every_push():
-    pushed = pushed_diagrams()
+    pushed = corpus.pushes()
     assert len(pushed) == 56
     assert sum(len(retract_sites(d)) for d, _c in pushed) == 60
     for d, _c in pushed:
@@ -460,7 +454,7 @@ def test_find_sites_matches_brute_force_after_every_push():
 
 def test_retract_applies_whatever_the_listing_start():
     # a visit at the end of its listing makes the retract block wrap round
-    for d, c in pushed_diagrams():
+    for d, c in corpus.pushes():
         for ci, comp in enumerate(d.components):
             k = len(comp.events)
             for r in range(1, k):
@@ -477,7 +471,7 @@ def test_retract_applies_whatever_the_listing_start():
 
 def test_an_inverted_fan_is_no_retract_site():
     # reflecting the pushed crossing's ports inverts its fan at the edge
-    for d, c in pushed_diagrams():
+    for d, c in corpus.pushes():
         comps = tuple(Component(tuple(CrossVisit(ev.crossing, (4 - ev.enter) % 4)
                                       if getattr(ev, "crossing", None) == c else ev
                                       for ev in comp.events),
@@ -502,19 +496,10 @@ def test_site_counts_match_the_recorded_fixture_counts():
         assert {k.value: len(mv.find_sites(d, k)) for k in K} == counts[stem], stem
 
 
-SITE_FUZZ_BASES = [("torus_link", None, "F"), ("moebius_link", None, None),
-                   ("annulus_link", None, None), ("Ln", 1, None), ("Kn", 0, None),
-                   ("Ln", 0, "F.e0")]
-
-
 @settings(max_examples=4, deadline=None)
-@given(st.sampled_from(SITE_FUZZ_BASES), st.integers(0, 2 ** 32 - 1))
-def test_find_sites_matches_brute_force_on_fuzzed_diagrams(base, seed):
-    name, n, face = base
-    d = example(name, n).diagram
-    if face is not None:
-        d = with_floating_kink(d, face)
-    d, _trace = mv.fuzz(d, 8, seed=seed, max_crossings=4, max_transits=8)
+@given(st.sampled_from(corpus.starts()), st.integers(0, 2 ** 32 - 1))
+def test_find_sites_matches_brute_force_on_fuzzed_diagrams(start, seed):
+    d, _trace = mv.fuzz(start[1].diagram, 8, seed=seed, max_crossings=4, max_transits=8)
     assert_sites_match_brute(d)
 
 
@@ -523,15 +508,11 @@ INVERSES = {K.M1P: (K.M1P_INV,), K.M1M: (K.M1M_INV,), K.M2: (K.M2_INV,),
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(SITE_FUZZ_BASES), st.integers(0, 2 ** 32 - 1),
+@given(st.sampled_from(corpus.starts()), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(sorted(INVERSES)), st.data())
-def test_a_move_and_its_inverse_give_back_the_diagram(base, seed, kind, data):
+def test_a_move_and_its_inverse_give_back_the_diagram(start, seed, kind, data):
     # M5 draws a push and undoes it with a retract of either dot variant
-    name, n, face = base
-    d = example(name, n).diagram
-    if face is not None:
-        d = with_floating_kink(d, face)
-    d, _trace = mv.fuzz(d, 6, seed=seed, max_crossings=4, max_transits=8)
+    d, _trace = mv.fuzz(start[1].diagram, 6, seed=seed, max_crossings=4, max_transits=8)
     sites = [s for s in mv.find_sites(d, kind) if s.data.get("mode", "push") == "push"]
     assume(sites)
     d2 = mv.apply(d, kind, data.draw(st.sampled_from(sites)))
@@ -540,20 +521,8 @@ def test_a_move_and_its_inverse_give_back_the_diagram(base, seed, kind, data):
                if s.data.get("mode") != "push")
 
 
-def m2_diagrams():
-    """Fuzzed examples (caps 6 and 12 crossings), with floating kinks where listed."""
-    for name, n, face in SITE_FUZZ_BASES:
-        base = example(name, n).diagram
-        for seed, cap in ((0, 6), (1, 12)):
-            d = mv.fuzz(base, 5, seed, max_crossings=cap, max_transits=2 * cap)[0]
-            yield d
-        if face is not None:
-            yield with_floating_kink(base, face)
-            yield with_floating_kink(d, face)
-
-
 def test_m2_sites_from_region_pairs_match_brute_force():
-    for d in m2_diagrams():
+    for d in corpus.short_walks():
         assert mv.find_sites(d, K.M2) == brute_sites(d, K.M2)
 
 
@@ -567,7 +536,7 @@ def test_m2_site_search_builds_only_the_sites_it_keeps(monkeypatch):
 
     monkeypatch.setattr(mv.MoveSite, "make", classmethod(counting_make))
     rejected = 0
-    for d in m2_diagrams():
+    for d in corpus.short_walks():
         made.clear()                         # drop the sites that fuzz tried
         sites = mv.find_sites(d, K.M2)
         assert made[K.M2] == len(sites)
@@ -582,16 +551,15 @@ FUZZ_DIGEST = "0c45acd52a2a02cec4f8241cf01457eb2f662374b3d8fb1f66871d877a7642e1"
 
 def test_fuzz_traces_are_pinned():
     records = []
-    for name in EXAMPLE_IDS:
-        for n in ((None,) if name not in ("Ln", "Kn") else (1, 2)):
-            d = example(name, n).diagram
-            for seed in range(4):
-                try:
-                    out, trace = mv.fuzz(d, 30, seed, max_crossings=6, max_transits=12)
-                except MoveError as exc:
-                    records.append("ERR " + str(exc))
-                    continue
-                records.append(mv.serialize_trace(trace) + serialize_diagram(out))
+    for name, n in corpus.PINNED:
+        d = example(name, n).diagram
+        for seed in range(4):
+            try:
+                out, trace = mv.fuzz(d, 30, seed, max_crossings=6, max_transits=12)
+            except MoveError as exc:
+                records.append("ERR " + str(exc))
+                continue
+            records.append(mv.serialize_trace(trace) + serialize_diagram(out))
     assert len(records) == 44
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == FUZZ_DIGEST
 
@@ -609,23 +577,12 @@ def test_fuzz_applies_no_candidate_that_the_regions_reject(monkeypatch):
             raise
 
     monkeypatch.setattr(mv, "apply", counting)
-    for name, n in FUZZ_EXAMPLES:
+    for name, n in corpus.EXAMPLES:
         d = example(name, n).diagram
         for seed in range(3):
             mv.fuzz(d, 30, seed, max_crossings=6, max_transits=12)
     assert set(tried) == set(K)
     assert rejected == Counter()
-
-
-def candidate_diagrams():
-    """The examples, their mirrors and three fuzzed variants of each."""
-    for name in EXAMPLE_IDS:
-        for n in ((None,) if name not in ("Ln", "Kn") else (1, 2)):
-            d = example(name, n).diagram
-            yield d
-            yield mirror(d)
-            for seed in range(3):
-                yield mv.fuzz(d, 12, seed, max_crossings=6, max_transits=12)[0]
 
 
 CANDIDATE_DIGEST = "af065ea649b47020a3883f9a01f02b387b9181b9e5feb8c8b0e92c8e0cfb69e7"
@@ -634,13 +591,26 @@ CANDIDATE_DIGEST = "af065ea649b47020a3883f9a01f02b387b9181b9e5feb8c8b0e92c8e0cfb
 def test_candidate_sites_are_pinned():
     # recorded from the nested-loop generators that the indexed sequences replaced
     records, sizes = [], Counter()
-    for d in candidate_diagrams():
+    for d in corpus.recorded_candidates():
         for kind in K:
             sites = mv.candidate_sites(d, kind)
             sizes[kind] += len(sites)
             records.extend(f"{kind.value} {site.fingerprint()}" for site in sites)
     assert all(sizes[kind] for kind in K)
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == CANDIDATE_DIGEST
+
+
+def test_recorded_diagrams_read_back_as_recorded():
+    # the codec keeps dict order and exact positions, which the pins read
+    for name in ("candidate_diagrams.json", "stale_site_walks.json"):
+        records = json.loads((corpus.RECORDED / name).read_text())
+        for record in records:
+            cx = example(*record["example"]).complex
+            for fields in record["diagrams"]:
+                d = validate_diagram(corpus.decode(fields, cx))
+                assert corpus.encode(d) == fields
+    assert len(corpus.recorded_candidates()) == 55
+    assert [len(states) for states in corpus.recorded_walks()] == [20] * 11
 
 
 REWRITE_DIGEST = "29a704dba681ea84fc1d492eb875cecbca1df48a8a7346f214f985074159a756"
@@ -653,7 +623,7 @@ def rewrite_lines():
     crossings and transits, in dict order, or the text of what it raised.
     """
     lines = []
-    for d in candidate_diagrams():
+    for d in corpus.recorded_candidates():
         for kind in K:
             cands = mv._candidates(d, kind)
             for i in range(0, len(cands), max(1, -(-len(cands) // 40))):
@@ -698,7 +668,7 @@ def test_fuzz_builds_only_the_sites_it_tries(monkeypatch):
 
     monkeypatch.setattr(mv.MoveSite, "make", classmethod(counting_make))
     monkeypatch.setattr(mv, "_candidates", counting_candidates)
-    for name, n in FUZZ_EXAMPLES:
+    for name, n in corpus.EXAMPLES:
         for seed in range(2):
             mv.fuzz(example(name, n).diagram, 25, seed, max_crossings=6,
                     max_transits=12, on_step=on_step)
@@ -732,29 +702,24 @@ def test_rejection_texts_are_pinned():
 def stale_site_lines():
     """apply's MoveError for each listed site carried to another diagram.
 
-    Along a seeded fuzz walk of each example, every site that a listed kind
-    lists at one step (for M5 the retracts, for M7 the transit runs) is
-    applied to the next step, to the mirror of its own step and to the
-    walk's last step.
+    Along each recorded walk, every site that a listed kind lists at one
+    step (for M5 the retracts, for M7 the transit runs) is applied to the
+    next step, to the mirror of its own step and to the walk's last step.
     """
     listed = (K.M1P_INV, K.M1M_INV, K.M2_INV, K.M3, K.M4_INV, K.M5P, K.M5M, K.M6, K.M7)
     lines = []
-    for name in EXAMPLE_IDS:
-        for n in ((None,) if name not in ("Ln", "Kn") else (1, 2)):
-            states = []
-            mv.fuzz(example(name, n).diagram, 20, 0, max_crossings=6, max_transits=12,
-                    on_step=lambda _i, _kind, before, _after: states.append(before))
-            for before, after in zip(states, states[1:]):
-                for kind in listed:
-                    for site in mv.candidate_sites(before, kind):
-                        data = dict(site.data)
-                        if data.get("mode") == "push" or data.get("length") == 0:
-                            continue
-                        for target in (after, mirror(before), states[-1]):
-                            try:
-                                mv.apply(target, kind, site)
-                            except MoveError as exc:
-                                lines.append(f"{kind.value} {site.fingerprint()} {exc}")
+    for states in corpus.recorded_walks():
+        for before, after in zip(states, states[1:]):
+            for kind in listed:
+                for site in mv.candidate_sites(before, kind):
+                    data = dict(site.data)
+                    if data.get("mode") == "push" or data.get("length") == 0:
+                        continue
+                    for target in (after, mirror(before), states[-1]):
+                        try:
+                            mv.apply(target, kind, site)
+                        except MoveError as exc:
+                            lines.append(f"{kind.value} {site.fingerprint()} {exc}")
     return lines
 
 

@@ -26,6 +26,9 @@ from linkcx.errors import DiagramError, MoveError
 from linkcx.examples import example
 from linkcx.twocomplex import PointClass, build_disc, edge_class
 
+import corpus
+
+
 # -- the reference ---------------------------------------------------------
 
 
@@ -396,16 +399,10 @@ def validated(monkeypatch):
     return seen
 
 
-FUZZ_EXAMPLES = (("trefoil_left", None), ("trefoil_right", None),
-                 ("torus_link", None), ("moebius_link", None),
-                 ("annulus_link", None), ("Ln", 1), ("Kn", 0),
-                 ("hopf_local", None), ("unknot_local", None))
-
-
 def test_fuzz_steps_match_the_reference(validated):
     # every move result a fuzz run validates, and the results of the M6
     # and M7 candidates at its end, those rejected included
-    for name, n in FUZZ_EXAMPLES:
+    for name, n in corpus.EXAMPLES:
         for seed in range(6):
             out, _trace = mv.fuzz(example(name, n).diagram, 25, seed, max_crossings=6,
                                   max_transits=12)

@@ -24,11 +24,13 @@ from linkcx.diagram import (Arc, CrossVisit, TransitVisit, arcs_of, crossing_vis
                             event_walk, mirror, port_ends, reverse_component, sc,
                             transit_visits, visit_pairs)
 from linkcx.errors import DiagramError
-from linkcx.examples import EXAMPLE_IDS, example
+from linkcx.examples import example
 from linkcx.groups import conj_class
 from linkcx.homotopy import (LK, PiElement, TensorElement, co, component_class,
                              loop_class)
 from linkcx.invariants import crossing_sign, lk, wri
+
+import corpus
 
 br = importlib.import_module("linkcx.bracket")
 
@@ -131,35 +133,25 @@ def assert_views_match(d):
     assert (con.match, con.steps, con.fixed, con.transit_ports) == ref_contraction(d)
 
 
-def _bundles():
-    for name in EXAMPLE_IDS:
-        for n in ((None,) if name not in ("Ln", "Kn") else range(5)):
-            yield example(name, n)
-
-
 def test_examples_and_mirrors():
-    for b in _bundles():
-        for d in (b.diagram, mirror(b.diagram)):
-            assert_views_match(replace(d))
-
-
-FUZZ_BASES = [("trefoil_left", None), ("torus_link", None), ("moebius_link", None),
-              ("annulus_link", None), ("Ln", 0), ("Ln", 1), ("Kn", 0),
-              ("unknot_local", None)]
+    for name, n in corpus.SERIES:
+        d = example(name, n).diagram
+        assert_views_match(replace(d))
+        assert_views_match(replace(mirror(d)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(FUZZ_BASES), st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_fuzzed_diagrams(base, seed, many_transits):
+@given(st.sampled_from(corpus.starts()), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_fuzzed_diagrams(start, seed, many_transits):
     steps, caps = ((60, dict(max_crossings=8, max_transits=40)) if many_transits
                    else (25, dict(max_crossings=7, max_transits=12)))
-    d, _trace = mv.fuzz(example(*base).diagram, steps, seed=seed, **caps)
+    d, _trace = mv.fuzz(start[1].diagram, steps, seed=seed, **caps)
     assert_views_match(replace(d))
 
 
 def test_fuzzed_diagrams_with_38_to_42_transits():
     counts = set()
-    for base in FUZZ_BASES:
+    for base in corpus.SMALL:
         for seed in range(2):
             d, _trace = mv.fuzz(example(*base).diagram, 60, seed=seed, max_crossings=8,
                                 max_transits=40)
@@ -219,15 +211,14 @@ def _variants(d):
 
 
 def test_classes_of_the_examples_mirrors_and_reversals():
-    for name in EXAMPLE_IDS:
-        for n in ((None,) if name not in ("Ln", "Kn") else range(3)):
-            b = example(name, n)
-            for d in _variants(b.diagram):
-                assert_classes_match(d, b.connection)
+    for name, n in corpus.SMALL:
+        b = example(name, n)
+        for d in _variants(b.diagram):
+            assert_classes_match(d, b.connection)
 
 
 def test_classes_of_fuzzed_diagrams():
-    for base in FUZZ_BASES + [("Ln", 2), ("Kn", 1), ("hopf_local", None)]:
+    for base in corpus.SMALL:
         b = example(*base)
         for seed in range(5):
             d, _trace = mv.fuzz(b.diagram, 40, seed=seed, max_crossings=8, max_transits=24)
@@ -265,4 +256,16 @@ def test_a_crossing_visited_three_times_is_a_diagram_error():
     d = _with_events(b.diagram, 0, events)
     for reader in _readers(b):
         with pytest.raises(DiagramError, match=r"^crossing 'c1' visited 3 times, expected 2$"):
+            reader(d)
+
+
+def test_an_undeclared_transit_is_a_diagram_error():
+    # component_class read the transit's entry, a KeyError, before the walk's fault
+    b = example("Ln", 1)
+    events = list(b.diagram.components[0].events)
+    i = next(i for i, ev in enumerate(events) if isinstance(ev, TransitVisit))
+    events[i] = TransitVisit("nope", events[i].enter)
+    d = _with_events(b.diagram, 0, events)
+    for reader in _readers(b) + (lambda d: component_class(d, b.connection, 0),):
+        with pytest.raises(DiagramError, match=r"^component 0: unknown transit 'nope'$"):
             reader(d)
