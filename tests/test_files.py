@@ -110,3 +110,114 @@ def test_all_example_ids_construct():
     for name, n in corpus.SMALL:
         bundle = example(name, n)
         assert bundle.diagram.components or name == "unknot_local"
+
+
+# -- the reader's error texts -----------------------------------------------------
+
+TORUS = example("torus_link")
+COMPLEX_TEXT = files.serialize_complex(TORUS.complex)
+DIAGRAM_TEXT = files.serialize_diagram(TORUS.diagram)
+CONNECTION_TEXT = files.serialize_connection(TORUS.connection, TORUS.complex)
+
+
+def _complex(text):
+    return files.parse_complex(text)
+
+
+def _diagram(text):
+    return files.parse_diagram(text, TORUS.complex)
+
+
+def _connection(text):
+    return files.parse_connection(text, TORUS.complex)
+
+
+def _edit(text, old, new):
+    assert text.count(old) >= 1, old
+    return text.replace(old, new, 1)
+
+
+# (parser, malformed text, error text, line): one fault per directive
+READER_FAULTS = [
+    # complexes
+    (_complex, _edit(COMPLEX_TEXT, "complex torus", "complex torus x"),
+     "unknown directive 'complex torus x'", 1),
+    (_complex, COMPLEX_TEXT + "complex torus\n", "duplicate complex header", 6),
+    (_complex, _edit(COMPLEX_TEXT, "complex torus\n", ""), "missing complex header", 1),
+    (_complex, COMPLEX_TEXT + "vertex P\n", "duplicate vertex 'P'", 6),
+    (_complex, COMPLEX_TEXT + "edge h P P\n", "duplicate edge 'h'", 6),
+    (_complex, COMPLEX_TEXT + "face F = h+\n", "duplicate face 'F'", 6),
+    (_complex, _edit(COMPLEX_TEXT, "v+", "v*"), "bad boundary side 'v*'", 5),
+    (_complex, COMPLEX_TEXT + "frobnicate\n", "unknown directive 'frobnicate'", 6),
+    # diagrams
+    (_diagram, _edit(DIAGRAM_TEXT, "diagram on", "diagram of"), "bad diagram header", 1),
+    (_diagram, DIAGRAM_TEXT + "diagram on torus\n", "duplicate diagram header", 7),
+    (_diagram, _edit(DIAGRAM_TEXT, "on torus", "on disc"),
+     "diagram is on 'disc', not 'torus'", 1),
+    (_diagram, _edit(DIAGRAM_TEXT, "diagram on torus\n", ""), "missing diagram header", 1),
+    (_diagram, _edit(DIAGRAM_TEXT, "ports k1.0.0 k2.0.0 k1.1.1 k2.1.1 ", ""),
+     "bad crossing line", 2),
+    (_diagram, _edit(DIAGRAM_TEXT, "transit t1", "crossing c1 in F ports a b c d dots 0\n"
+                                                 "transit t1"),
+     "duplicate crossing 'c1'", 3),
+    (_diagram, _edit(DIAGRAM_TEXT, "in F", "in G"), "unknown face 'G'", 2),
+    (_diagram, _edit(DIAGRAM_TEXT, "dots 0", "dots 2"),
+     "dots must mark one opposite sector pair", 2),
+    (_diagram, _edit(DIAGRAM_TEXT, "sides 0 1", "sides 0"), "bad transit line", 3),
+    (_diagram, _edit(DIAGRAM_TEXT, "transit t2", "transit t1"), "duplicate transit 't1'", 4),
+    (_diagram, _edit(DIAGRAM_TEXT, "edge v", "edge w"), "unknown edge 'w'", 3),
+    (_diagram, _edit(DIAGRAM_TEXT, "pos 1/2", "pos 1/0"), "bad position '1/0'", 3),
+    (_diagram, _edit(DIAGRAM_TEXT, "pos 1/2", "pos half"), "bad position 'half'", 3),
+    (_diagram, _edit(DIAGRAM_TEXT, "sides 0 1", "sides 0 2"),
+     "bad incidence number on edge 'v'", 3),
+    (_diagram, _edit(DIAGRAM_TEXT, "k1 oriented + :", "k1 oriented +"), "bad component line", 5),
+    (_diagram, _edit(DIAGRAM_TEXT, "k1 oriented +", "k1 sideways +"), "bad component line", 5),
+    (_diagram, _edit(DIAGRAM_TEXT, "component k2", "component k1"),
+     "duplicate component 'k1'", 6),
+    (_diagram, _edit(DIAGRAM_TEXT, "t(t1,0) F", "t(t1,0)"),
+     "event list must alternate events and faces", 5),
+    (_diagram, _edit(DIAGRAM_TEXT, "x(c1,2)", "x(c1,two)"), "bad event 'x(c1,two)'", 5),
+    (_diagram, _edit(DIAGRAM_TEXT, "x(c1,2)", "y(c1,2)"), "bad event 'y(c1,2)'", 5),
+    (_diagram, _edit(DIAGRAM_TEXT, "ports k1.0.0", "ports k9.0.0"),
+     "port reference 'k9.0.0' names no component", None),
+    (_diagram, _edit(DIAGRAM_TEXT, "ports k1.0.0", "ports k2.0.0"),
+     "crossing 'c1' port 0: reference 'k2.0.0' does not match the component data", None),
+    (_diagram, _edit(DIAGRAM_TEXT, "k2.1.1 dots", "k2.1.0 dots"),
+     "crossing 'c1' port 3: reference 'k2.1.0' does not match the component data", None),
+    (_diagram, DIAGRAM_TEXT + "frobnicate\n", "unknown directive 'frobnicate'", 7),
+    # connections
+    (_connection, _edit(CONNECTION_TEXT, "connection on", "connection of"),
+     "bad connection header", 1),
+    (_connection, CONNECTION_TEXT + "connection on torus\n", "duplicate connection header", 7),
+    (_connection, _edit(CONNECTION_TEXT, "on torus", "on disc"),
+     "connection is on 'disc', not 'torus'", 1),
+    (_connection, _edit(CONNECTION_TEXT, "connection on torus\n", ""),
+     "missing connection header or group", 1),
+    (_connection, CONNECTION_TEXT + "group abelian 2\n", "duplicate group line", 7),
+    (_connection, _edit(CONNECTION_TEXT, "abelian 2", "abelian two"), "bad group rank", 2),
+    (_connection, _edit(CONNECTION_TEXT, "abelian 2", "free x"), "bad group rank", 2),
+    (_connection, _edit(CONNECTION_TEXT, "abelian 2", "free 2 a"),
+     "generator names do not match the rank", 2),
+    (_connection, _edit(CONNECTION_TEXT, "abelian 2", "free 2 a a"),
+     "generator names repeat", 2),
+    (_connection, _edit(CONNECTION_TEXT, "abelian 2", "cyclic 2"), "bad group line", 2),
+    (_connection, _edit(CONNECTION_TEXT, "group abelian 2\n", ""),
+     "label before group line", 2),
+    (_connection, _edit(CONNECTION_TEXT, "side 0 = 1", "side 0 1"), "bad label line", 3),
+    (_connection, _edit(CONNECTION_TEXT, "edge h side 0", "edge w side 0"),
+     "unknown edge 'w'", 3),
+    (_connection, _edit(CONNECTION_TEXT, "edge h side 1", "edge h side 2"),
+     "bad incidence number on edge 'h'", 4),
+    (_connection, _edit(CONNECTION_TEXT, "edge h side 1", "edge h side 0"),
+     "duplicate label", 4),
+    (_connection, _edit(CONNECTION_TEXT, "= g2", "= g3"), "unknown generator 'g3'", 4),
+    (_connection, CONNECTION_TEXT + "frobnicate\n", "unknown directive 'frobnicate'", 7),
+]
+
+
+@pytest.mark.parametrize("parse,text,message,line", READER_FAULTS)
+def test_reader_faults_name_their_text_and_line(parse, text, message, line):
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
