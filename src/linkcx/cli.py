@@ -28,9 +28,14 @@ __all__ = ["main"]
 
 
 def _read(path) -> str:
-    """A UTF-8 input file's text; undecodable bytes are a FormatError."""
+    """A UTF-8 input file's text; undecodable bytes are a FormatError.
+
+    Line ends are kept as written: every reader splits with ``splitlines``.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: "
                           f"{exc.reason})") from None

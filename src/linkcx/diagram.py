@@ -25,7 +25,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTu
                     Optional, Tuple, TypeVar, Union)
 
 from .errors import DiagramError
-from .twocomplex import Incidence, PointClass, TwoComplex, edge_class
+from .twocomplex import Incidence, TwoComplex
 
 __all__ = [
     "Crossing",
@@ -272,11 +272,13 @@ class EventWalk:
     def port_ends(self) -> Dict[Tuple[str, int], Tuple[Arc, int]]:
         out = {}
         for arc in self.arcs:
-            if arc.src is None:
+            src, dst = arc.src, arc.dst
+            if src is None:
                 continue
-            for end, slot in ((0, arc.src), (1, arc.dst)):
-                if slot[0] == "x":
-                    out[(slot[1], slot[2])] = (arc, end)
+            if src[0] == "x":
+                out[src[1:]] = (arc, 0)
+            if dst[0] == "x":
+                out[dst[1:]] = (arc, 1)
         return out
 
     @cached_property
@@ -344,7 +346,7 @@ def transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:
 def boundary_edges(cx: TwoComplex) -> FrozenSet[str]:
     """The edges of cx that bound a single face, kept in the record of cx."""
     return complex_derived(cx, "boundary_edges", lambda cx: frozenset(
-        e for e in cx.edges if edge_class(cx, e).kind is PointClass.BOUNDARY))
+        e for e, incs in cx.incidences.items() if len(incs) == 1))
 
 
 # -- face boundary and the planarity certificate ------------------------
@@ -387,6 +389,7 @@ class FaceMap:
 
     Darts: crossing ``x_index[c]`` = i owns ``4i .. 4i+3`` (its ports), and
     mark m owns ``mark_dart(m)``.  ``alpha`` pairs the ends of an arc,
+    ``ends`` holds its (source, target) darts in the order the arcs came,
     ``arc_of`` names its (component, index), ``orbits`` are the face walks
     (dart -> successor of ``alpha[dart]`` at its node, region on the right)
     and ``orbit_of`` names the walk through each dart; the walk through
@@ -411,38 +414,51 @@ class FaceMap:
         n_x, n_marks = len(crossings), len(marks)
         self.mark_base = base = 4 * n_x
         n_darts = base + n_marks
-        self.x_index = {c: i for i, c in enumerate(crossings)}
+        self.x_index = x_index = {c: i for i, c in enumerate(crossings)}
         # the dart of each mark, keyed by the slot of the arc end on it
-        self.mark_end = {("t",) + m: base + i for i, m in enumerate(marks)}
+        self.mark_end = mark_end = {("t",) + m: base + i for i, m in enumerate(marks)}
         alpha = [-1] * n_darts
         arc_of: List[Optional[Tuple[int, int]]] = [None] * n_darts
+        ends = []
         # a union-find over the crossings and the boundary node (entry n_x)
         parent = list(range(n_x + bool(n_marks)))
-
-        def root(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]     # path halving
-            return i
-
-        slot_dart = self.slot_dart
         for arc in arcs:
-            try:
-                a, b = slot_dart(arc.src), slot_dart(arc.dst)
-            except KeyError:     # an end off this face has no dart here
-                self.ok = False
-                return
-            if alpha[a] >= 0 or alpha[b] >= 0:
+            # one lookup per end for its node i, j and dart a, b; an end off
+            # this face has none here
+            src, dst = arc.src, arc.dst
+            if src[0] == "x":
+                i = x_index.get(src[1])
+                a = None if i is None else 4 * i + src[2]
+            else:
+                i, a = n_x, mark_end.get(src)
+            if dst[0] == "x":
+                j = x_index.get(dst[1])
+                b = None if j is None else 4 * j + dst[2]
+            else:
+                j, b = n_x, mark_end.get(dst)
+            if a is None or b is None or alpha[a] >= 0 or alpha[b] >= 0:
                 self.ok = False
                 return
             alpha[a], alpha[b] = b, a
             arc_of[a] = arc_of[b] = arc[:2]
-            parent[root(a >> 2 if a < base else n_x)] = root(b >> 2 if b < base else n_x)
+            ends.append((a, b))
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]     # path halving
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            parent[i] = j
         if -1 in alpha:
             self.ok = False      # an unmatched port or transit end
             return
         self.alpha = alpha
         self.arc_of = arc_of
-        self.component = [root(i) for i in range(len(parent))]
+        self.ends = ends
+        component = []
+        for i in range(len(parent)):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            component.append(i)
+        self.component = component
         self.orbit_of = orbit_of = [-1] * n_darts
         self.orbits = orbits = []
         last_mark = n_darts - 1
@@ -461,12 +477,6 @@ class FaceMap:
                 else:
                     i = last_mark if i == base else i - 1
             orbits.append(orbit)
-
-    def slot_dart(self, slot: Slot) -> int:
-        """The dart of an arc end: a crossing port or a boundary mark."""
-        if slot[0] == "x":
-            return 4 * self.x_index[slot[1]] + slot[2]
-        return self.mark_end[slot]
 
     def node_of(self, dart: int) -> int:
         """Index into ``component`` of the crossing or boundary node of a dart."""

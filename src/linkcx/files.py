@@ -19,6 +19,10 @@ lists alternate events `x(<crossing>,<port>)` / `t(<transit>,<side>)`
 with the face of the following arc, and a bare face denotes a
 crossing-free circle.  Planar code files hold one `x <id> <a> <b> <c>
 <d> <dot>` line per crossing plus an optional `circles <n>` line.
+
+Integer fields (event ports, incidence numbers, group ranks, the circle
+count) are ASCII decimal digits only: no sign, no other script's digits,
+so `-1` is refused rather than read from the end of a list.
 """
 
 from __future__ import annotations
@@ -42,11 +46,17 @@ __all__ = [
 ]
 
 
-def _lines(text: str):
-    for n, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield n, line
+def _natural(text: str) -> int:
+    """An integer field: ASCII decimal digits only, else ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a natural number: {text!r}")
+    return int(text)
+
+
+def _lines(text: str) -> List[Tuple[int, str]]:
+    """(line number, stripped line) for every line that is not blank or a comment."""
+    return [(n, line) for n, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.strip()) and line[0] != "#"]
 
 
 # -- complexes ----------------------------------------------------------
@@ -102,15 +112,6 @@ def _event_text(ev) -> str:
     if isinstance(ev, CrossVisit):
         return f"x({ev.crossing},{ev.enter})"
     return f"t({ev.transit},{ev.enter})"
-
-
-def _parse_event(token: str, n: int):
-    if not (token[:2] in ("x(", "t(") and token.endswith(")")):
-        raise FormatError(f"bad event {token!r}", n)
-    ident, _, num = token[2:-1].rpartition(",")
-    if not (ident and num.isascii() and num.isdigit()):
-        raise FormatError(f"bad event {token!r}", n)
-    return (CrossVisit if token[0] == "x" else TransitVisit)(ident, int(num))
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -194,7 +195,7 @@ def parse_diagram(text: str, cx: TwoComplex) -> Diagram:
                 raise FormatError(f"bad position {parts[5]!r}", n)
             incs = cx.incidences[e]
             try:
-                s1, s2 = incs[int(parts[7])], incs[int(parts[8])]
+                s1, s2 = incs[_natural(parts[7])], incs[_natural(parts[8])]
             except (ValueError, IndexError):
                 raise FormatError(f"bad incidence number on edge {e!r}", n)
             transits[name] = Transit(e, p, (s1, s2))
@@ -218,9 +219,16 @@ def parse_diagram(text: str, cx: TwoComplex) -> Diagram:
                 continue
             if len(tail) % 2 != 0:
                 raise FormatError("event list must alternate events and faces", n)
-            events = tuple(_parse_event(tok, n) for tok in tail[0::2])
-            faces = tuple(tail[1::2])
-            components.append(Component(events, faces, directed))
+            events = []
+            for token in tail[0::2]:
+                ident, _, num = token[2:-1].rpartition(",")
+                kind = token[:2]
+                if not (token[-1] == ")" and (kind == "x(" or kind == "t(") and ident
+                        and num.isascii() and num.isdigit()):
+                    raise FormatError(f"bad event {token!r}", n)
+                events.append(CrossVisit(ident, int(num)) if kind == "x("
+                              else TransitVisit(ident, int(num)))
+            components.append(Component(tuple(events), tuple(tail[1::2]), directed))
             if reverse:
                 reversed_comps.add(len(components) - 1)
         else:
@@ -241,33 +249,29 @@ def _check_port_refs(d: Diagram, ports: Dict[str, Tuple[str, ...]],
                      comp_names: List[str], reversed_comps: set) -> None:
     """The serialized arc-end references must match the component data.
 
-    Arc i of a reversed component of k events, as listed, is arc k - 1 - i
-    of d with its ends swapped.
+    Each reference ``comp.index.end`` is checked against the arc end at its
+    port.  Arc i of a reversed component of k events, as listed, is arc
+    k - 1 - i of d with its ends swapped.
     """
     # a name the file declares wins over the canonical k1, k2, ...
     names = {f"k{i + 1}": i for i in range(len(d.components))}
     names.update((name, i) for i, name in enumerate(comp_names))
-    actual = {}
-    for port, (arc, end) in port_ends(d).items():
-        index = arc.index
-        if arc.comp in reversed_comps:
-            index, end = len(d.components[arc.comp].events) - 1 - index, 1 - end
-        actual[port] = f"{arc.comp}.{index}.{end}"
+    port_end = port_ends(d)
     for c, refs in ports.items():
-        if c not in d.crossings:
-            raise FormatError(f"port list for unknown crossing {c!r}")
         for p, ref in enumerate(refs):
             comp_name, _, rest = ref.partition(".")
-            if comp_name not in names:
+            ci = names.get(comp_name)
+            if ci is None:
                 raise FormatError(f"port reference {ref!r} names no component")
-            want = f"{names[comp_name]}.{rest}"
-            if actual.get((c, p)) != want:
+            arc, end = port_end.get((c, p), (None, 0))
+            if arc is not None:
+                index = arc.index
+                if arc.comp in reversed_comps:
+                    index, end = len(d.components[arc.comp].events) - 1 - index, 1 - end
+            if arc is None or arc.comp != ci or rest != f"{index}.{end}":
                 raise FormatError(
                     f"crossing {c!r} port {p}: reference {ref!r} does not "
                     f"match the component data")
-    for c in d.crossings:
-        if c not in ports:
-            raise FormatError(f"crossing {c!r} has no port list")
 
 
 # -- connections ---------------------------------------------------------
@@ -307,7 +311,7 @@ def parse_connection(text: str, cx: TwoComplex) -> Connection:
                 raise FormatError("duplicate group line", n)
             if len(parts) >= 3 and parts[1] == "free":
                 try:
-                    rank = int(parts[2])
+                    rank = _natural(parts[2])
                 except ValueError:
                     raise FormatError("bad group rank", n)
                 names = parts[3:]
@@ -319,7 +323,7 @@ def parse_connection(text: str, cx: TwoComplex) -> Connection:
                     raise FormatError(str(exc), n)
             elif len(parts) == 3 and parts[1] == "abelian":
                 try:
-                    group = GroupSpec.abelian(int(parts[2]))
+                    group = GroupSpec.abelian(_natural(parts[2]))
                 except ValueError:
                     raise FormatError("bad group rank", n)
             else:
@@ -334,7 +338,7 @@ def parse_connection(text: str, cx: TwoComplex) -> Connection:
             if e not in cx.edges:
                 raise FormatError(f"unknown edge {e!r}", n)
             try:
-                inc = cx.incidences[e][int(parts[4])]
+                inc = cx.incidences[e][_natural(parts[4])]
             except (ValueError, IndexError):
                 raise FormatError(f"bad incidence number on edge {e!r}", n)
             try:
@@ -376,7 +380,7 @@ def parse_planar_code(text: str) -> PlanarCode:
             crossings.append((parts[1], tuple(parts[2:6]), int(parts[6])))
         elif parts[0] == "circles" and len(parts) == 2:
             try:
-                circles = int(parts[1])
+                circles = _natural(parts[1])
             except ValueError:
                 raise FormatError("bad circle count", n)
         else:

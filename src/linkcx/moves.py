@@ -806,10 +806,42 @@ CycleStep = Tuple[Tuple[str, int], Tuple[str, int]]   # (edge-end node, corner)
 _MAX_CYCLE = 8          # the longest link cycle searched, in nodes
 
 
+def _link_circle(nodes, links) -> Optional[Tuple[CycleStep, ...]]:
+    """The one cycle of a link that is a circle through two or more nodes, else None.
+
+    It is walked as the search of ``_link_cycles`` first meets it: from the
+    first node along its first link.
+    """
+    if len(nodes) < 2 or len(links) != len(nodes):
+        return None
+    at: Dict[Tuple[str, int], list] = {node: [] for node in nodes}
+    for (a, b), corner in links:
+        if a == b:
+            return None
+        at[a].append((b, corner))
+        at[b].append((a, corner))
+    if any(len(steps) != 2 for steps in at.values()):
+        return None
+    cycle, node, corner = [], nodes[0], None
+    while not cycle or node != nodes[0]:
+        nxt, corner = next(step for step in at[node] if step[1] != corner)
+        cycle.append((node, corner))
+        node = nxt
+    return tuple(cycle) if len(cycle) == len(nodes) else None
+
+
 def _link_cycles(cx: TwoComplex, v: str) -> List[Tuple[CycleStep, ...]]:
-    """Embedded cycles of the vertex link, canonical up to rotation/reflection."""
+    """Embedded cycles of the vertex link, canonical up to rotation/reflection.
+
+    A link that is one circle is its own cycle, at any length.  Other links
+    are searched for cycles of at most ``_MAX_CYCLE`` nodes: the search is
+    exponential where the link branches.
+    """
     graph = vertex_link(cx, v)
     links = [((a, b), (f, i)) for a, b, f, i in graph.links]
+    circle = _link_circle(graph.nodes, links)
+    if circle is not None:
+        return [circle]
     out = {}
 
     def canon(cycle: Tuple[CycleStep, ...]):
@@ -1081,13 +1113,9 @@ class _Regions:
                 j = d.transits[t].sides[k][1]
                 keys.append((j, 2 * rank[t] if word[j][1] > 0 else -2 * rank[t]))
             self.maps[f] = (fm, comp, keys)
-        for arc in arcs_of(d):
-            if arc.src is None:
-                continue
-            fm, comp, _keys = self.maps[arc.face]
-            a, b = fm.slot_dart(arc.src), fm.slot_dart(arc.dst)
-            self.arcs[(arc.comp, arc.index)] = ((arc.face, comp[fm.node_of(a)]),
-                                                fm.orbit_of[a], fm.orbit_of[b])
+            for a, b in fm.ends:
+                self.arcs[fm.arc_of[a]] = ((f, comp[fm.node_of(a)]),
+                                           fm.orbit_of[a], fm.orbit_of[b])
 
     def _meets_gap(self, f: str, gap: tuple, component: tuple, region: int) -> bool:
         """Whether a place of face f's map lies on the region of a boundary gap.

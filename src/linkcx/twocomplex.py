@@ -141,29 +141,32 @@ def validate_complex(name: str, vertices, edges, faces) -> TwoComplex:
 def _check_connected(cx: TwoComplex) -> None:
     if not cx.faces:
         raise ComplexError("complex has no faces")
-    # faces, edges and vertices, each edge joined to its faces and its ends;
-    # isolated vertices were refused above, so vertices add no component
-    nodes = ([("f", f) for f in cx.faces] + [("e", e) for e in cx.edges]
-             + [("v", v) for v in cx.vertices])
-    links = [(("e", e), ("f", f)) for e, incs in cx.incidences.items() for f, _i in incs]
-    links += [(("e", e), ("v", v)) for e, ends in cx.edges.items() for v in ends]
-    if not _connected(nodes, links):
+    # vertices, then faces; each edge joins its ends and the faces it
+    # bounds, which stands for the edge itself: every edge bounds a face and
+    # no vertex is isolated, as checked above
+    vi = {v: i for i, v in enumerate(cx.vertices)}
+    fi = {f: i for i, f in enumerate(cx.faces, len(vi))}
+    links = []
+    for e, (v1, v2) in cx.edges.items():
+        a = vi[v1]
+        links.append((a, vi[v2]))
+        links += [(a, fi[f]) for f, _i in cx.incidences[e]]
+    if not _connected(len(vi) + len(fi), links):
         raise ComplexError("complex is not connected")
 
 
-def _connected(nodes: list, links: list) -> bool:
-    """Whether the graph on ``nodes`` (at least one) with edges ``links`` is connected."""
-    adj: Dict[object, set] = {n: set() for n in nodes}
+def _connected(n: int, links: list) -> bool:
+    """Whether the graph on nodes 0 .. n - 1 (n >= 1) with edges ``links`` is connected."""
+    parent = list(range(n))
     for a, b in links:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen, stack = set(), [nodes[0]]
-    while stack:
-        n = stack.pop()
-        if n not in seen:
-            seen.add(n)
-            stack.extend(adj[n] - seen)
-    return len(seen) == len(nodes)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]     # path halving
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            n -= 1
+    return n == 1
 
 
 def edge_class(cx: TwoComplex, e: str) -> EdgeClass:
@@ -254,7 +257,8 @@ def classify_vertex(cx: TwoComplex, v: str) -> PointClass:
     graph = vertex_link(cx, v)
     nodes = list(graph.nodes)
     edges = [(a, b) for a, b, _f, _i in graph.links]
-    if not nodes or not _connected(nodes, edges):
+    index = {node: i for i, node in enumerate(nodes)}
+    if not nodes or not _connected(len(nodes), [(index[a], index[b]) for a, b in edges]):
         return PointClass.SINGULAR
 
     nodes, edges = _suppress_degree_two(nodes, edges)

@@ -9,6 +9,8 @@ reads a family here; it does not build one of its own.
 - ``kinked()``: examples with a floating kinked circle.
 - ``glued()``: diagrams on complexes glued from face words, off the
   bundled set: a sphere, a ridge, non-orientable faces, singular vertices.
+- ``long_link_circle()``: a diagram on a complex whose vertex link is one
+  circle longer than the cycle search's cap.
 - ``starts()``: where the fuzz properties start their walks.
 - ``variants()``, ``short_walks()`` and ``pushes()``: moved diagrams.
 - ``recorded_candidates()`` and ``recorded_walks()``: diagrams read back
@@ -164,6 +166,16 @@ def glued():
     return tuple((name, ExampleBundle(cx, draw_local(cx, "F", code),
                                       Connection.trivial(cx, GroupSpec.free())))
                  for name, cx, code in out)
+
+
+@cache
+def long_link_circle():
+    """(label, bundle): a Hopf link in face F of the genus-3 12-gon, whose one
+    vertex has a link that is a single circle of 12 nodes, longer than the
+    search for link cycles in branching links goes."""
+    cx = glue("genus_three", {"F": "abABcdCDefEF"})
+    return ("genus_three", ExampleBundle(cx, draw_local(cx, "F", hopf_code()),
+                                         Connection.trivial(cx, GroupSpec.free())))
 
 
 @cache

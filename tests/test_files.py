@@ -221,3 +221,35 @@ def test_reader_faults_name_their_text_and_line(parse, text, message, line):
         parse(text)
     assert err.value.line == line
     assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+# integer fields are ASCII decimal digits: int() would read a sign, read
+# other scripts' digits, and index incidences from the end of the list
+INTEGER_FAULTS = [
+    (_diagram, _edit(DIAGRAM_TEXT, "sides 0 1", f"sides {bad} 1"),
+     "bad incidence number on edge 'v'", 3)
+    for bad in ("-2", "-1", "+1", "١")
+] + [
+    (_connection, f"connection on torus\ngroup abelian 2\nlabel edge h side {bad} = g2\n",
+     "bad incidence number on edge 'h'", 3)
+    for bad in ("-1", "+1", "١")
+] + [
+    (_connection, _edit(CONNECTION_TEXT, "abelian 2", group), "bad group rank", 2)
+    for group in ("abelian ١", "abelian +2", "abelian -2", "free +1 a", "free ١ a")
+] + [
+    (files.parse_planar_code, f"circles {bad}\n", "bad circle count", 1)
+    for bad in ("-3", "+3", "١")
+]
+
+
+@pytest.mark.parametrize("parse,text,message,line", INTEGER_FAULTS)
+def test_integer_fields_take_ascii_digits_only(parse, text, message, line):
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_integer_fields_accept_leading_zeros():
+    assert _diagram(_edit(DIAGRAM_TEXT, "sides 0 1", "sides 00 01")) == TORUS.diagram
+    assert files.parse_planar_code("circles 007\n").circles == 7

@@ -366,6 +366,16 @@ def test_find_sites_matches_brute_force_on_glued_complexes():
                     == [s for s in sample if applies(d, kind, s)]), (name, kind)
 
 
+def test_a_link_that_is_one_long_circle_has_m7_sites():
+    # the link search stops at _MAX_CYCLE nodes; a single circle is its own cycle
+    _label, b = corpus.long_link_circle()
+    (v,) = b.complex.vertices
+    assert [len(cycle) for cycle in mv._link_cycles(b.complex, v)] == [12]
+    assert mv._MAX_CYCLE < 12
+    assert mv.find_sites(b.diagram, K.M7)
+    assert_sites_match_brute(b.diagram)
+
+
 def invalid_ln1():
     """Ln(1) with one component's arc faces rotated by one: every arc mislabeled."""
     d = example("Ln", 1).diagram
