@@ -120,9 +120,9 @@ def validate_complex(name: str, vertices, edges, faces) -> TwoComplex:
     cx = TwoComplex(name, vertices, edges, faces, _build_incidences(edges, faces))
 
     for f, word in faces.items():
-        m = len(word)
-        for i in range(m):
-            if cx.side_head(word[i]) != cx.side_tail(word[(i + 1) % m]):
+        # side (e, d) runs from edges[e][d < 0] to edges[e][d > 0]
+        for i, ((e1, d1), (e2, d2)) in enumerate(zip(word, word[1:] + word[:1])):
+            if edges[e1][d1 > 0] != edges[e2][d2 < 0]:
                 raise ComplexError(f"face {f!r}: boundary word does not close at side {i}")
 
     for e in edges:
@@ -141,17 +141,11 @@ def validate_complex(name: str, vertices, edges, faces) -> TwoComplex:
 def _check_connected(cx: TwoComplex) -> None:
     if not cx.faces:
         raise ComplexError("complex has no faces")
-    # vertices, then faces; each edge joins its ends and the faces it
-    # bounds, which stands for the edge itself: every edge bounds a face and
-    # no vertex is isolated, as checked above
-    vi = {v: i for i, v in enumerate(cx.vertices)}
-    fi = {f: i for i, f in enumerate(cx.faces, len(vi))}
-    links = []
-    for e, (v1, v2) in cx.edges.items():
-        a = vi[v1]
-        links.append((a, vi[v2]))
-        links += [(a, fi[f]) for f, _i in cx.incidences[e]]
-    if not _connected(len(vi) + len(fi), links):
+    # the 1-skeleton: a face joins nothing that its edges do not, as its
+    # boundary word closes up; every edge bounds a face and no vertex is
+    # isolated, as checked above
+    index = {v: i for i, v in enumerate(cx.vertices)}
+    if not _connected(len(index), [(index[v1], index[v2]) for v1, v2 in cx.edges.values()]):
         raise ComplexError("complex is not connected")
 
 
