@@ -28,10 +28,8 @@ __all__ = ["main"]
 
 
 def _read(path) -> str:
-    """A UTF-8 input file's text; undecodable bytes are a FormatError.
-
-    Line ends are kept as written: every reader splits with ``splitlines``.
-    """
+    """A UTF-8 input file's text, its line ends as written (every reader
+    splits with ``splitlines``); undecodable bytes are a FormatError."""
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:
