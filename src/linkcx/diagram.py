@@ -25,7 +25,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTu
                     Optional, Tuple, TypeVar, Union)
 
 from .errors import DiagramError
-from .twocomplex import Incidence, TwoComplex
+from .twocomplex import Incidence, PointClass, TwoComplex, edge_class
 
 __all__ = [
     "Crossing",
@@ -346,7 +346,7 @@ def transit_orders(d: Diagram) -> Dict[str, Tuple[str, ...]]:
 def boundary_edges(cx: TwoComplex) -> FrozenSet[str]:
     """The edges of cx that bound a single face, kept in the record of cx."""
     return complex_derived(cx, "boundary_edges", lambda cx: frozenset(
-        e for e, incs in cx.incidences.items() if len(incs) == 1))
+        e for e in cx.edges if edge_class(cx, e).kind is PointClass.BOUNDARY))
 
 
 # -- face boundary and the planarity certificate ------------------------

@@ -806,42 +806,20 @@ CycleStep = Tuple[Tuple[str, int], Tuple[str, int]]   # (edge-end node, corner)
 _MAX_CYCLE = 8          # the longest link cycle searched, in nodes
 
 
-def _link_circle(nodes, links) -> Optional[Tuple[CycleStep, ...]]:
-    """The one cycle of a link that is a circle through two or more nodes, else None.
-
-    It is walked as the search of ``_link_cycles`` first meets it: from the
-    first node along its first link.
-    """
-    if len(nodes) < 2 or len(links) != len(nodes):
-        return None
-    at: Dict[Tuple[str, int], list] = {node: [] for node in nodes}
-    for (a, b), corner in links:
-        if a == b:
-            return None
-        at[a].append((b, corner))
-        at[b].append((a, corner))
-    if any(len(steps) != 2 for steps in at.values()):
-        return None
-    cycle, node, corner = [], nodes[0], None
-    while not cycle or node != nodes[0]:
-        nxt, corner = next(step for step in at[node] if step[1] != corner)
-        cycle.append((node, corner))
-        node = nxt
-    return tuple(cycle) if len(cycle) == len(nodes) else None
-
-
 def _link_cycles(cx: TwoComplex, v: str) -> List[Tuple[CycleStep, ...]]:
     """Embedded cycles of the vertex link, canonical up to rotation/reflection.
 
-    A link that is one circle is its own cycle, at any length.  Other links
-    are searched for cycles of at most ``_MAX_CYCLE`` nodes: the search is
-    exponential where the link branches.
+    A link where every node has degree 2 is disjoint circles, each found
+    at any length.  Other links are searched for cycles of at most
+    ``_MAX_CYCLE`` nodes: the search is exponential where the link branches.
     """
     graph = vertex_link(cx, v)
     links = [((a, b), (f, i)) for a, b, f, i in graph.links]
-    circle = _link_circle(graph.nodes, links)
-    if circle is not None:
-        return [circle]
+    degree = dict.fromkeys(graph.nodes, 0)
+    for (a, b), _corner in links:
+        degree[a] += 1
+        degree[b] += 1
+    cap = len(degree) if set(degree.values()) <= {2} else _MAX_CYCLE
     out = {}
 
     def canon(cycle: Tuple[CycleStep, ...]):
@@ -870,7 +848,7 @@ def _link_cycles(cx: TwoComplex, v: str) -> List[Tuple[CycleStep, ...]]:
 
     def dfs(path_nodes: List[Tuple[str, int]], path_corners: List[Tuple[str, int]],
             used_corners: set):
-        if len(path_nodes) > _MAX_CYCLE:
+        if len(path_nodes) > cap:
             return
         cur = path_nodes[-1]
         for (a, b), corner in links:

@@ -120,9 +120,9 @@ def validate_complex(name: str, vertices, edges, faces) -> TwoComplex:
     cx = TwoComplex(name, vertices, edges, faces, _build_incidences(edges, faces))
 
     for f, word in faces.items():
-        # side (e, d) runs from edges[e][d < 0] to edges[e][d > 0]
-        for i, ((e1, d1), (e2, d2)) in enumerate(zip(word, word[1:] + word[:1])):
-            if edges[e1][d1 > 0] != edges[e2][d2 < 0]:
+        m = len(word)
+        for i in range(m):
+            if cx.side_head(word[i]) != cx.side_tail(word[(i + 1) % m]):
                 raise ComplexError(f"face {f!r}: boundary word does not close at side {i}")
 
     for e in edges:

@@ -9,8 +9,8 @@ reads a family here; it does not build one of its own.
 - ``kinked()``: examples with a floating kinked circle.
 - ``glued()``: diagrams on complexes glued from face words, off the
   bundled set: a sphere, a ridge, non-orientable faces, singular vertices.
-- ``long_link_circle()``: a diagram on a complex whose vertex link is one
-  circle longer than the cycle search's cap.
+- ``long_link_circles()``: diagrams on complexes whose vertex link is one
+  circle, or two disjoint circles, longer than the cycle search's cap.
 - ``starts()``: where the fuzz properties start their walks.
 - ``variants()``, ``short_walks()`` and ``pushes()``: moved diagrams.
 - ``recorded_candidates()`` and ``recorded_walks()``: diagrams read back
@@ -82,6 +82,11 @@ def kinked():
 
 # -- complexes glued from face words -------------------------------------------------
 
+def _words(faces):
+    return {f: tuple((ch.lower(), -1 if ch.isupper() else 1) for ch in word)
+            for f, word in faces.items()}
+
+
 def glue(name, faces):
     """The complex whose faces have these words; its vertices come from the corners.
 
@@ -90,8 +95,7 @@ def glue(name, faces):
     end of the next, and the vertices are the classes of edge ends that
     the corners join.
     """
-    words = {f: tuple((ch.lower(), -1 if ch.isupper() else 1) for ch in word)
-             for f, word in faces.items()}
+    words = _words(faces)
     root = {}
 
     def find(end):
@@ -169,13 +173,19 @@ def glued():
 
 
 @cache
-def long_link_circle():
+def long_link_circles():
     """(label, bundle): a Hopf link in face F of the genus-3 12-gon, whose one
-    vertex has a link that is a single circle of 12 nodes, longer than the
-    search for link cycles in branching links goes."""
-    cx = glue("genus_three", {"F": "abABcdCDefEF"})
-    return ("genus_three", ExampleBundle(cx, draw_local(cx, "F", hopf_code()),
+    vertex has a link that is a single circle of 12 nodes, and in face F of
+    two such 12-gons F, G wedged at their vertex, whose link is two disjoint
+    circles of 12 nodes.  Both are longer than the search for link cycles in
+    branching links goes."""
+    one = glue("genus_three", {"F": "abABcdCDefEF"})
+    wedge = validate_complex("genus_three_wedge", ["v0"],
+                             {e: ("v0", "v0") for e in "abcdefghijkl"},
+                             _words({"F": "abABcdCDefEF", "G": "ghGHijIJklKL"}))
+    return tuple((cx.name, ExampleBundle(cx, draw_local(cx, "F", hopf_code()),
                                          Connection.trivial(cx, GroupSpec.free())))
+                 for cx in (one, wedge))
 
 
 @cache

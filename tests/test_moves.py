@@ -367,13 +367,14 @@ def test_find_sites_matches_brute_force_on_glued_complexes():
 
 
 def test_a_link_that_is_one_long_circle_has_m7_sites():
-    # the link search stops at _MAX_CYCLE nodes; a single circle is its own cycle
-    _label, b = corpus.long_link_circle()
-    (v,) = b.complex.vertices
-    assert [len(cycle) for cycle in mv._link_cycles(b.complex, v)] == [12]
+    # the link search stops at _MAX_CYCLE nodes where the link branches; a
+    # link of disjoint circles gives each circle, whatever its length
     assert mv._MAX_CYCLE < 12
-    assert mv.find_sites(b.diagram, K.M7)
-    assert_sites_match_brute(b.diagram)
+    for (_label, b), lengths in zip(corpus.long_link_circles(), ([12], [12, 12])):
+        (v,) = b.complex.vertices
+        assert [len(cycle) for cycle in mv._link_cycles(b.complex, v)] == lengths
+        assert mv.find_sites(b.diagram, K.M7)
+        assert_sites_match_brute(b.diagram)
 
 
 def invalid_ln1():
